@@ -16,6 +16,7 @@
 #include "dataset/tum_io.h"
 #include "slam/localizer.h"
 #include "slam/map_snapshot.h"
+#include "slam/tracker.h"
 
 int main(int argc, char** argv) {
   using namespace eslam;

@@ -22,6 +22,27 @@ const char* to_string(PipeStage stage) {
   return "?";
 }
 
+namespace {
+
+// Folds a retired frame's counters into its session's stats (caller holds
+// stats_mutex), so long-lived services see them without keeping every
+// TrackResult around.  A localization frame carries no map-maintenance,
+// backend or loop counters; only its relocalization outcome counts.
+void fold_result(PipelineStats& stats, const TrackResult& result) {
+  stats.points_pruned += result.n_points_pruned;
+  stats.backend_points_culled += result.n_points_culled;
+  stats.backend_points_fused += result.n_points_fused;
+  if (result.backend_applied) ++stats.backend_deltas_applied;
+  if (result.reloc_attempted) {
+    ++stats.reloc_attempts;
+    if (result.relocalized) ++stats.reloc_succeeded;
+    if (result.match_tier == MatchTier::kBruteForce) ++stats.reloc_fallbacks;
+  }
+  if (result.loop_closed) ++stats.loops_closed;
+}
+
+}  // namespace
+
 struct SchedulerSession {
   SchedulerSession(Tracker& tracker_, const SchedulerSessionOptions& opts_)
       : tracker(&tracker_),
@@ -725,12 +746,7 @@ void TrackerScheduler::run_session_localization(const SessionRef& session) {
     {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
       s.stats.arm_busy_ms += end - t0;
-      if (result.reloc_attempted) {
-        ++s.stats.reloc_attempts;
-        if (result.relocalized) ++s.stats.reloc_succeeded;
-        if (result.match_tier == MatchTier::kBruteForce)
-          ++s.stats.reloc_fallbacks;
-      }
+      fold_result(s.stats, result);
     }
     // Tier-wide lifetime counters (survive session close).
     if (result.reloc_attempted) {
@@ -792,22 +808,9 @@ void TrackerScheduler::run_session_arm(const SessionRef& session) {
     // tracker so begin_frame() on the device lane reuses the memory.
     s.tracker->recycle_frame(std::move(fs));
 
-    // Map-maintenance visibility: fold the per-frame counters into the
-    // session stats so long-lived services see them without keeping every
-    // TrackResult around.
     {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
-      s.stats.points_pruned += result.n_points_pruned;
-      s.stats.backend_points_culled += result.n_points_culled;
-      s.stats.backend_points_fused += result.n_points_fused;
-      if (result.backend_applied) ++s.stats.backend_deltas_applied;
-      if (result.reloc_attempted) {
-        ++s.stats.reloc_attempts;
-        if (result.relocalized) ++s.stats.reloc_succeeded;
-        if (result.match_tier == MatchTier::kBruteForce)
-          ++s.stats.reloc_fallbacks;
-      }
-      if (result.loop_closed) ++s.stats.loops_closed;
+      fold_result(s.stats, result);
     }
 
     // A keyframe may have frozen backend jobs (shard BAs and/or a loop

@@ -162,7 +162,7 @@ SessionHandle SlamService::open_session(const SessionConfig& config) {
         config.frozen_map,
         config.backend_factory ? config.backend_factory()
                                : make_feature_backend(config.backend),
-        config.localizer);
+        config.tracker);
     session->slot = scheduler_.add_localization_session(*session->localizer,
                                                         scheduler_options);
   } else {

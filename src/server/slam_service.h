@@ -80,12 +80,14 @@ struct SessionConfig {
   // is ignored there.
   PinholeCamera camera = PinholeCamera::tum_freiburg1();
   BackendConfig backend;
-  // Mapping-session tuning (ignored for kLocalization).
+  // Tuning for both kinds: a mapping session's Tracker takes all of it; a
+  // localization session's Localizer takes its TrackingOptions part (the
+  // same matching, relocalization and pose-estimation knobs) and ignores
+  // the map-updating fields.
   TrackerOptions tracker;
   // kLocalization only: the shared immutable map to serve against
-  // (required — open_session asserts) and the localizer's tuning.
+  // (required — open_session asserts).
   std::shared_ptr<const FrozenMap> frozen_map;
-  LocalizerOptions localizer;
   int queue_capacity = 4;         // this session's input/handoff ring depth
   bool speculative_match = true;
   bool record_events = false;     // off by default: sessions are long-lived

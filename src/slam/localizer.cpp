@@ -1,8 +1,7 @@
 #include "slam/localizer.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <optional>
 #include <string>
 
 #include "geometry/wall_timer.h"
@@ -11,14 +10,22 @@ namespace eslam {
 
 namespace {
 std::atomic<int> g_localization_session_ordinal{0};
+
+// The core copies the map's camera at construction, so the map is checked
+// before anything reads it.
+const PinholeCamera& frozen_camera(
+    const std::shared_ptr<const FrozenMap>& map) {
+  ESLAM_ASSERT(map != nullptr, "localizer needs a frozen map");
+  return map->camera();
+}
 }  // namespace
 
 Localizer::Localizer(std::shared_ptr<const FrozenMap> map,
                      std::unique_ptr<FeatureBackend> backend,
-                     const LocalizerOptions& options)
-    : map_(std::move(map)), backend_(std::move(backend)), options_(options) {
-  ESLAM_ASSERT(map_ != nullptr, "localizer needs a frozen map");
-  ESLAM_ASSERT(backend_ != nullptr, "localizer needs a feature backend");
+                     const TrackingOptions& options)
+    : map_(std::move(map)),
+      backend_(std::move(backend)),
+      core_(frozen_camera(map_), backend_.get(), options) {
   const int ordinal =
       g_localization_session_ordinal.fetch_add(1, std::memory_order_relaxed);
   obs_.pid = obs::register_process("localization-" + std::to_string(ordinal));
@@ -28,289 +35,50 @@ Localizer::Localizer(std::shared_ptr<const FrozenMap> map,
       &obs::metrics().histogram("eslam_localizer_coldstart_ms");
 }
 
-SE3 Localizer::predicted_pose_cw() const {
-  if (!options_.use_motion_model || !have_velocity_) return last_pose_cw_;
-  // Constant velocity: T(t+1) ~ [T(t) T(t-1)^-1] T(t).
-  return (last_pose_cw_ * prev_pose_cw_.inverse()) * last_pose_cw_;
-}
-
 TrackResult Localizer::process(const FrameInput& frame) {
   ESLAM_TRACE_SCOPE(obs_.frame_track, "frame");
   const WallTimer frame_timer;
-  arena_.reset();
-  // Reset the recycled per-frame outputs capacity-intact (the same reset
-  // Tracker::acquire_frame performs on a pooled frame shell).
-  matches_.clear();
-  reloc_positions_.clear();
-  reloc_reference_cw_ = SE3{};
-  match_tier_ = MatchTier::kBruteForce;
-  gate_.candidates.indices.clear();
-  gate_.candidates.offsets.clear();
-  gate_.projected = 0;
-  gate_.build_ms = 0;
-  ransac_.pose = SE3{};
-  ransac_.inliers.clear();
-  ransac_.success = false;
-  ransac_.iterations = 0;
-  ransac_retry_.inliers.clear();
-  correspondences_.clear();
-
-  TrackResult result;
-  result.timestamp = frame.timestamp;
-
-  // --- Feature extraction (FPGA in the paper) ---------------------------
+  fs_.reset();
+  fs_.result.timestamp = frame.timestamp;
   {
     ESLAM_TRACE_SCOPE(obs_.frame_track, "FE");
-    backend_->extract_into(frame.gray, features_);
+    core_.extract(fs_, frame.gray);
   }
-  result.times.feature_extraction = backend_->last_extract_time_ms();
-  result.n_features = static_cast<int>(features_.size());
-
-  match(result);
-  estimate_pose(result);
-  optimize_pose(result);
+  // No lock, no epoch check: the frozen tier is the degenerate
+  // one-version case of the live map's published-view read path — the
+  // FrozenMap pins a single MapReadView forever, so this borrow is valid
+  // unconditionally and a match is never replayed.
+  const MapReadView& view = *map_->view();
+  {
+    ESLAM_TRACE_SCOPE(obs_.frame_track, "FM");
+    // Tracking: gate off the fresh motion model.  Cold or lost:
+    // recognition, at once.
+    const Places places{map_->graph(), map_->keyframe_index()};
+    core_.match(fs_, view,
+                tracking_ ? std::optional<SE3>(core_.predicted_pose_cw())
+                          : std::nullopt,
+                tracking_ ? nullptr : &places);
+  }
+  {
+    ESLAM_TRACE_SCOPE(obs_.frame_track, "PE");
+    core_.estimate_pose(fs_, view);
+  }
+  if (!fs_.result.lost) {
+    ESLAM_TRACE_SCOPE(obs_.frame_track, "PO");
+    core_.optimize_pose(fs_);
+  }
 
   // Commit — pose state only; there is no map to update.
-  if (result.lost) {
-    have_velocity_ = false;
-    tracking_ = false;
-  } else {
-    // A cold/lost frame that reached here recovered a pose through the
-    // recognition path — that is the relocalization the stats report.
-    result.relocalized = result.reloc_attempted;
-    prev_pose_cw_ = last_pose_cw_;
-    last_pose_cw_ = result.pose_cw;
-    // A recovered pose has no meaningful predecessor for a velocity;
-    // restart the motion model from it alone (same rule as the tracker).
-    have_velocity_ = !result.reloc_attempted;
-    tracking_ = true;
-  }
+  core_.retire(fs_.result);
+  tracking_ = !fs_.result.lost;
   ++frames_processed_;
   // Latency rollups: every frame, plus the cold-start distribution for
   // frames that engaged the relocalization entry path (the tier's
   // time-to-first-pose signal).
   const double frame_ms = frame_timer.elapsed_ms();
   obs_.frame_ms->record(frame_ms);
-  if (result.reloc_attempted) obs_.coldstart_ms->record(frame_ms);
-  return result;
-}
-
-void Localizer::match(TrackResult& result) {
-  ESLAM_TRACE_SCOPE(obs_.frame_track, "FM");
-  // --- Feature matching (FPGA in the paper) -----------------------------
-  // No lock, no epoch check: the frozen tier is the degenerate
-  // one-version case of the live map's published-view read path — the
-  // FrozenMap pins a single MapReadView forever, so the borrow below is
-  // valid unconditionally and a match is never replayed.
-  const MapReadView& view = *map_->view();
-  if (view.empty()) {
-    result.times.feature_matching = 0.0;
-    result.n_matches = 0;
-    return;
-  }
-  const TrainView train{view.descriptors(), &view.descriptor_soa()};
-
-  double match_ms = 0.0;
-  bool gated = false;
-  // Tier one: projection-gated candidate search off the fresh motion
-  // model (no published slot — see the header's file comment).
-  if (tracking_ && options_.match.use_gate &&
-      static_cast<int>(view.size()) >=
-          options_.match.min_map_points_for_gate) {
-    build_candidate_set_into(view.xs(), view.ys(), view.zs(),
-                             predicted_pose_cw(), map_->camera(), features_,
-                             options_.match, &arena_, gate_);
-    backend_->match_candidates_into(features_, train, gate_.candidates,
-                                    &arena_, matches_);
-    match_ms += gate_.build_ms + backend_->last_match_time_ms();
-    const int required = std::max(
-        options_.match.min_gated_matches,
-        static_cast<int>(std::ceil(options_.match.min_gated_match_fraction *
-                                   static_cast<double>(features_.size()))));
-    if (static_cast<int>(matches_.size()) >= required) gated = true;
-    // else: the prior is likely wrong — fall through to the full-map tier
-    // (which overwrites matches_).
-  }
-  // Cold-start / post-loss tier: indexed relocalization, engaged
-  // immediately (no lost-streak delay — a localizer without a pose has no
-  // motion prior worth waiting for, unlike the mapping tracker).
-  bool relocated = false;
-  if (!gated && !tracking_ && options_.reloc.use_index &&
-      static_cast<int>(features_.size()) >= options_.reloc.min_matches &&
-      static_cast<int>(map_->graph().size()) >= options_.reloc.min_keyframes) {
-    // (A frame without enough features — a dropout/blank — cannot
-    // relocalize by any tier; it is not counted as an attempt.)
-    result.reloc_attempted = true;
-    // Recovery is off the steady-state path: the descriptor staging copy
-    // the index query needs is allocated here, not on every frame.
-    std::vector<Descriptor256> query;
-    query.reserve(features_.size());
-    for (const Feature& f : features_) query.push_back(f.descriptor);
-    relocated = match_against_reloc_index(query, match_ms);
-  }
-  // Fallback tier: full-map brute force (small maps, gate fallback, or a
-  // cold start the recognition index could not answer).
-  if (!gated && !relocated) {
-    backend_->match_into(features_, train, &arena_, matches_);
-    match_ms += backend_->last_match_time_ms();
-  }
-  match_tier_ = gated ? MatchTier::kGated
-              : relocated ? MatchTier::kRelocIndex
-                          : MatchTier::kBruteForce;
-  result.match_tier = match_tier_;
-  result.times.feature_matching = match_ms;
-  result.n_matches = static_cast<int>(matches_.size());
-}
-
-bool Localizer::match_against_reloc_index(std::span<const Descriptor256> query,
-                                          double& match_ms) {
-  const backend::KeyframeGraph& graph = map_->graph();
-  const std::vector<backend::KeyframeScore> ranked =
-      map_->keyframe_index().query(query, options_.reloc.max_candidates);
-  for (const backend::KeyframeScore& hit : ranked) {
-    if (!graph.contains(hit.keyframe_id)) continue;
-    // The candidate's local place: the keyframe plus its top covisible
-    // neighbours; the 3D side is each observation's own depth
-    // unprojection lifted by its keyframe pose (see Tracker's reloc tier).
-    const std::vector<int> hood =
-        graph.neighbourhood(hit.keyframe_id, options_.reloc.neighbourhood);
-    const std::vector<backend::KeyframeGraph::PlaceObservation> place =
-        graph.place_observations(hood);
-    std::vector<Descriptor256> subset;
-    std::vector<std::int32_t> map_index;  // frozen-map index or -1
-    subset.reserve(place.size());
-    map_index.reserve(place.size());
-    for (const auto& obs : place) {
-      subset.push_back(obs.descriptor);
-      const auto index = map_->index_of(obs.point_id);
-      map_index.push_back(index ? static_cast<std::int32_t>(*index) : -1);
-    }
-    if (static_cast<int>(subset.size()) < options_.reloc.min_matches)
-      continue;
-    // Verification-grade matching, host-side (see RelocOptions::matcher).
-    const WallTimer reloc_timer;
-    std::vector<Match> matches =
-        match_descriptors(query, subset, options_.reloc.matcher);
-    match_ms += reloc_timer.elapsed_ms();
-    if (static_cast<int>(matches.size()) < options_.reloc.min_matches)
-      continue;  // recognition was wrong for this hit; try the next one
-    reloc_positions_.clear();
-    reloc_positions_.reserve(matches.size());
-    for (Match& m : matches) {
-      reloc_positions_.push_back(
-          place[static_cast<std::size_t>(m.train)].position_w);
-      m.train = map_index[static_cast<std::size_t>(m.train)];
-    }
-    matches_ = std::move(matches);
-    reloc_reference_cw_ = graph.keyframe(hit.keyframe_id).pose_cw;
-    return true;
-  }
-  return false;
-}
-
-void Localizer::estimate_pose(TrackResult& result) {
-  if (map_->empty()) {
-    // Nothing to localize against — unlike the tracker there is no
-    // bootstrap: a frozen map is the session's whole world.
-    result.lost = true;
-    result.pose_cw = last_pose_cw_;
-    result.pose_wc = last_pose_cw_.inverse();
-    return;
-  }
-
-  // --- Pose estimation: PnP + RANSAC (ARM) ------------------------------
-  ESLAM_TRACE_SCOPE(obs_.frame_track, "PE");
-  WallTimer pe_timer;
-  correspondences_.clear();
-  correspondences_.reserve(matches_.size());
-  const bool reloc = match_tier_ == MatchTier::kRelocIndex;
-  for (std::size_t i = 0; i < matches_.size(); ++i) {
-    const Match& m = matches_[i];
-    const Feature& f = features_[static_cast<std::size_t>(m.query)];
-    // Reloc matches carry their own 3D (keyframe-observation geometry).
-    correspondences_.push_back(Correspondence{
-        reloc ? reloc_positions_[i]
-              : map_->point(static_cast<std::size_t>(m.train)).position,
-        Vec2{f.keypoint.x0(), f.keypoint.y0()}});
-  }
-  // Same acceptance gates as the tracker: absolute for the reloc tier's
-  // neighbourhood-bounded match set, ratio (with the strong-consensus
-  // override) for map-wide sets.
-  const int required_inliers =
-      reloc ? std::max(options_.min_tracked_inliers,
-                       options_.reloc.min_inliers)
-            : std::max(options_.min_tracked_inliers,
-                       std::min(options_.strong_consensus_inliers,
-                                static_cast<int>(
-                                    options_.min_inlier_ratio *
-                                    static_cast<double>(
-                                        correspondences_.size()))));
-  const SE3 prior = predicted_pose_cw();
-  ransac_pnp_into(correspondences_, map_->camera(), prior, options_.ransac,
-                  &arena_, ransac_);
-  if (!ransac_.success ||
-      static_cast<int>(ransac_.inliers.size()) < required_inliers) {
-    // Retry once from the raw previous pose (the velocity extrapolation
-    // itself can be the problem after an abrupt motion change).
-    if (options_.use_motion_model && have_velocity_) {
-      ransac_pnp_into(correspondences_, map_->camera(), last_pose_cw_,
-                      options_.ransac, &arena_, ransac_retry_);
-      if (ransac_retry_.inliers.size() > ransac_.inliers.size())
-        std::swap(ransac_, ransac_retry_);
-    }
-  }
-  if (options_.relocalize_with_p3p &&
-      (!ransac_.success ||
-       static_cast<int>(ransac_.inliers.size()) < required_inliers)) {
-    // Closed-form P3P hypotheses need no pose prior — the cold-start
-    // workhorse (a fresh localizer has no prior at all).
-    RansacOptions reloc_opts = options_.ransac;
-    reloc_opts.use_p3p = true;
-    ransac_pnp_into(correspondences_, map_->camera(), SE3{}, reloc_opts,
-                    &arena_, ransac_retry_);
-    if (ransac_retry_.inliers.size() > ransac_.inliers.size())
-      std::swap(ransac_, ransac_retry_);
-  }
-  result.times.pose_estimation = pe_timer.elapsed_ms();
-  result.n_inliers = static_cast<int>(ransac_.inliers.size());
-  if (reloc && ransac_.success) {
-    // Plausibility: the recovered camera must be where the recognized
-    // keyframe's scene is visible from.  Accept-only-when-provably-
-    // plausible so a NaN pose fails the gate (NaN fails every comparison).
-    const Vec3 centre = ransac_.pose.inverse().translation();
-    const Vec3 reference = reloc_reference_cw_.inverse().translation();
-    const double distance = (centre - reference).norm();
-    const double rotation = ransac_.pose.rotation_angle(reloc_reference_cw_);
-    if (!(distance <= options_.reloc.max_distance_m &&
-          rotation <= options_.reloc.max_rotation_rad))
-      ransac_.success = false;
-  }
-  if (!ransac_.success || result.n_inliers < required_inliers) {
-    // Lost: keep the previous pose; the commit step drops the velocity.
-    result.lost = true;
-    result.pose_cw = last_pose_cw_;
-    result.pose_wc = last_pose_cw_.inverse();
-  }
-}
-
-void Localizer::optimize_pose(TrackResult& result) {
-  if (result.lost) return;
-
-  // --- Pose optimization: LM on inlier reprojection error (ARM) ---------
-  ESLAM_TRACE_SCOPE(obs_.frame_track, "PO");
-  WallTimer po_timer;
-  const ArenaScope scope(arena_);
-  std::span<Correspondence> inlier_set =
-      arena_.alloc_span<Correspondence>(ransac_.inliers.size());
-  std::size_t k = 0;
-  for (int idx : ransac_.inliers)
-    inlier_set[k++] = correspondences_[static_cast<std::size_t>(idx)];
-  const PnpResult optimized = solve_pnp(inlier_set, map_->camera(),
-                                        ransac_.pose,
-                                        options_.pose_optimization);
-  result.times.pose_optimization = po_timer.elapsed_ms();
-  result.pose_cw = optimized.pose;
-  result.pose_wc = optimized.pose.inverse();
+  if (fs_.result.reloc_attempted) obs_.coldstart_ms->record(frame_ms);
+  return fs_.result;
 }
 
 }  // namespace eslam

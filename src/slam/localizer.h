@@ -1,37 +1,33 @@
 // Localizer — the read-only session kind's frame loop.
 //
-// A Localizer runs the tracking half of the paper's pipeline — feature
-// extraction -> feature matching -> pose estimation -> pose optimization —
-// against an immutable FrozenMap.  There is no map updating: no keyframe
+// A Localizer is the mapping Tracker without map updating: the same
+// TrackingCore (slam/tracking_core.h) runs feature extraction -> feature
+// matching -> pose estimation -> pose optimization against an immutable
+// FrozenMap, tuned by the same TrackingOptions.  There are no keyframe
 // insertions, no pruning, no backend jobs, no gate-prior publication
 // protocol, no lock and no epoch check anywhere on the frame path.  The
 // map cannot change, so the speculative-match machinery the mapping tier
 // needs is simply absent, and N localizers sharing one FrozenMap read it
 // concurrently with zero coordination.
 //
-// Entry path (the kidnapped-robot path as the front door): a Localizer
-// starts cold — no pose, no motion model.  Until it acquires a pose (and
-// again whenever tracking is lost) each frame runs *indexed
-// relocalization*: query the frozen recognition index, match against the
-// best keyframe's covisible neighbourhood with the verification-grade
-// matcher, and recover the pose by P3P RANSAC under the absolute-inlier +
-// plausibility gates — exactly the tracker's post-loss recovery, minus
-// the lost-streak delay (a cold localizer has no motion prior worth
-// waiting for, so RelocOptions::min_lost_frames is not consulted here).
-// When the index comes up empty the map-wide brute-force tier is the
-// deterministic fallback.
+// What it hands the core differs from the Tracker in two ways:
+//   - Entry path (the kidnapped-robot path as the front door): a
+//     Localizer starts cold — no pose, no motion model.  Until it acquires
+//     a pose (and again whenever tracking is lost) each frame may run the
+//     recognition tier against the frozen graph + index, then P3P under
+//     the absolute-inlier + plausibility gates — the tracker's post-loss
+//     recovery without the lost-streak delay (a cold localizer has no
+//     motion prior worth waiting for, so RelocOptions::min_lost_frames is
+//     not consulted here).  When the index comes up empty the map-wide
+//     brute-force tier is the deterministic fallback.
+//   - The projection gate's prior on tracked frames is the *fresh* motion
+//     model, not the mapping tier's two-frame-stale published slot — with
+//     no device/ARM split per frame there is nothing to pre-publish for.
 //
-// Tracked frames mirror the mapping tracker's nominal path: a constant-
-// velocity prior feeds the projection gate (built over the frozen
-// position SoA lanes), candidates are matched through the SIMD kernels on
-// the frozen descriptor planes, and the same RANSAC/retry/P3P ladder and
-// LM refinement run on the ARM side.  The prior is the *fresh* motion
-// model, not the mapping tier's two-frame-stale published slot — with no
-// device/ARM split per frame there is nothing to pre-publish for.
-//
-// Steady-state tracked frames are zero-heap-allocation: all per-frame
-// outputs live in recycled members, scratch comes from the per-frame
-// arena, and the frozen views are borrowed (asserted by
+// Steady-state tracked frames are zero-heap-allocation: one recycled
+// FrameState carries every per-frame output, scratch comes from its
+// arena, the caller's FrameInput is read in place (never copied into the
+// FrameState) and the frozen view is borrowed by reference (asserted by
 // tests/runtime/steady_state_alloc_test.cpp).  Cold-start / reloc frames
 // may allocate, matching the tracker's documented exemption.
 //
@@ -44,53 +40,22 @@
 
 #include <memory>
 
-#include "core/arena.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "slam/frozen_map.h"
-#include "slam/match_gate.h"
-#include "slam/ransac.h"
-#include "slam/tracker.h"
+#include "slam/tracking_core.h"
 
 namespace eslam {
-
-// Mirrors the TrackerOptions the localization path consumes; defaults are
-// identical so a localizer behaves like the tracker that built the map.
-struct LocalizerOptions {
-  LocalizerOptions() {
-    // Same RANSAC operating point as TrackerOptions (see its constructor
-    // comment): more draws for low-inlier frames, 4 px to absorb pyramid
-    // quantization.
-    ransac.max_iterations = 256;
-    ransac.inlier_threshold_px = 4.0;
-  }
-
-  MatcherOptions matcher;
-  // Gated-vs-brute-force tier selection (slam/match_gate.h).
-  MatchPolicy match;
-  // Cold-start / post-loss recovery knobs: index trust, neighbourhood
-  // matching, the verification matcher, absolute inlier gate and pose
-  // plausibility gate.  min_lost_frames is ignored (see file comment).
-  RelocOptions reloc;
-  RansacOptions ransac;
-  PnpOptions pose_optimization{/*max_iterations=*/15,
-                               /*initial_lambda=*/1e-4,
-                               /*huber_delta=*/2.5,
-                               /*convergence_step=*/1e-8};
-  int min_tracked_inliers = 10;
-  double min_inlier_ratio = 0.2;
-  int strong_consensus_inliers = 400;
-  bool use_motion_model = true;
-  bool relocalize_with_p3p = true;
-};
 
 class Localizer {
  public:
   // The camera comes from the frozen map (the mapping session's
-  // intrinsics) — frames fed here must match it.
+  // intrinsics) — frames fed here must match it.  A mapping session's
+  // TrackerOptions pass here as-is, so a localizer can be tuned exactly
+  // like the tracker that built the map.
   Localizer(std::shared_ptr<const FrozenMap> map,
             std::unique_ptr<FeatureBackend> backend,
-            const LocalizerOptions& options = {});
+            const TrackingOptions& options = {});
 
   // One frame through FE -> FM -> PE -> PO (no MU).  TrackResult fields
   // that only map updating produces (keyframe, prune/cull counts,
@@ -124,36 +89,13 @@ class Localizer {
   const PinholeCamera& camera() const { return map_->camera(); }
 
  private:
-  void match(TrackResult& result);
-  bool match_against_reloc_index(std::span<const Descriptor256> query,
-                                 double& match_ms);
-  void estimate_pose(TrackResult& result);
-  void optimize_pose(TrackResult& result);
-  SE3 predicted_pose_cw() const;
-
   std::shared_ptr<const FrozenMap> map_;
   std::unique_ptr<FeatureBackend> backend_;
-  LocalizerOptions options_;
-
-  // Pose state (the tracker's, minus everything map-writing).
-  SE3 last_pose_cw_;
-  SE3 prev_pose_cw_;
-  bool have_velocity_ = false;
+  TrackingCore core_;
   bool tracking_ = false;
   int frames_processed_ = 0;
-
-  // Recycled per-frame storage — the FrameState fields the localization
-  // stages use, owned directly since frames never cross a lane boundary.
-  FeatureList features_;
-  std::vector<Match> matches_;
-  MatchTier match_tier_ = MatchTier::kBruteForce;
-  std::vector<Vec3> reloc_positions_;
-  SE3 reloc_reference_cw_;
-  GateResult gate_;
-  std::vector<Correspondence> correspondences_;
-  RansacResult ransac_;
-  RansacResult ransac_retry_;
-  Arena arena_;  // reset once per frame
+  // The one frame in flight, recycled: frames never cross a lane boundary.
+  FrameState fs_;
 
   LocalizerObs obs_;
 };

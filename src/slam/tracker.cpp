@@ -78,9 +78,9 @@ Tracker::Tracker(const PinholeCamera& camera,
     : camera_(camera),
       backend_(std::move(backend)),
       options_(options),
+      core_(camera_, backend_.get(), options_),
       keyframe_policy_(options.keyframe),
       kf_graph_(options.backend.graph) {
-  ESLAM_ASSERT(backend_ != nullptr, "tracker needs a feature backend");
   // Pre-size the growth-only containers so the steady-state loop never
   // reallocates them (the allocation regression test counts every heap
   // call after warm-up).
@@ -174,12 +174,6 @@ std::size_t Tracker::insert_map_points(
   return backend::run_map_maintenance(map_, fs.index, options_.lifecycle);
 }
 
-SE3 Tracker::predicted_pose_cw() const {
-  if (!options_.use_motion_model || !have_velocity_) return last_pose_cw_;
-  // Constant velocity: T(t+1) ~ [T(t) T(t-1)^-1] T(t).
-  return (last_pose_cw_ * prev_pose_cw_.inverse()) * last_pose_cw_;
-}
-
 void Tracker::publish_gate_prior(const FrameState& fs) {
   lost_streak_ = fs.result.lost ? lost_streak_ + 1 : 0;
   const std::int64_t for_frame = fs.index + 2;
@@ -187,14 +181,9 @@ void Tracker::publish_gate_prior(const FrameState& fs) {
   SE3 pose_cw;
   if (!fs.result.lost) {
     valid = true;
-    if (options_.use_motion_model && have_velocity_) {
-      // Double-step constant velocity: the target frame is two frames
-      // ahead of the pose this publication is based on.
-      const SE3 step = last_pose_cw_ * prev_pose_cw_.inverse();
-      pose_cw = step * (step * last_pose_cw_);
-    } else {
-      pose_cw = last_pose_cw_;
-    }
+    // The target frame is two frames ahead of the pose this publication
+    // is based on.
+    pose_cw = core_.predicted_pose_cw(/*frames_ahead=*/2);
   }
   // else: no trustworthy pose — published as invalid, which routes the
   // target frame into the relocalization tier.
@@ -261,30 +250,7 @@ FrameState Tracker::acquire_frame() {
       frame_pool_.pop_back();
     }
   }
-  // Reset per-frame state, keeping every container's capacity.
-  fs.features.clear();
-  fs.matches.clear();
-  fs.match_tier = MatchTier::kBruteForce;
-  fs.map_epoch = 0;
-  fs.view.reset();  // release the borrowed map view (refcount only)
-  fs.bootstrap = false;
-  fs.reloc_positions.clear();
-  fs.reloc_reference_cw = SE3{};
-  fs.ransac.pose = SE3{};
-  fs.ransac.inliers.clear();
-  fs.ransac.success = false;
-  fs.ransac.iterations = 0;
-  fs.ransac_retry.inliers.clear();
-  fs.correspondences.clear();
-  fs.gate.candidates.indices.clear();
-  fs.gate.candidates.offsets.clear();
-  fs.gate.projected = 0;
-  fs.gate.build_ms = 0;
-  fs.result = TrackResult{};
-  if (fs.arena)
-    fs.arena->reset();
-  else
-    fs.arena = std::make_unique<Arena>();
+  fs.reset();
   return fs;
 }
 
@@ -305,9 +271,7 @@ FrameState Tracker::begin_frame(FrameInput frame) {
 void Tracker::extract(FrameState& fs) {
   // --- Feature extraction (FPGA in the paper) ---------------------------
   ESLAM_TRACE_SCOPE(obs_.device_track, "FE");
-  backend_->extract_into(fs.input.gray, fs.features);
-  fs.result.times.feature_extraction = backend_->last_extract_time_ms();
-  fs.result.n_features = static_cast<int>(fs.features.size());
+  core_.extract(fs, fs.input.gray);
   obs_.stage_fe->record(fs.result.times.feature_extraction);
 }
 
@@ -321,148 +285,27 @@ void Tracker::match(FrameState& fs) {
   // frozen; the epoch recorded below detects it, and a replay simply
   // overwrites the previous matches against a fresh borrow.
   fs.view = map_.read_view();
-  const MapReadView& view = *fs.view;
-  fs.map_epoch = view.epoch();
-  fs.matches.clear();
-  fs.reloc_positions.clear();
-  fs.match_tier = MatchTier::kBruteForce;
-  if (view.empty()) {
-    // Nothing to match against — the frame will bootstrap the map.
-    fs.result.times.feature_matching = 0.0;
-    fs.result.n_matches = 0;
-    return;
-  }
-  // Queries go to the backend as the features themselves (no per-frame
-  // descriptor staging copy); the train side is the view's AoS span plus
-  // its SoA word-plane mirror, both frozen for the duration of this
-  // stage (and beyond, for as long as fs.view is held).
-  const TrainView train{view.descriptors(), &view.descriptor_soa()};
-
+  fs.map_epoch = fs.view->epoch();
   const GatePrior prior = gate_prior_for(fs.index);
-
-  // Tier one: projection-gated candidate search, when the policy allows,
-  // the map is big enough to be worth gating, and a prior was published
-  // for this frame (none right after bootstrap or a tracking loss).
-  double match_ms = 0.0;
-  bool gated = false;
-  if (options_.match.use_gate && prior.pose_cw &&
-      static_cast<int>(view.size()) >= options_.match.min_map_points_for_gate) {
-    build_candidate_set_into(view.xs(), view.ys(), view.zs(), *prior.pose_cw,
-                             camera_, fs.features, options_.match,
-                             fs.arena.get(), fs.gate);
-    backend_->match_candidates_into(fs.features, train, fs.gate.candidates,
-                                    fs.arena.get(), fs.matches);
-    match_ms += fs.gate.build_ms + backend_->last_match_time_ms();
-    const int required = std::max(
-        options_.match.min_gated_matches,
-        static_cast<int>(std::ceil(options_.match.min_gated_match_fraction *
-                                   static_cast<double>(fs.features.size()))));
-    if (static_cast<int>(fs.matches.size()) >= required) gated = true;
-    // else: too few matches survived — the prior is likely wrong (fast
-    // motion beyond the window, viewpoint jump), so fall through to the
-    // full-map tier (which overwrites fs.matches).
+  // The publishing frame retired *lost* for long enough: there is no pose
+  // to gate with, so recognize where we are instead (see RelocOptions).
+  // This is the one read path that still locks (graph_mutex_, shared —
+  // the graph/index have no published views), and only on such
+  // persistently-lost frames, never in steady state.
+  const bool relocalize =
+      prior.lost && prior.lost_streak >= options_.reloc.min_lost_frames &&
+      options_.backend.enabled && core_.can_relocalize(fs);
+  std::shared_lock glock(graph_mutex_, std::defer_lock);
+  if (relocalize && !glock.try_lock()) {
+    // A keyframe insert / loop rebase holds the graph exclusively right
+    // now — the only remaining way a reader waits on a map writer.
+    map_reader_stalls_total_->add(1);
+    glock.lock();
   }
-  // Relocalization tier: the publishing frame retired *lost*, so there is
-  // no pose to gate with — recognize where we are instead.  Query the
-  // keyframe index, match only against the best keyframe's local
-  // neighbourhood, and leave P3P to estimate_pose(); the map-wide brute
-  // force below is demoted to the deterministic fallback for when
-  // recognition comes up empty.  This is the one read path that still
-  // locks (graph_mutex_, shared — the graph/index have no published
-  // views), and it only runs on persistently-lost frames, never in
-  // steady state.
-  bool relocated = false;
-  if (!gated && prior.lost &&
-      prior.lost_streak >= options_.reloc.min_lost_frames &&
-      options_.backend.enabled && options_.reloc.use_index &&
-      static_cast<int>(fs.features.size()) >= options_.reloc.min_matches) {
-    std::shared_lock glock(graph_mutex_, std::try_to_lock);
-    if (!glock.owns_lock()) {
-      // A keyframe insert / loop rebase holds the graph exclusively right
-      // now — the only remaining way a reader waits on a map writer.
-      map_reader_stalls_total_->add(1);
-      glock.lock();
-    }
-    if (static_cast<int>(kf_graph_.size()) >= options_.reloc.min_keyframes) {
-      // (A frame without enough features — a dropout/blank — cannot
-      // relocalize by any tier; it is not counted as an attempt.)
-      fs.result.reloc_attempted = true;
-      // Relocalization is a rare, off-schedule path: the descriptor
-      // staging copy the index query needs is allocated here, not on
-      // every frame.
-      std::vector<Descriptor256> query;
-      query.reserve(fs.features.size());
-      for (const Feature& f : fs.features) query.push_back(f.descriptor);
-      relocated = match_against_reloc_index(fs, query, match_ms);
-    }
-  }
-  // Fallback tier: full-map brute force (bootstrap-adjacent frames,
-  // post-loss frames without a usable index, small maps, gate/reloc
-  // fallback).
-  if (!gated && !relocated) {
-    backend_->match_into(fs.features, train, fs.arena.get(), fs.matches);
-    match_ms += backend_->last_match_time_ms();
-  }
-  fs.match_tier = gated ? MatchTier::kGated
-                : relocated ? MatchTier::kRelocIndex
-                            : MatchTier::kBruteForce;
-  fs.result.match_tier = fs.match_tier;
-  fs.result.times.feature_matching = match_ms;
-  fs.result.n_matches = static_cast<int>(fs.matches.size());
-  obs_.stage_fm->record(match_ms);
-}
-
-bool Tracker::match_against_reloc_index(FrameState& fs,
-                                        std::span<const Descriptor256> query,
-                                        double& match_ms) {
-  const std::vector<backend::KeyframeScore> ranked =
-      kf_index_.query(query, options_.reloc.max_candidates);
-  for (const backend::KeyframeScore& hit : ranked) {
-    if (!kf_graph_.contains(hit.keyframe_id)) continue;
-    // The candidate's local place: the keyframe plus its top covisible
-    // neighbours.
-    const std::vector<int> hood =
-        kf_graph_.neighbourhood(hit.keyframe_id, options_.reloc.neighbourhood);
-    // The neighbourhood's observations ARE the recovery substrate: the
-    // 3D side is each observation's own depth unprojection lifted by its
-    // keyframe pose — drift-consistent, immune to map pruning, and
-    // O(window) to assemble.
-    const std::vector<backend::KeyframeGraph::PlaceObservation> place =
-        kf_graph_.place_observations(hood);
-    std::vector<Descriptor256> subset;
-    std::vector<std::int32_t> map_index;  // live map index or -1
-    subset.reserve(place.size());
-    map_index.reserve(place.size());
-    for (const auto& obs : place) {
-      subset.push_back(obs.descriptor);
-      // Id lookup against the borrowed view, not the live map: the match
-      // train indices must be consistent with the epoch fs carries.
-      const auto index = fs.view->index_of(obs.point_id);
-      map_index.push_back(index ? static_cast<std::int32_t>(*index) : -1);
-    }
-    if (static_cast<int>(subset.size()) < options_.reloc.min_matches)
-      continue;
-    // Verification-grade matching (see RelocOptions::matcher), host-side
-    // like the loop job's — the fabric's bulk matcher has no precision
-    // knobs, and a lost session is off the nominal fabric schedule anyway.
-    const WallTimer reloc_timer;
-    std::vector<Match> matches =
-        match_descriptors(query, subset, options_.reloc.matcher);
-    match_ms += reloc_timer.elapsed_ms();
-    if (static_cast<int>(matches.size()) < options_.reloc.min_matches)
-      continue;  // recognition was wrong for this hit; try the next one
-    fs.reloc_positions.clear();
-    fs.reloc_positions.reserve(matches.size());
-    for (Match& m : matches) {
-      fs.reloc_positions.push_back(
-          place[static_cast<std::size_t>(m.train)].position_w);
-      m.train = map_index[static_cast<std::size_t>(m.train)];
-    }
-    fs.matches = std::move(matches);
-    fs.reloc_reference_cw = kf_graph_.keyframe(hit.keyframe_id).pose_cw;
-    return true;
-  }
-  return false;
+  const Places places{kf_graph_, kf_index_};
+  core_.match(fs, *fs.view, prior.pose_cw, relocalize ? &places : nullptr);
+  if (!fs.view->empty())
+    obs_.stage_fm->record(fs.result.times.feature_matching);
 }
 
 void Tracker::estimate_pose(FrameState& fs) {
@@ -477,88 +320,8 @@ void Tracker::estimate_pose(FrameState& fs) {
 
   // --- Pose estimation: PnP + RANSAC (ARM) -------------------------------
   ESLAM_TRACE_SCOPE(obs_.arm_track, "PE");
-  WallTimer pe_timer;
-  fs.correspondences.clear();
-  fs.correspondences.reserve(fs.matches.size());
-  const bool reloc = fs.match_tier == MatchTier::kRelocIndex;
-  for (std::size_t i = 0; i < fs.matches.size(); ++i) {
-    const Match& m = fs.matches[i];
-    const Feature& f = fs.features[static_cast<std::size_t>(m.query)];
-    // Reloc matches carry their own 3D (keyframe-observation geometry);
-    // map matches read the borrowed view's frozen position column (same
-    // values the matches were computed against — the epoch assert above
-    // guarantees the live map agrees).
-    fs.correspondences.push_back(Correspondence{
-        reloc ? fs.reloc_positions[i]
-              : fs.view->position(static_cast<std::size_t>(m.train)),
-        Vec2{f.keypoint.x0(), f.keypoint.y0()}});
-  }
-  // Relocalization matches cover only the recognized neighbourhood, so
-  // the acceptance gate is absolute (see RelocOptions::min_inliers); the
-  // ratio gate below assumes the map-wide match set.
-  const int required_inliers =
-      fs.match_tier == MatchTier::kRelocIndex
-          ? std::max(options_.min_tracked_inliers,
-                     options_.reloc.min_inliers)
-          : std::max(options_.min_tracked_inliers,
-                     std::min(options_.strong_consensus_inliers,
-                              static_cast<int>(
-                                  options_.min_inlier_ratio *
-                                  static_cast<double>(
-                                      fs.correspondences.size()))));
-  const SE3 prior = predicted_pose_cw();
-  ransac_pnp_into(fs.correspondences, camera_, prior, options_.ransac,
-                  fs.arena.get(), fs.ransac);
-  if (!fs.ransac.success ||
-      static_cast<int>(fs.ransac.inliers.size()) < required_inliers) {
-    // Retry once from the raw previous pose: the velocity extrapolation
-    // itself can be the problem after an abrupt motion change, and a
-    // low-consensus "success" is often a degenerate pose on repetitive
-    // texture rather than the true one.
-    if (options_.use_motion_model && have_velocity_) {
-      ransac_pnp_into(fs.correspondences, camera_, last_pose_cw_,
-                      options_.ransac, fs.arena.get(), fs.ransac_retry);
-      if (fs.ransac_retry.inliers.size() > fs.ransac.inliers.size())
-        std::swap(fs.ransac, fs.ransac_retry);
-    }
-  }
-  if (options_.relocalize_with_p3p &&
-      (!fs.ransac.success ||
-       static_cast<int>(fs.ransac.inliers.size()) < required_inliers)) {
-    // Relocalization: closed-form P3P hypotheses need no pose prior.
-    RansacOptions reloc_opts = options_.ransac;
-    reloc_opts.use_p3p = true;
-    ransac_pnp_into(fs.correspondences, camera_, SE3{}, reloc_opts,
-                    fs.arena.get(), fs.ransac_retry);
-    if (fs.ransac_retry.inliers.size() > fs.ransac.inliers.size())
-      std::swap(fs.ransac, fs.ransac_retry);
-  }
-  fs.result.times.pose_estimation = pe_timer.elapsed_ms();
+  core_.estimate_pose(fs, *fs.view);
   obs_.stage_pe->record(fs.result.times.pose_estimation);
-  fs.result.n_inliers = static_cast<int>(fs.ransac.inliers.size());
-  if (reloc && fs.ransac.success) {
-    // Plausibility: the recovered camera must be where the recognized
-    // keyframe's scene is visible from.  A wrong-place consensus (large
-    // on repetitive texture) that slips through would seed phantom map
-    // geometry that every later recovery compounds.
-    const Vec3 centre = fs.ransac.pose.inverse().translation();
-    const Vec3 reference = fs.reloc_reference_cw.inverse().translation();
-    const double distance = (centre - reference).norm();
-    const double rotation =
-        fs.ransac.pose.rotation_angle(fs.reloc_reference_cw);
-    // Written as accept-only-when-provably-plausible: a NaN pose (a
-    // degenerate refit can produce one) must fail this gate, and NaN
-    // fails every comparison.
-    if (!(distance <= options_.reloc.max_distance_m &&
-          rotation <= options_.reloc.max_rotation_rad))
-      fs.ransac.success = false;
-  }
-  if (!fs.ransac.success || fs.result.n_inliers < required_inliers) {
-    // Lost: keep the previous pose; update_map() drops the velocity.
-    fs.result.lost = true;
-    fs.result.pose_cw = last_pose_cw_;
-    fs.result.pose_wc = last_pose_cw_.inverse();
-  }
 }
 
 void Tracker::optimize_pose(FrameState& fs) {
@@ -566,20 +329,8 @@ void Tracker::optimize_pose(FrameState& fs) {
 
   // --- Pose optimization: LM on inlier reprojection error (ARM) ----------
   ESLAM_TRACE_SCOPE(obs_.arm_track, "PO");
-  WallTimer po_timer;
-  if (!fs.arena) fs.arena = std::make_unique<Arena>();
-  const ArenaScope scope(*fs.arena);
-  std::span<Correspondence> inlier_set =
-      fs.arena->alloc_span<Correspondence>(fs.ransac.inliers.size());
-  std::size_t k = 0;
-  for (int idx : fs.ransac.inliers)
-    inlier_set[k++] = fs.correspondences[static_cast<std::size_t>(idx)];
-  const PnpResult optimized = solve_pnp(inlier_set, camera_, fs.ransac.pose,
-                                        options_.pose_optimization);
-  fs.result.times.pose_optimization = po_timer.elapsed_ms();
+  core_.optimize_pose(fs);
   obs_.stage_po->record(fs.result.times.pose_optimization);
-  fs.result.pose_cw = optimized.pose;
-  fs.result.pose_wc = optimized.pose.inverse();
 }
 
 TrackResult Tracker::update_map(FrameState& fs) {
@@ -596,14 +347,14 @@ TrackResult Tracker::update_map(FrameState& fs) {
       // keep reading whichever view they borrowed.
       const std::unique_lock lock(graph_mutex_);
       bootstrap_map(fs, backend_on ? &observations : nullptr);
-      last_pose_cw_ = SE3{};
+      core_.motion().last_pose_cw = SE3{};
       if (backend_on && !fs.result.lost)
         new_kf = backend_insert_keyframe(fs, std::move(observations));
     }
     if (new_kf >= 0) backend_freeze_jobs(new_kf, fs);
   } else if (fs.result.lost) {
     // Drop the (now unreliable) velocity estimate; the map is untouched.
-    have_velocity_ = false;
+    core_.retire(fs.result);
   } else {
     // The keyframe decision only needs the final pose; taking it first
     // lets non-keyframes (the common case) skip the backend observation
@@ -678,15 +429,10 @@ TrackResult Tracker::update_map(FrameState& fs) {
     }
 
     // A post-loss frame that reached here recovered a pose — that is the
-    // relocalization the stats and server events report.
-    fs.result.relocalized = fs.result.reloc_attempted;
-    prev_pose_cw_ = last_pose_cw_;
-    last_pose_cw_ = fs.result.pose_cw;
-    // After a relocalization the pre-loss pose pair is meaningless as a
-    // velocity estimate (the camera may have recovered anywhere); restart
-    // the motion model from the recovered pose alone.  Backend-off runs
-    // never set reloc_attempted, so their trajectories are untouched.
-    have_velocity_ = !fs.result.reloc_attempted;
+    // relocalization the stats and server events report.  Backend-off
+    // runs never set reloc_attempted, so their motion model is the plain
+    // constant-velocity one.
+    core_.retire(fs.result);
   }
 
   // Publish the matching gate's prior for frame index + 2 before this
@@ -1054,8 +800,9 @@ void Tracker::apply_pending_backend_deltas(FrameState& fs) {
       const SE3 adjust_inv = outcome.loop_adjust.inverse();
       fs.result.pose_cw = fs.result.pose_cw * adjust_inv;
       fs.result.pose_wc = fs.result.pose_cw.inverse();
-      last_pose_cw_ = last_pose_cw_ * adjust_inv;
-      prev_pose_cw_ = prev_pose_cw_ * adjust_inv;
+      MotionModel& motion = core_.motion();
+      motion.last_pose_cw = motion.last_pose_cw * adjust_inv;
+      motion.prev_pose_cw = motion.prev_pose_cw * adjust_inv;
       keyframe_policy_.rebase(outcome.loop_adjust);
       fs.result.loop_closed = true;
       loop_cooldown_until_ = fs.index + options_.backend.loop.cooldown_frames;

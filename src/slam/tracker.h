@@ -5,6 +5,10 @@
 // Feature extraction and matching are delegated to a FeatureBackend so the
 // same tracker runs with the software ORB pipeline or with the simulated
 // FPGA accelerator (accel/), mirroring the paper's hardware/software split.
+// The first four stages are the TrackingCore (slam/tracking_core.h) the
+// Localizer shares; the Tracker adds map updating, the gate-prior
+// publication that lets the device lane match ahead, the keyframe-graph
+// lock and the local-mapping backend.
 //
 // The five stages are exposed individually (extract / match /
 // estimate_pose / optimize_pose / update_map) operating on an explicit
@@ -34,63 +38,9 @@
 #include "obs/trace.h"
 #include "slam/keyframe.h"
 #include "slam/map.h"
-#include "slam/match_gate.h"
-#include "slam/ransac.h"
+#include "slam/tracking_core.h"
 
 namespace eslam {
-
-// Abstraction over "who computes features and matches" (ARM software vs
-// FPGA fabric).  last_*_time_ms() report the backend's own notion of time:
-// wall-clock for software, cycles / 100 MHz for the simulated accelerator.
-//
-// Matching is two-tier: match() is the full-scan tier (bootstrap /
-// relocalization / fallback), match_candidates() the gated tier — each
-// query scans only the candidate list the projection gate built for it.
-// Every backend must implement both with consistent acceptance semantics,
-// so the tracker can fall back between tiers within one frame.
-class FeatureBackend {
- public:
-  virtual ~FeatureBackend() = default;
-  virtual FeatureList extract(const ImageU8& image) = 0;
-  virtual std::vector<Match> match(std::span<const Descriptor256> queries,
-                                   std::span<const Descriptor256> train) = 0;
-  virtual std::vector<Match> match_candidates(
-      std::span<const Descriptor256> queries,
-      std::span<const Descriptor256> train,
-      const CandidateSet& candidates) = 0;
-
-  // Allocation-free variants the tracker's hot path calls: outputs land in
-  // recycled buffers, matcher scratch comes from the frame's arena, and the
-  // train side arrives as a TrainView so SoA-capable backends can use the
-  // map's word-plane mirror.  The default adapters below stage through the
-  // allocating API, so existing backends (the simulated fabric, test mocks)
-  // keep working unchanged; backends on the steady-state path override.
-  virtual void extract_into(const ImageU8& image, FeatureList& out) {
-    out = extract(image);
-  }
-  virtual void match_into(std::span<const Feature> queries,
-                          const TrainView& train, Arena* /*scratch*/,
-                          std::vector<Match>& out) {
-    std::vector<Descriptor256> staged;
-    staged.reserve(queries.size());
-    for (const Feature& f : queries) staged.push_back(f.descriptor);
-    out = match(staged, train.aos);
-  }
-  virtual void match_candidates_into(std::span<const Feature> queries,
-                                     const TrainView& train,
-                                     const CandidateSet& candidates,
-                                     Arena* /*scratch*/,
-                                     std::vector<Match>& out) {
-    std::vector<Descriptor256> staged;
-    staged.reserve(queries.size());
-    for (const Feature& f : queries) staged.push_back(f.descriptor);
-    out = match_candidates(staged, train.aos, candidates);
-  }
-
-  virtual double last_extract_time_ms() const = 0;
-  virtual double last_match_time_ms() const = 0;
-  virtual const char* name() const = 0;
-};
 
 // Software backend: OrbExtractor + Hamming matching kernels, timed by wall
 // clock.  The timing caches are atomics so the last-stage times can be
@@ -127,136 +77,10 @@ class SoftwareBackend final : public FeatureBackend {
   std::atomic<double> match_ms_{0.0};
 };
 
-struct FrameInput {
-  ImageU8 gray;
-  ImageU16 depth;       // raw sensor units; metres = value / depth_factor
-  double timestamp = 0;
-};
-
-struct StageTimesMs {
-  double feature_extraction = 0;
-  double feature_matching = 0;
-  double pose_estimation = 0;
-  double pose_optimization = 0;
-  double map_updating = 0;
-  double total() const {
-    return feature_extraction + feature_matching + pose_estimation +
-           pose_optimization + map_updating;
-  }
-};
-
-struct TrackResult {
-  SE3 pose_cw;  // world-to-camera (the PnP estimate)
-  SE3 pose_wc;  // camera-in-world (what trajectories record)
-  bool lost = false;
-  bool keyframe = false;
-  int n_features = 0;
-  int n_matches = 0;
-  int n_inliers = 0;
-  // Which matching tier produced this frame's matches (after fallback).
-  MatchTier match_tier = MatchTier::kBruteForce;
-  // Map maintenance visibility: age-pruned points from this frame's map
-  // update, and — when a local-mapping backend delta was applied at this
-  // keyframe — the culled/fused point counts it removed.
-  int n_points_pruned = 0;
-  int n_points_culled = 0;
-  int n_points_fused = 0;
-  bool backend_applied = false;
-  // Recovery/correction visibility (a lost tracker used to burn full-map
-  // matches with no signal anywhere): reloc_attempted marks a post-loss
-  // frame that engaged the keyframe-recognition path (match_tier then
-  // tells whether the index answered or the brute-force fallback ran);
-  // relocalized marks the frame that actually recovered a pose from that
-  // state; loop_closed marks a frame whose map update applied a verified
-  // loop-closure correction.
-  bool reloc_attempted = false;
-  bool relocalized = false;
-  bool loop_closed = false;
-  double timestamp = 0;
-  StageTimesMs times;
-};
-
-// Post-loss relocalization policy.  Active only with the local-mapping
-// backend enabled (the keyframe graph + recognition index are its data);
-// without it — or before the graph holds min_keyframes — a lost tracker
-// falls back to the old map-wide brute-force scan.
-struct RelocOptions {
-  // Master switch for the indexed tier.
-  bool use_index = true;
-  // Consecutive lost retirements before recognition engages.  A
-  // momentary flake (a 1-2 frame RANSAC dropout) recovers best through
-  // the existing motion-model path — its prior is still good, and on the
-  // desk regime routing those frames through recognition measurably
-  // worsened ATE.  Recognition is for *persistent* loss, where the prior
-  // is meaningfully stale (ORB-SLAM's lost mode).
-  int min_lost_frames = 3;
-  // Graph size before the index is trusted for recovery.
-  int min_keyframes = 3;
-  // Ranked index hits to try before falling back to brute force.
-  int max_candidates = 3;
-  // Best keyframe + its top covisible neighbours form the match set.
-  int neighbourhood = 5;
-  // A candidate neighbourhood must yield at least this many descriptor
-  // matches to feed P3P; fewer means the recognition was wrong and the
-  // next candidate (or the full-map fallback) runs.
-  int min_matches = 20;
-  // Recovery matching is verification-grade, like the loop job's: the
-  // tracking tiers deliberately run at 64 bits without cross-check (and
-  // the map's near-duplicates forbid a ratio test everywhere), but a lost
-  // tracker matching a recognized neighbourhood needs precision — junk
-  // matches are what kept P3P from ever finding the true consensus.  A
-  // tighter distance plus symmetric cross-check prunes them without
-  // starving on duplicates (the agreed best pair still agrees when the
-  // corner exists twice).
-  MatcherOptions matcher{/*max_distance=*/48, /*ratio=*/1.0,
-                         /*cross_check=*/true};
-  // Absolute consensus to accept a relocalized pose.  The tracking path
-  // gates on an inlier *ratio* because a map-wide match set is mostly
-  // aliased junk on novel views — which is exactly why a lost tracker
-  // could never pass it (genuine consensus ~100 of ~1000 "matches" loses
-  // to a 20% ratio floor) and stayed lost forever.  The reloc tier
-  // matches only the recognized keyframe's neighbourhood, where aliasing
-  // is bounded, so an absolute gate (ORB-SLAM accepts at 50) is both safe
-  // and the thing that makes recovery actually terminate.
-  int min_inliers = 50;
-  // Plausibility gate on the recovered pose: recognizing keyframe K means
-  // the camera sees K's scene, so the recovered camera centre must lie
-  // within visibility range of K and face roughly the same way.  On
-  // repetitive texture a wrong-place consensus can be large — without
-  // this gate one such acceptance seeds map points at a phantom location
-  // and every later recovery compounds it (observed: poses km out of the
-  // room within 150 frames).
-  double max_distance_m = 2.5;
-  double max_rotation_rad = 1.3;
-};
-
-struct TrackerOptions {
-  TrackerOptions() {
-    // NOTE: no ratio test against the map — the map accumulates near-
-    // duplicate points over keyframes, so best/second-best are often the
-    // same physical corner and a ratio test starves the matcher.
-    // Degenerate consensus is handled by min_inlier_ratio + P3P instead.
-    // 4-point samples need more draws once the inlier share drops below
-    // ~50% under viewpoint change.
-    ransac.max_iterations = 256;
-    // Keypoints detected on pyramid level l are quantized by scale^l when
-    // mapped to level-0 coordinates; 3 px is too strict at level 3.
-    ransac.inlier_threshold_px = 4.0;
-  }
-
+// Tracking tuning (TrackingOptions, shared with the Localizer) plus the
+// fields only map updating reads.
+struct TrackerOptions : TrackingOptions {
   MatcherOptions matcher;
-  // Tier selection for feature matching against the map (projection gate
-  // vs brute force); see slam/match_gate.h.  Per-session when threaded
-  // through server/SessionConfig::tracker.
-  MatchPolicy match;
-  // Post-loss recovery via the keyframe-recognition index (backend on
-  // only); see RelocOptions.
-  RelocOptions reloc;
-  RansacOptions ransac;
-  PnpOptions pose_optimization{/*max_iterations=*/15,
-                               /*initial_lambda=*/1e-4,
-                               /*huber_delta=*/2.5,
-                               /*convergence_step=*/1e-8};
   KeyframeOptions keyframe;
   // Asynchronous local-mapping backend (keyframe graph + windowed BA);
   // disabled by default — the frontend is then bit-identical to a
@@ -269,82 +93,6 @@ struct TrackerOptions {
   // passes only run when backend jobs run.  See backend/map_lifecycle.h.
   backend::MapLifecycleOptions lifecycle;
   double depth_factor = 5000.0;  // TUM: depth_png / 5000 = metres
-  int min_tracked_inliers = 10;
-  // A pose is only accepted (and allowed to trigger a key frame) when the
-  // RANSAC consensus covers at least this share of the matches; guards
-  // against degenerate consensus sets on repetitive texture, which would
-  // otherwise pollute the map with misplaced points.
-  double min_inlier_ratio = 0.2;
-  // ...unless the consensus is large in absolute terms.  This must stay
-  // conservative: on repetitive texture a *wrong* pose can collect tens of
-  // aliased-but-consistent matches out of ~1000, so a small override
-  // silently poisons the map (observed at 60; 400 keeps the gate honest
-  // while still accepting overwhelming consensus on sparse match sets).
-  int strong_consensus_inliers = 400;
-  // Constant-velocity motion model: seed RANSAC/PnP with the previous pose
-  // advanced by the last inter-frame motion instead of the raw previous
-  // pose.  Essential when inter-frame motion is large.
-  bool use_motion_model = true;
-  // When both prior-seeded RANSAC attempts fail, run a prior-free P3P
-  // RANSAC against the map (relocalization after tracking loss).
-  bool relocalize_with_p3p = true;
-};
-
-// Everything one frame carries between pipeline stages.  A FrameState is
-// created by begin_frame() and threaded through the five stage methods;
-// because all per-frame intermediates live here (not in the Tracker),
-// stages of different frames can execute concurrently under the lane
-// contract documented on the stage methods.
-struct FrameState {
-  FrameInput input;
-  int index = 0;  // frame index, assigned in feed order by begin_frame()
-  FeatureList features;
-  std::vector<Match> matches;
-  // Tier that produced `matches` (gated candidate search vs brute force).
-  MatchTier match_tier = MatchTier::kBruteForce;
-  // Map structural epoch the matches were computed under.  Matches are
-  // index-based, so they are only usable while the map still has this
-  // epoch; the pipeline runtime replays match() when a key frame's map
-  // update intervened (the paper's "FM waits for MU" dependency).  The
-  // epoch check covers the gated tier too: the gate prior for frame N is
-  // frozen when frame N-2 retires (see Tracker::match), so between a
-  // speculative match and its finalize the only input that can move is
-  // the map itself.
-  std::uint64_t map_epoch = 0;
-  // The immutable map version `matches` were computed against: borrowed
-  // wait-free from Map::read_view() at the top of match() (one refcount
-  // acquisition, no lock shared with any writer) and held until the frame
-  // is recycled, so the descriptor/position spans estimate_pose() reads
-  // stay frozen even while a concurrent session's map update publishes a
-  // successor view.  map_epoch mirrors view->epoch() for the replay check.
-  std::shared_ptr<const MapReadView> view;
-  bool bootstrap = false;  // map was empty: frame initializes the map
-  // Relocalization tier only (match_tier == kRelocIndex): the 3D side of
-  // each match, aligned with `matches`, reconstructed from the recognized
-  // keyframes' own depth observations (pose_wc * point_cam) rather than
-  // from live map positions — recovery must not depend on what pruning
-  // or drift did to the map since the keyframe was made.  A match whose
-  // map point is gone carries train == -1 (pose evidence only).
-  std::vector<Vec3> reloc_positions;
-  // The recognized keyframe's stored pose — the plausibility reference
-  // for RelocOptions::max_distance_m / max_rotation_rad.
-  SE3 reloc_reference_cw;
-  RansacResult ransac;
-  std::vector<Correspondence> correspondences;
-  TrackResult result;
-  // Per-frame bump arena for stage scratch (matcher distance rows, gate
-  // CSR, RANSAC index buffers, the map-maintenance matched mask).  Reset
-  // once per frame by Tracker::acquire_frame(); after warm-up its slab
-  // chain is capacity-stable, so every arena draw on the steady-state path
-  // is pointer arithmetic, not heap traffic.  unique_ptr (rather than a
-  // plain member) keeps FrameState cheaply movable through the pipeline
-  // queues.
-  std::unique_ptr<Arena> arena;
-  // Gated tier's candidate structure, built into recycled vectors.
-  GateResult gate;
-  // Scratch result for estimate_pose()'s retry attempts (reused so a retry
-  // does not allocate a fresh inlier vector every lost-ish frame).
-  RansacResult ransac_retry;
 };
 
 // Stage-decomposed tracker.  Threading contract (matching the paper's
@@ -356,9 +104,10 @@ struct FrameState {
 // current published MapReadView wait-free (no lock shared with
 // update_map()'s structural writes; see slam/map_view.h) and records the
 // view's epoch so the caller can detect and replay a match invalidated by
-// a key frame.  Only the relocalization tier takes a lock (graph_mutex_,
-// shared) — it reads the keyframe graph + recognition index, which have
-// no published-view equivalent.
+// a key frame.  Only a frame the relocalization tier can engage takes a
+// lock (graph_mutex_, shared, for its whole match) — that tier reads the
+// keyframe graph + recognition index, which have no published-view
+// equivalent.
 class Tracker {
  public:
   Tracker(const PinholeCamera& camera, std::unique_ptr<FeatureBackend> backend,
@@ -383,15 +132,14 @@ class Tracker {
   // call concurrently with ARM stages of an earlier frame; re-entrant for
   // the same frame (a replay discards the previous matches).
   //
-  // Two-tier: when MatchPolicy allows and a gate prior is published for
-  // this frame (update_map of frame N-2 publishes the prior for frame N —
-  // deliberately one frame staler than the motion model so it exists
-  // before the device lane matches frame N speculatively, and identical
-  // in sequential and pipelined execution), map points are projection-
-  // gated into per-feature candidate lists and matched via the backend's
-  // match_candidates(); otherwise, or when gating yields fewer than
-  // MatchPolicy::min_gated_matches matches, the full-map brute-force tier
-  // runs (bootstrap / relocalization behavior unchanged).
+  // TrackingCore::match()'s tier ladder, fed with what this tracker
+  // publishes: the projection gate's prior is the slot update_map of frame
+  // N-2 published for frame N — deliberately one frame staler than the
+  // motion model so it exists before the device lane matches frame N
+  // speculatively, and identical in sequential and pipelined execution —
+  // and the recognition tier may engage only once that slot reports
+  // RelocOptions::min_lost_frames consecutive lost retirements with the
+  // backend on (the keyframe graph is its data).
   void match(FrameState& fs);
   // PnP + RANSAC from the motion prior (ARM).  Decides bootstrap/lost.
   void estimate_pose(FrameState& fs);
@@ -518,9 +266,6 @@ class Tracker {
   std::optional<Vec3> camera_point_from_depth(const FrameInput& frame,
                                               double u, double v) const;
 
-  // Motion prior for the next frame (constant-velocity extrapolation).
-  SE3 predicted_pose_cw() const;
-
   // --- gate prior publication --------------------------------------------
   // update_map() of frame N publishes the matching gate's prior pose for
   // frame N+2 (a double-step constant-velocity extrapolation, or invalid
@@ -541,24 +286,14 @@ class Tracker {
   };
   GatePrior gate_prior_for(int frame_index) const;
 
-  // Post-loss recovery: query the keyframe-recognition index with this
-  // frame's descriptors and match against the best keyframe's local
-  // neighbourhood only.  Returns true when it produced fs.matches (tier
-  // kRelocIndex); false routes the frame to the brute-force fallback.
-  // Caller holds the shared graph lock (reads the graph + index); map
-  // reads go through fs.view.
-  bool match_against_reloc_index(FrameState& fs,
-                                 std::span<const Descriptor256> query,
-                                 double& match_ms);
-
   PinholeCamera camera_;
   std::unique_ptr<FeatureBackend> backend_;
   TrackerOptions options_;
+  // FE/FM/PE/PO and the motion model.  Its match() reads only the gate
+  // prior handed to it, never the motion state update_map() advances.
+  TrackingCore core_;
   Map map_;
   KeyframePolicy keyframe_policy_;
-  SE3 last_pose_cw_;
-  SE3 prev_pose_cw_;        // pose two frames back (for the velocity)
-  bool have_velocity_ = false;
   int lost_streak_ = 0;     // consecutive lost retirements (reloc gating)
   int next_index_ = 0;      // assigned by begin_frame (feed order)
   int frame_index_ = 0;     // frames retired through update_map
@@ -572,9 +307,10 @@ class Tracker {
   // Guards the keyframe graph + recognition index ONLY.  The map itself
   // needs no reader lock anymore — match() borrows an immutable published
   // MapReadView — but the graph/index pair has no versioned-view
-  // equivalent, so the relocalization tier (rare: post-loss frames)
-  // still takes this shared against update_map()'s keyframe insertion
-  // and loop-rebase writes.  Steady-state tracked frames never touch it.
+  // equivalent, so a frame the relocalization tier can engage (rare:
+  // persistently lost) still takes this shared against update_map()'s
+  // keyframe insertion and loop-rebase writes.  Steady-state tracked
+  // frames never touch it.
   mutable std::shared_mutex graph_mutex_;
 
   // Gate prior slots (see publish_gate_prior): a two-deep ring keyed by

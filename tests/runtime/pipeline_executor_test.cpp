@@ -140,9 +140,10 @@ TEST(PipelineExecutor, DeliversResultsInFeedOrderAndSurvivesDrain) {
 
 // --- keyframe barrier -----------------------------------------------------
 
-// Slows the ARM lane far below the FPGA lane so FM of frame N+1 is always
-// ready while frame N is still in pose estimation: speculation must kick
-// in, and every key frame must force a replay behind its map update.
+// Slows the ARM lane far below the FPGA lane so FM of frame N+1 is
+// normally ready while frame N is still in pose estimation: speculation
+// kicks in, and a key frame forces a replay of its successor's
+// speculative match behind its map update.
 TrackerOptions slow_arm_options() {
   TrackerOptions opts;
   // Pin RANSAC to a fixed, large iteration count: min == max defeats the
@@ -198,14 +199,24 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
         << "FM of frame " << n + 1 << " overlapped MU of key frame " << n;
   }
   ASSERT_GE(keyframes_with_successor, 1);  // bootstrap at minimum
-  ASSERT_GE(late_keyframes, 1);  // the replay path is actually exercised
+  ASSERT_GE(late_keyframes, 1);  // a key frame the device lane can outrun
 
-  // With the ARM lane this slow the FPGA lane always runs ahead: frames
-  // after a slow PE speculate their match, and every late key frame's
-  // successor must have been replayed behind the map update.
+  // With the ARM lane this slow the FPGA lane usually runs ahead: frames
+  // after a slow PE speculate their match, and a speculative match of a
+  // key frame's successor is replayed behind the map update.  Usually, not
+  // always — under CPU contention the device lane may reach that successor
+  // only after MU, matching it authoritatively with nothing to replay —
+  // so the replay count is checked against the event log (each replay
+  // marks exactly the FM run it superseded speculative), not against the
+  // number of key frames.  The barrier check above holds either way.
   const PipelineStats stats = slam.pipeline()->stats();
+  int superseded_matches = 0;
+  for (const StageEvent& e : events)
+    if (e.stage == PipeStage::kFeatureMatching && e.speculative)
+      ++superseded_matches;
   EXPECT_GT(stats.speculative_matches, 0);
-  EXPECT_GE(stats.replayed_matches, late_keyframes);
+  EXPECT_EQ(stats.replayed_matches, superseded_matches);
+  EXPECT_GE(stats.replayed_matches, 1);  // the replay path ran
   EXPECT_LE(stats.replayed_matches, stats.speculative_matches);
   EXPECT_GE(stats.max_in_flight, 2);  // frames genuinely overlapped
 }

@@ -1,10 +1,11 @@
 // Served localization sessions: SessionKind::kLocalization opens into a
 // shared FrozenMap, runs on the ARM pool (never the device lane), stays
-// bit-identical to a solo sequential Localizer run, and coexists with
-// mapping sessions.  Per-kind service stats and the frozen-map ref-count
-// observability ride along.
+// bit-identical to a solo sequential Localizer run, takes its tuning from
+// SessionConfig::tracker, and coexists with mapping sessions.  Per-kind
+// service stats and the frozen-map ref-count observability ride along.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -55,8 +56,10 @@ SessionConfig localization_config() {
   return config;
 }
 
-std::vector<TrackResult> solo_localization(const std::vector<int>& frames) {
-  Localizer solo(frozen_map(), std::make_unique<SoftwareBackend>(small_orb()));
+std::vector<TrackResult> solo_localization(
+    const std::vector<int>& frames, const TrackingOptions& options = {}) {
+  Localizer solo(frozen_map(), std::make_unique<SoftwareBackend>(small_orb()),
+                 options);
   std::vector<TrackResult> results;
   for (int i : frames) results.push_back(solo.process(desk_sequence().frame(i)));
   return results;
@@ -120,6 +123,32 @@ TEST(LocalizationSession, BitIdenticalToSoloSequentialRun) {
   // A localization session has no backend lane and no tracker.
   EXPECT_EQ(a.backend_stats().keyframes_inserted, 0);
   EXPECT_EQ(a.localizer().frames_processed(), desk_sequence().size());
+}
+
+TEST(LocalizationSession, TrackerTuningReachesLocalization) {
+  const int frames = desk_sequence().size();
+  // With defaults the gate answers tracked frames...
+  const std::vector<TrackResult> solo_default =
+      solo_localization(iota_frames(frames));
+  EXPECT_TRUE(std::any_of(
+      solo_default.begin(), solo_default.end(),
+      [](const TrackResult& r) { return r.match_tier == MatchTier::kGated; }));
+
+  // ...and switching it off through the session's tracker tuning keeps
+  // every served frame off the gated tier, exactly as a solo Localizer
+  // with the same tuning runs.
+  SessionConfig config = localization_config();
+  config.tracker.match.use_gate = false;
+  SlamService service(ServiceOptions{/*arm_workers=*/2});
+  SessionHandle session = service.open_session(config);
+  for (int f = 0; f < frames; ++f) session.feed(desk_sequence().frame(f));
+  const std::vector<TrackResult> served = session.drain();
+  ASSERT_EQ(served.size(), static_cast<std::size_t>(frames));
+  for (std::size_t i = 0; i < served.size(); ++i)
+    EXPECT_NE(served[i].match_tier, MatchTier::kGated) << "frame " << i;
+  expect_bit_identical(served,
+                       solo_localization(iota_frames(frames), config.tracker),
+                       "gate off");
 }
 
 TEST(LocalizationSession, FrozenMapRefCountTracksOwners) {
