@@ -1,17 +1,21 @@
 // Microbenchmarks for the pipeline's hot kernels, emitting
 // BENCH_micro_kernels.json (uploaded by CI's bench-smoke job) so the
-// scalar-vs-SIMD kernel trajectory is tracked per run:
+// matching tiers' cost is tracked per run:
 //
-//   * one-query-vs-block Hamming popcount over the SoA word planes
-//     (features/simd_kernels), scalar vs runtime-dispatched, at map sizes
-//     1k / 4k / 16k;
-//   * candidate-list Hamming gather at gate-realistic list lengths;
-//   * batched map-point projection, scalar vs dispatched;
-//   * end-to-end brute-force matching, AoS reference vs SoA _into tier.
+//   * gate build: the projection gate's candidate lists at ~3k and ~6k
+//     projected points x 1024 features, hot-path builder vs the GridIndex2d
+//     reference, plus the gated Hamming work on the lists it built;
+//   * brute force at 1024 x 6140: the dispatched fused kernel (SoA) vs its
+//     scalar tier and the AoS reference;
+//   * verification matching at 1024 x 1881 (cross-checked, no SoA planes —
+//     the relocalization and loop-closure shape): dispatched vs the AoS
+//     reference;
+//   * batched map-point projection, scalar vs dispatched.
 //
-// Every timed comparison first asserts bit-exactness between the scalar
-// and dispatched kernels on the same inputs — a dispatch regression fails
-// the bench before it pollutes the numbers.
+// Every timed case first asserts that its outputs equal the reference
+// (candidate sets per feature, Match fields, projected pixels) — a
+// dispatch regression fails the bench before it pollutes the numbers.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -27,6 +31,7 @@
 #include "geometry/camera.h"
 #include "geometry/wall_timer.h"
 #include "image/convolve.h"
+#include "slam/match_gate.h"
 
 namespace {
 
@@ -54,6 +59,40 @@ void require(bool ok, const char* what) {
   }
 }
 
+// Forced ties: every third train descriptor repeats its predecessor, and
+// every fifth query is a one-bit variant of a train descriptor.
+std::vector<Descriptor256> tied_descriptors(std::mt19937_64& rng,
+                                            std::size_t n) {
+  std::vector<Descriptor256> out(n);
+  for (auto& d : out) d = random_descriptor(rng);
+  for (std::size_t i = 2; i < n; i += 3) out[i] = out[i - 1];
+  return out;
+}
+
+FeatureList features_near(std::mt19937_64& rng,
+                          const std::vector<Descriptor256>& train,
+                          std::size_t n) {
+  FeatureList features(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    features[i].descriptor = random_descriptor(rng);
+    if (i % 5 == 0) {
+      features[i].descriptor = train[rng() % train.size()];
+      features[i].descriptor.set_bit(static_cast<int>(rng() % 256), true);
+    }
+  }
+  return features;
+}
+
+void require_same_matches(const std::vector<Match>& a,
+                          const std::vector<Match>& b, const char* what) {
+  require(a.size() == b.size(), what);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    require(a[i].query == b[i].query && a[i].train == b[i].train &&
+                a[i].distance == b[i].distance &&
+                a[i].second_best == b[i].second_best,
+            what);
+}
+
 // Median-of-reps wall time for `fn`, in milliseconds.
 template <typename Fn>
 double time_ms(int reps, Fn&& fn) {
@@ -77,90 +116,177 @@ int main() {
   json.text("isa", simd::active_isa_name());
 
   std::mt19937_64 rng(42);
-  const int kQueries = 256;
-  std::vector<Descriptor256> queries(kQueries);
-  for (auto& d : queries) d = random_descriptor(rng);
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
+  };
 
-  // ---- Hamming block: one query vs a contiguous train block --------------
-  const std::vector<int> kTrainSizes = {1024, 4096, 16384};
-  std::vector<std::vector<double>> hamming_rows;
-  double speedup_at_4k = 0.0;
-  for (const int n : kTrainSizes) {
-    std::vector<Descriptor256> train(static_cast<std::size_t>(n));
-    for (auto& d : train) d = random_descriptor(rng);
+  // ---- Gate build: candidate lists for 1024 features --------------------
+  {
+    const int kFeatures = 1024;
+    FeatureList features(kFeatures);
+    for (auto& f : features) {
+      f.keypoint.x = static_cast<int>(uniform(0.0, 640.0));
+      f.keypoint.y = static_cast<int>(uniform(0.0, 480.0));
+      f.keypoint.scale = 1.0;
+      f.descriptor = random_descriptor(rng);
+    }
+    const SE3 pose;  // identity prior
+    const MatchPolicy policy;
+    std::vector<std::vector<double>> gate_rows;
+    for (const int target : {3000, 6000}) {
+      // Points in the frustum's depth band, about target of them inside
+      // the padded image (the rest fall outside or behind).
+      const int n = target * 5 / 4;
+      std::vector<Vec3> positions(static_cast<std::size_t>(n));
+      std::vector<double> xs(positions.size()), ys(positions.size()),
+          zs(positions.size());
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        const double z = uniform(0.5, 4.0);
+        const double u = uniform(-60.0, 700.0), v = uniform(-50.0, 530.0);
+        positions[i] = cam.unproject(u, v, z);
+        if (i % 50 == 0) positions[i][2] = -z;  // behind the camera
+        xs[i] = positions[i][0];
+        ys[i] = positions[i][1];
+        zs[i] = positions[i][2];
+      }
+      const std::vector<Descriptor256> train =
+          tied_descriptors(rng, positions.size());
+
+      Arena arena;
+      GateResult out;
+      build_candidate_set_into(xs, ys, zs, pose, cam, features, policy,
+                               &arena, out);
+      const GateResult reference =
+          build_candidate_set(positions, pose, cam, features, policy);
+      require(out.projected == reference.projected, "gate projected count");
+      for (std::size_t q = 0; q < features.size(); ++q) {
+        const auto list = out.candidates.candidates(q);
+        std::vector<std::int32_t> sorted(list.begin(), list.end());
+        std::sort(sorted.begin(), sorted.end());
+        const auto ref = reference.candidates.candidates(q);
+        require(sorted == std::vector<std::int32_t>(ref.begin(), ref.end()),
+                "gate candidate set vs reference");
+      }
+      const MatcherOptions options;
+      std::vector<Match> gated, gated_ref;
+      match_candidates_into(features, TrainView{train, nullptr},
+                            out.candidates, options, &arena, gated);
+      match_candidates_into(features, TrainView{train, nullptr},
+                            reference.candidates, options, &arena, gated_ref);
+      require_same_matches(gated, gated_ref, "gated matches vs reference");
+
+      const int reps = 15;
+      const double build_ms = time_ms(reps, [&] {
+        build_candidate_set_into(xs, ys, zs, pose, cam, features, policy,
+                                 &arena, out);
+      });
+      const double reference_ms = time_ms(reps, [&] {
+        (void)build_candidate_set(positions, pose, cam, features, policy);
+      });
+      const double hamming_ms = time_ms(reps, [&] {
+        match_candidates_into(features, TrainView{train, nullptr},
+                              out.candidates, options, &arena, gated);
+      });
+      const double per_feature =
+          static_cast<double>(out.candidates.total_candidates()) / kFeatures;
+      std::printf("gate_build     projected=%5d x %d features  build %6.3f ms"
+                  "  reference %6.3f ms  gated hamming %6.3f ms  "
+                  "(%.1f candidates/feature)\n",
+                  out.projected, kFeatures, build_ms, reference_ms,
+                  hamming_ms, per_feature);
+      gate_rows.push_back({static_cast<double>(out.projected), build_ms,
+                           reference_ms, hamming_ms, per_feature});
+    }
+    const std::string gate_cols[] = {"projected", "build_ms", "reference_ms",
+                                     "gated_hamming_ms",
+                                     "candidates_per_feature"};
+    json.rows("gate_build", gate_cols, gate_rows);
+  }
+
+  // ---- Brute force: 1024 queries x 6140 train, fused kernel --------------
+  {
+    const std::vector<Descriptor256> train = tied_descriptors(rng, 6140);
+    const FeatureList features = features_near(rng, train, 1024);
+    std::vector<Descriptor256> queries(features.size());
+    for (std::size_t i = 0; i < features.size(); ++i)
+      queries[i] = features[i].descriptor;
     DescriptorSoA soa;
     soa.assign(train);
-
-    std::vector<std::uint16_t> dist_simd(train.size());
-    std::vector<std::uint16_t> dist_scalar(train.size());
-    for (const auto& q : queries) {
-      simd::hamming_block(soa, q, 0, train.size(), dist_simd.data());
-      simd::hamming_block_scalar(soa, q, 0, train.size(), dist_scalar.data());
-      require(dist_simd == dist_scalar, "hamming_block vs scalar");
-    }
+    const MatcherOptions options;
+    Arena arena;
+    std::vector<Match> out;
+    match_descriptors_into(features, TrainView{train, &soa}, options, &arena,
+                           out);
+    require_same_matches(out, match_descriptors(queries, train, options),
+                         "brute force vs AoS reference");
+    std::vector<Match> best(features.size()), best_scalar(features.size());
+    simd::best_two_block(soa, train.size(), descriptor_rows(features),
+                         best.data());
+    simd::best_two_block_scalar(soa, train.size(), descriptor_rows(features),
+                                best_scalar.data());
+    for (std::size_t i = 0; i < best.size(); ++i)
+      require(best[i].train == best_scalar[i].train &&
+                  best[i].distance == best_scalar[i].distance &&
+                  best[i].second_best == best_scalar[i].second_best,
+              "best_two_block vs scalar");
 
     const int reps = 9;
-    const double scalar_ms = time_ms(reps, [&] {
-      for (const auto& q : queries)
-        simd::hamming_block_scalar(soa, q, 0, train.size(),
-                                   dist_scalar.data());
-    });
     const double simd_ms = time_ms(reps, [&] {
-      for (const auto& q : queries)
-        simd::hamming_block(soa, q, 0, train.size(), dist_simd.data());
+      match_descriptors_into(features, TrainView{train, &soa}, options,
+                             &arena, out);
     });
-    const double speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0.0;
-    if (n == 4096) speedup_at_4k = speedup;
-    const double pairs = static_cast<double>(kQueries) * n;
-    std::printf("hamming_block  n=%6d  scalar %7.3f ms  simd %7.3f ms  "
-                "speedup %5.2fx  (%5.0f Mpairs/s)\n",
-                n, scalar_ms, simd_ms, speedup,
-                pairs / (simd_ms * 1e3));
-    hamming_rows.push_back({static_cast<double>(n), scalar_ms, simd_ms,
-                            speedup, pairs / (simd_ms * 1e3)});
+    const double scalar_ms = time_ms(reps, [&] {
+      simd::best_two_block_scalar(soa, train.size(),
+                                  descriptor_rows(features),
+                                  best_scalar.data());
+    });
+    const double aos_ms = time_ms(
+        reps, [&] { (void)match_descriptors(queries, train, options); });
+    const double pairs = static_cast<double>(features.size()) * train.size();
+    std::printf("brute_match    %zu x %zu  dispatched %7.3f ms (%.2f ns/pair)"
+                "  scalar kernel %7.3f ms  aos reference %7.3f ms\n",
+                features.size(), train.size(), simd_ms,
+                simd_ms * 1e6 / pairs, scalar_ms, aos_ms);
+    json.number("brute_match_ms", simd_ms);
+    json.number("brute_ns_per_pair", simd_ms * 1e6 / pairs);
+    json.number("brute_scalar_kernel_ms", scalar_ms);
+    json.number("brute_match_aos_ms", aos_ms);
+    json.number("brute_match_speedup", simd_ms > 0 ? aos_ms / simd_ms : 0.0);
   }
-  const std::string hamming_cols[] = {"train_size", "scalar_ms", "simd_ms",
-                                      "speedup", "simd_mpairs_per_s"};
-  json.rows("hamming_block", hamming_cols, hamming_rows);
-  json.number("hamming_speedup_at_4k", speedup_at_4k);
 
-  // ---- Hamming gather: candidate-list indices (the gated tier) -----------
+  // ---- Verification: 1024 x 1881, cross-checked, AoS rows ----------------
   {
-    const int n = 4096, kListLen = 48;
-    std::vector<Descriptor256> train(static_cast<std::size_t>(n));
-    for (auto& d : train) d = random_descriptor(rng);
-    DescriptorSoA soa;
-    soa.assign(train);
-    std::vector<std::int32_t> candidates(kListLen);
-    for (auto& c : candidates)
-      c = static_cast<std::int32_t>(rng() % static_cast<std::uint64_t>(n));
-    std::sort(candidates.begin(), candidates.end());
+    const std::vector<Descriptor256> train = tied_descriptors(rng, 1881);
+    const FeatureList features = features_near(rng, train, 1024);
+    std::vector<Descriptor256> queries(features.size());
+    for (std::size_t i = 0; i < features.size(); ++i)
+      queries[i] = features[i].descriptor;
+    const MatcherOptions options{/*max_distance=*/48, /*ratio=*/1.0,
+                                 /*cross_check=*/true};
+    Arena arena;
+    std::vector<Match> out;
+    match_descriptors_into(queries, TrainView{train, nullptr}, options,
+                           &arena, out);
+    const std::vector<Match> reference =
+        match_descriptors(queries, train, options);
+    require(!reference.empty(), "verification finds matches");
+    require_same_matches(out, reference, "verification vs AoS reference");
 
-    std::vector<std::uint16_t> dist_simd(candidates.size());
-    std::vector<std::uint16_t> dist_scalar(candidates.size());
-    for (const auto& q : queries) {
-      simd::hamming_gather(soa, q, candidates, dist_simd.data());
-      simd::hamming_gather_scalar(soa, q, candidates, dist_scalar.data());
-      require(dist_simd == dist_scalar, "hamming_gather vs scalar");
-    }
-    const int reps = 9, inner = 64;
-    const double scalar_ms = time_ms(reps, [&] {
-      for (int i = 0; i < inner; ++i)
-        for (const auto& q : queries)
-          simd::hamming_gather_scalar(soa, q, candidates, dist_scalar.data());
-    });
+    const int reps = 9;
     const double simd_ms = time_ms(reps, [&] {
-      for (int i = 0; i < inner; ++i)
-        for (const auto& q : queries)
-          simd::hamming_gather(soa, q, candidates, dist_simd.data());
+      match_descriptors_into(queries, TrainView{train, nullptr}, options,
+                             &arena, out);
     });
-    std::printf("hamming_gather list=%d  scalar %7.3f ms  simd %7.3f ms  "
-                "speedup %5.2fx\n",
-                kListLen, scalar_ms, simd_ms,
-                simd_ms > 0 ? scalar_ms / simd_ms : 0.0);
-    json.number("gather_scalar_ms", scalar_ms);
-    json.number("gather_simd_ms", simd_ms);
-    json.number("gather_speedup", simd_ms > 0 ? scalar_ms / simd_ms : 0.0);
+    const double aos_ms = time_ms(
+        reps, [&] { (void)match_descriptors(queries, train, options); });
+    std::printf("verify_match   %zu x %zu  dispatched %7.3f ms  aos reference "
+                "%7.3f ms  speedup %5.2fx  (%zu matches)\n",
+                queries.size(), train.size(), simd_ms, aos_ms,
+                simd_ms > 0 ? aos_ms / simd_ms : 0.0, reference.size());
+    json.number("verify_match_ms", simd_ms);
+    json.number("verify_match_aos_ms", aos_ms);
+    json.number("verify_match_speedup", simd_ms > 0 ? aos_ms / simd_ms : 0.0);
   }
 
   // ---- Batched projection (the match gate's kernel) ----------------------
@@ -176,7 +302,6 @@ int main() {
       ys[static_cast<std::size_t>(i)] = uniform(-3.0, 3.0);
       zs[static_cast<std::size_t>(i)] = uniform(-1.0, 9.0);  // some behind
     }
-    const PinholeCamera cam = PinholeCamera::tum_freiburg1();
     const SE3 pose;  // identity prior
     const double margin = 24.0;
     std::vector<double> u_a(xs.size()), v_a(xs.size());
@@ -211,46 +336,6 @@ int main() {
     json.number("project_scalar_ms", scalar_ms);
     json.number("project_simd_ms", simd_ms);
     json.number("project_speedup", simd_ms > 0 ? scalar_ms / simd_ms : 0.0);
-  }
-
-  // ---- End-to-end brute-force match: AoS reference vs SoA _into tier -----
-  {
-    const int n = 4096;
-    std::vector<Descriptor256> train(static_cast<std::size_t>(n));
-    for (auto& d : train) d = random_descriptor(rng);
-    DescriptorSoA soa;
-    soa.assign(train);
-    FeatureList features(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      features[i].descriptor = queries[i];
-    const MatcherOptions options;
-    const TrainView view{train, &soa};
-    Arena arena;
-    std::vector<Match> out;
-
-    const std::vector<Match> reference =
-        match_descriptors(queries, train, options);
-    match_descriptors_into(features, view, options, &arena, out);
-    require(reference.size() == out.size(), "match_descriptors_into size");
-    for (std::size_t i = 0; i < out.size(); ++i)
-      require(reference[i].query == out[i].query &&
-                  reference[i].train == out[i].train &&
-                  reference[i].distance == out[i].distance &&
-                  reference[i].second_best == out[i].second_best,
-              "match_descriptors_into vs AoS reference");
-
-    const int reps = 9;
-    const double aos_ms = time_ms(
-        reps, [&] { (void)match_descriptors(queries, train, options); });
-    const double soa_ms = time_ms(reps, [&] {
-      match_descriptors_into(features, view, options, &arena, out);
-    });
-    std::printf("brute_match    n=%d  aos %7.3f ms  soa %7.3f ms  "
-                "speedup %5.2fx\n",
-                n, aos_ms, soa_ms, soa_ms > 0 ? aos_ms / soa_ms : 0.0);
-    json.number("brute_match_aos_ms", aos_ms);
-    json.number("brute_match_soa_ms", soa_ms);
-    json.number("brute_match_speedup", soa_ms > 0 ? aos_ms / soa_ms : 0.0);
   }
 
   // ---- Legacy scalar micro kernels (continuity with earlier runs) --------

@@ -154,6 +154,12 @@ int main(int argc, char** argv) {
            "exposition: backend freeze p99");
   contains(expo, "eslam_sessions_opened_total{kind=\"mapping\"} 2",
            "exposition: session rollup counters");
+  // The projection gate's build time, split out of FM (the rest of FM is
+  // the candidate Hamming work).
+  contains(expo, "eslam_match_gate_build_ms_p99",
+           "exposition: match gate build p99");
+  check(expo.find("eslam_match_gate_build_ms_count 0\n") == std::string::npos,
+        "exposition: match gate builds recorded");
 
   a.close();
   b.close();

@@ -175,9 +175,10 @@ void optimize_loop(const BackendSnapshot& snapshot,
 
   // 1. Appearance: match the query keyframe's frame-side descriptors
   //    against the candidate neighbourhood's map points.
-  const std::vector<Match> matches =
-      match_descriptors(loop.query_descriptors, loop.candidate_descriptors,
-                        options.loop.matcher);
+  std::vector<Match> matches;
+  match_descriptors_into(loop.query_descriptors,
+                         TrainView{loop.candidate_descriptors, nullptr},
+                         options.loop.matcher, nullptr, matches);
   if (static_cast<int>(matches.size()) < options.loop.min_inliers) return;
 
   // 2. Geometry: prior-free P3P RANSAC — the same machinery tracking uses

@@ -16,7 +16,9 @@ IsaLevel detect() {
 #if defined(__aarch64__)
     return IsaLevel::kNeon;
 #elif defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
+    // The AVX2 tier's row kernels use the POPCNT instruction too.
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt"))
+      return IsaLevel::kAvx2;
 #endif
   }
 #endif

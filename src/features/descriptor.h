@@ -10,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "geometry/assert.h"
@@ -80,6 +81,25 @@ constexpr int hamming_distance(const Descriptor256& a, const Descriptor256& b) {
   for (int w = 0; w < Descriptor256::kWords; ++w)
     d += std::popcount(a.words()[w] ^ b.words()[w]);
   return d;
+}
+
+// `count` descriptors spaced `stride` bytes apart: a packed Descriptor256
+// array (stride 32), or the descriptor member of every record in an array
+// of records (a FeatureList read in place, see keypoint.h).
+struct DescriptorRows {
+  const Descriptor256* first = nullptr;
+  std::size_t stride = sizeof(Descriptor256);
+  std::size_t count = 0;
+
+  std::size_t size() const { return count; }
+  const Descriptor256& operator[](std::size_t i) const {
+    return *reinterpret_cast<const Descriptor256*>(
+        reinterpret_cast<const unsigned char*>(first) + i * stride);
+  }
+};
+
+inline DescriptorRows descriptor_rows(std::span<const Descriptor256> d) {
+  return {d.data(), sizeof(Descriptor256), d.size()};
 }
 
 }  // namespace eslam

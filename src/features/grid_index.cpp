@@ -67,8 +67,7 @@ void GridIndex2d::query(double u, double v, double radius,
     }
   }
   // Cells are visited in row-major order, not id order; the contract is
-  // ascending ids (tie parity with the brute-force scan), so sort the
-  // appended slice.
+  // ascending ids, so sort the appended slice.
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 

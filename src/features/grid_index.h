@@ -1,13 +1,13 @@
-// 2D spatial bucket grid over the image plane, used by the matching gate
-// to turn "all map points" into "map points projecting near this feature".
+// 2D spatial bucket grid over the image plane, used by the matching gate's
+// reference builder (slam/match_gate build_candidate_set) to turn "all map
+// points" into "map points projecting near this feature".
 //
-// Built per frame from the projected map points (CSR layout: one counting
-// sort, no per-cell allocations), then queried once per feature with a
-// square window.  Queries return the caller-supplied ids of every entry
-// whose exact position falls inside the window, in ascending id order —
-// the order matters: the candidate matcher resolves Hamming ties to the
-// lowest train index, exactly like the brute-force scan it replaces, so
-// gated and brute tiers agree whenever the window covers the true match.
+// Built from the projected map points (CSR layout: one counting sort, no
+// per-cell allocations), then queried once per feature with a square
+// window.  Queries return the caller-supplied ids of every entry whose
+// exact position falls inside the window, in ascending id order — a
+// canonical form the hot-path gate's unsorted lists are compared against
+// as sets.
 #pragma once
 
 #include <cstdint>

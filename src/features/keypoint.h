@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "features/descriptor.h"
@@ -32,5 +33,11 @@ struct Feature {
 };
 
 using FeatureList = std::vector<Feature>;
+
+// The features' descriptors, read in place (no staging copy).
+inline DescriptorRows descriptor_rows(std::span<const Feature> features) {
+  return {features.empty() ? nullptr : &features.front().descriptor,
+          sizeof(Feature), features.size()};
+}
 
 }  // namespace eslam

@@ -14,20 +14,54 @@ Arena& fallback_arena() {
   return arena;
 }
 
-// Minimum + runner-up selection over a distance buffer, scanning ascending
-// — identical update rule (and therefore identical lowest-index tie
-// winners) to match_one()/match_one_candidates().
-inline void select_best(const std::uint16_t* dist, std::size_t count,
-                        Match& m) {
-  for (std::size_t j = 0; j < count; ++j) {
-    const int d = dist[j];
-    if (d < m.distance) {
-      m.second_best = m.distance;
-      m.distance = d;
-      m.train = static_cast<int>(j);
-    } else if (d < m.second_best) {
-      m.second_best = d;
+// Candidate-list update: a distance below the best, or equal to it at a
+// lower train index, takes the lead.  With each index listed at most once
+// the outcome is the same for any list order — the lowest-index minimum
+// and the second smallest distance, as match_one()'s ascending scan finds.
+inline void keep_best_candidate(int d, std::int32_t idx, Match& m) {
+  if (d < m.distance || (d == m.distance && idx < m.train)) {
+    m.second_best = m.distance;
+    m.distance = d;
+    m.train = idx;
+  } else if (d < m.second_best) {
+    m.second_best = d;
+  }
+}
+
+// The brute-force/verification tier over query rows (features read in
+// place, or packed descriptors).
+void match_rows_into(DescriptorRows queries, const TrainView& train,
+                     const MatcherOptions& options, Arena* scratch,
+                     std::vector<Match>& out) {
+  out.clear();
+  if (train.empty()) return;
+  Arena& arena = scratch != nullptr ? *scratch : fallback_arena();
+  const ArenaScope scope(arena);
+  const std::span<Match> best = arena.alloc_span<Match>(queries.size());
+  if (train.soa != nullptr) {
+    simd::best_two_block(*train.soa, train.size(), queries, best.data());
+  } else {
+    const DescriptorRows rows = descriptor_rows(train.aos);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      best[i] = simd::best_two_rows(queries[i], rows);
+  }
+  out.reserve(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    Match m = best[i];
+    m.query = static_cast<int>(i);
+    if (m.train < 0 || m.distance > options.max_distance) continue;
+    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
+      continue;
+    if (options.cross_check) {
+      // Back match over the query rows, same gates as match_descriptors().
+      const Match back = simd::best_two_rows(
+          train.aos[static_cast<std::size_t>(m.train)], queries);
+      if (back.train != static_cast<int>(i)) continue;
+      if (options.ratio < 1.0 &&
+          !(back.distance < options.ratio * back.second_best))
+        continue;
     }
+    out.push_back(m);
   }
 }
 
@@ -86,17 +120,10 @@ Match match_one_candidates(const Descriptor256& query,
                            std::span<const Descriptor256> train,
                            std::span<const std::int32_t> candidates) {
   Match m;
-  for (const std::int32_t idx : candidates) {
-    const int d =
-        hamming_distance(query, train[static_cast<std::size_t>(idx)]);
-    if (d < m.distance) {
-      m.second_best = m.distance;
-      m.distance = d;
-      m.train = idx;
-    } else if (d < m.second_best) {
-      m.second_best = d;
-    }
-  }
+  for (const std::int32_t idx : candidates)
+    keep_best_candidate(
+        hamming_distance(query, train[static_cast<std::size_t>(idx)]), idx,
+        m);
   return m;
 }
 
@@ -111,8 +138,9 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
 
   // Forward pass: per-query best/second over its candidate list.  When
   // cross-checking, track each train point's best/second query over the
-  // same candidate graph in the same pass — (query asc, candidate asc) is
-  // the scan order match_one() would use for the back match.
+  // same candidate graph in the same pass — queries arrive in ascending
+  // order, which is the scan order match_one() would use for the back
+  // match, whatever the order inside each list.
   std::vector<Match> forward(queries.size());
   std::vector<int> train_best_d, train_second_d;
   std::vector<std::int32_t> train_best_q;
@@ -125,14 +153,7 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
     for (const std::int32_t idx : candidates.candidates(q)) {
       const int d =
           hamming_distance(queries[q], train[static_cast<std::size_t>(idx)]);
-      Match& m = forward[q];
-      if (d < m.distance) {
-        m.second_best = m.distance;
-        m.distance = d;
-        m.train = idx;
-      } else if (d < m.second_best) {
-        m.second_best = d;
-      }
+      keep_best_candidate(d, idx, forward[q]);
       if (options.cross_check) {
         const std::size_t t = static_cast<std::size_t>(idx);
         if (d < train_best_d[t]) {
@@ -169,50 +190,14 @@ void match_descriptors_into(std::span<const Feature> queries,
                             const TrainView& train,
                             const MatcherOptions& options, Arena* scratch,
                             std::vector<Match>& out) {
-  out.clear();
-  if (train.empty()) return;
-  Arena& arena = scratch != nullptr ? *scratch : fallback_arena();
-  const ArenaScope scope(arena);
-  const std::span<std::uint16_t> dist =
-      arena.alloc_span<std::uint16_t>(train.size());
-  out.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Descriptor256& qd = queries[i].descriptor;
-    Match m;
-    if (train.soa != nullptr) {
-      simd::hamming_block(*train.soa, qd, 0, train.size(), dist.data());
-      select_best(dist.data(), train.size(), m);
-    } else {
-      m = match_one(qd, train.aos);
-    }
-    m.query = static_cast<int>(i);
-    if (m.train < 0 || m.distance > options.max_distance) continue;
-    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
-      continue;
-    if (options.cross_check) {
-      // Back match over the query descriptors; same update rule as
-      // match_one().  Queries stay AoS (they live in the FeatureList), so
-      // this is a plain scalar scan — cross-check is off on the per-frame
-      // tracking tiers.
-      const Descriptor256& td = train.aos[static_cast<std::size_t>(m.train)];
-      Match back;
-      for (std::size_t j = 0; j < queries.size(); ++j) {
-        const int d = hamming_distance(td, queries[j].descriptor);
-        if (d < back.distance) {
-          back.second_best = back.distance;
-          back.distance = d;
-          back.train = static_cast<int>(j);
-        } else if (d < back.second_best) {
-          back.second_best = d;
-        }
-      }
-      if (back.train != static_cast<int>(i)) continue;
-      if (options.ratio < 1.0 &&
-          !(back.distance < options.ratio * back.second_best))
-        continue;
-    }
-    out.push_back(m);
-  }
+  match_rows_into(descriptor_rows(queries), train, options, scratch, out);
+}
+
+void match_descriptors_into(std::span<const Descriptor256> queries,
+                            const TrainView& train,
+                            const MatcherOptions& options, Arena* scratch,
+                            std::vector<Match>& out) {
+  match_rows_into(descriptor_rows(queries), train, options, scratch, out);
 }
 
 void match_candidates_into(std::span<const Feature> queries,
@@ -246,26 +231,12 @@ void match_candidates_into(std::span<const Feature> queries,
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const std::span<const std::int32_t> list = candidates.candidates(q);
     if (list.empty()) continue;
-    if (train.soa != nullptr) {
-      simd::hamming_gather(*train.soa, queries[q].descriptor, list,
-                           dist.data());
-    } else {
-      for (std::size_t j = 0; j < list.size(); ++j)
-        dist[j] = static_cast<std::uint16_t>(hamming_distance(
-            queries[q].descriptor,
-            train.aos[static_cast<std::size_t>(list[j])]));
-    }
+    simd::hamming_gather(train.aos, queries[q].descriptor, list, dist.data());
     Match& m = forward[q];
     for (std::size_t j = 0; j < list.size(); ++j) {
       const int d = dist[j];
       const std::int32_t idx = list[j];
-      if (d < m.distance) {
-        m.second_best = m.distance;
-        m.distance = d;
-        m.train = idx;
-      } else if (d < m.second_best) {
-        m.second_best = d;
-      }
+      keep_best_candidate(d, idx, m);
       if (options.cross_check) {
         const std::size_t t = static_cast<std::size_t>(idx);
         if (d < train_best_d[t]) {

@@ -8,6 +8,11 @@
 //     candidate list (built by the slam/match_gate projection gate), with
 //     identical acceptance semantics (max_distance, ratio, cross-check)
 //     restricted to the candidate graph.
+//
+// Equal distances go to the lower train index on every path: the brute
+// scan meets indices in ascending order and keeps the first minimum, and
+// the candidate consumers apply the rule explicitly, so their result does
+// not depend on the order of a candidate list.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +50,12 @@ struct MatcherOptions {
 };
 
 // Per-query candidate lists in CSR form: the candidates of query q are
-// train indices indices[offsets[q] .. offsets[q+1]).  Producers must emit
-// each list in ascending train-index order — minimum-distance ties then
-// resolve to the lowest train index, exactly as the brute-force scan does,
-// so a candidate list covering the true match yields the same winner.
+// train indices indices[offsets[q] .. offsets[q+1]).  A list may come in
+// any order but names each train index at most once.  Every consumer
+// breaks equal distances by the lower train index
+// (d < best || (d == best && index < best_index)), so the best match, the
+// runner-up and the cross-check outcome are the same for any order of the
+// list, and a list covering the true match yields the brute-force winner.
 struct CandidateSet {
   std::vector<std::int32_t> indices;
   std::vector<std::int32_t> offsets;  // size num_queries + 1 (or empty)
@@ -85,25 +92,27 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
 Match match_one(const Descriptor256& query,
                 std::span<const Descriptor256> train);
 
-// Single query against a candidate list (indices into `train`, ascending).
-// m.train is a train index, not a list position.
+// Single query against a candidate list (indices into `train`, any order,
+// each at most once).  m.train is a train index, not a list position.
 Match match_one_candidates(const Descriptor256& query,
                            std::span<const Descriptor256> train,
                            std::span<const std::int32_t> candidates);
 
 // ---- Zero-allocation / SIMD tier ------------------------------------------
 //
-// The _into variants are the steady-state hot path: queries come straight
-// from the frame's FeatureList (no staging copy of descriptors), train
-// descriptors are read through the SoA word planes with the vectorized
-// Hamming kernels when available, and all scratch lives in the caller's
-// arena.  Output semantics are bit-identical to the AoS functions above
-// (same distances, same lowest-index tie winners, same acceptance order) —
-// the tests in tests/features/simd_parity_test.cpp hold the two tiers
-// equal on randomized inputs.
+// The _into variants are the steady-state hot path and the verification
+// path: queries come straight from the frame's FeatureList (no staging
+// copy of descriptors) or from a packed descriptor array, every distance
+// comes from the runtime-dispatched kernels in features/simd_kernels.h,
+// and all scratch lives in the caller's arena.  Output semantics are
+// bit-identical to the AoS functions above (same distances, same
+// lowest-index tie winners, same acceptance order) — the tests in
+// tests/features/simd_parity_test.cpp hold the two tiers equal on
+// randomized inputs.
 
-// Both views describe the same descriptor sequence; `soa` may be null, in
-// which case the AoS span is scanned pair-at-a-time (scalar fallback).
+// Both views describe the same descriptor sequence.  Brute force scans the
+// SoA word planes when `soa` is set and the AoS rows otherwise; the gated
+// tier and the cross-check back scan always read AoS rows.
 struct TrainView {
   std::span<const Descriptor256> aos;
   const DescriptorSoA* soa = nullptr;
@@ -113,8 +122,14 @@ struct TrainView {
 };
 
 // Brute-force tier into a recycled output vector.  `scratch` may be null
-// (an internal thread-local arena is used).
+// (an internal thread-local arena is used).  The second overload takes
+// packed query descriptors (the verification matchers: relocalization and
+// loop closure, both with cross_check).
 void match_descriptors_into(std::span<const Feature> queries,
+                            const TrainView& train,
+                            const MatcherOptions& options, Arena* scratch,
+                            std::vector<Match>& out);
+void match_descriptors_into(std::span<const Descriptor256> queries,
                             const TrainView& train,
                             const MatcherOptions& options, Arena* scratch,
                             std::vector<Match>& out);

@@ -15,42 +15,57 @@ namespace eslam::simd {
 
 // ---- Scalar reference paths -----------------------------------------------
 
-void hamming_block_scalar(const DescriptorSoA& train,
-                          const Descriptor256& query, std::size_t first,
-                          std::size_t count, std::uint16_t* out_dist) {
-  const std::uint64_t q0 = query.words()[0];
-  const std::uint64_t q1 = query.words()[1];
-  const std::uint64_t q2 = query.words()[2];
-  const std::uint64_t q3 = query.words()[3];
-  const std::uint64_t* p0 = train.plane(0) + first;
-  const std::uint64_t* p1 = train.plane(1) + first;
-  const std::uint64_t* p2 = train.plane(2) + first;
-  const std::uint64_t* p3 = train.plane(3) + first;
-  for (std::size_t j = 0; j < count; ++j) {
-    const int d = std::popcount(p0[j] ^ q0) + std::popcount(p1[j] ^ q1) +
-                  std::popcount(p2[j] ^ q2) + std::popcount(p3[j] ^ q3);
-    out_dist[j] = static_cast<std::uint16_t>(d);
+namespace {
+
+// match_one()'s update for the distance of train index j in an ascending
+// scan: the first minimum wins, the runner-up is the second smallest.
+inline void keep_best_two(int d, int j, Match& m) {
+  if (d < m.distance) {
+    m.second_best = m.distance;
+    m.distance = d;
+    m.train = j;
+  } else if (d < m.second_best) {
+    m.second_best = d;
   }
 }
 
-void hamming_gather_scalar(const DescriptorSoA& train,
-                           const Descriptor256& query,
-                           std::span<const std::int32_t> candidates,
-                           std::uint16_t* out_dist) {
-  const std::uint64_t q0 = query.words()[0];
-  const std::uint64_t q1 = query.words()[1];
-  const std::uint64_t q2 = query.words()[2];
-  const std::uint64_t q3 = query.words()[3];
+}  // namespace
+
+void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
+                           DescriptorRows queries, Match* out) {
   const std::uint64_t* p0 = train.plane(0);
   const std::uint64_t* p1 = train.plane(1);
   const std::uint64_t* p2 = train.plane(2);
   const std::uint64_t* p3 = train.plane(3);
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    const auto t = static_cast<std::size_t>(candidates[j]);
-    const int d = std::popcount(p0[t] ^ q0) + std::popcount(p1[t] ^ q1) +
-                  std::popcount(p2[t] ^ q2) + std::popcount(p3[t] ^ q3);
-    out_dist[j] = static_cast<std::uint16_t>(d);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::uint64_t q0 = queries[i].words()[0];
+    const std::uint64_t q1 = queries[i].words()[1];
+    const std::uint64_t q2 = queries[i].words()[2];
+    const std::uint64_t q3 = queries[i].words()[3];
+    Match m;
+    for (std::size_t j = 0; j < count; ++j) {
+      const int d = std::popcount(p0[j] ^ q0) + std::popcount(p1[j] ^ q1) +
+                    std::popcount(p2[j] ^ q2) + std::popcount(p3[j] ^ q3);
+      keep_best_two(d, static_cast<int>(j), m);
+    }
+    out[i] = m;
   }
+}
+
+void hamming_gather_scalar(std::span<const Descriptor256> train,
+                           const Descriptor256& query,
+                           std::span<const std::int32_t> candidates,
+                           std::uint16_t* out_dist) {
+  for (std::size_t j = 0; j < candidates.size(); ++j)
+    out_dist[j] = static_cast<std::uint16_t>(hamming_distance(
+        query, train[static_cast<std::size_t>(candidates[j])]));
+}
+
+Match best_two_rows_scalar(const Descriptor256& query, DescriptorRows rows) {
+  Match m;
+  for (std::size_t j = 0; j < rows.size(); ++j)
+    keep_best_two(hamming_distance(query, rows[j]), static_cast<int>(j), m);
+  return m;
 }
 
 void project_batch_scalar(std::span<const double> xs,
@@ -86,104 +101,164 @@ void project_batch_scalar(std::span<const double> xs,
   }
 }
 
-// ---- AVX2 -----------------------------------------------------------------
+// ---- AVX2 (+ POPCNT) --------------------------------------------------------
 
 #if defined(__x86_64__) || defined(__i386__)
 namespace {
 
-// Nibble-LUT popcount of 4 lanes of 64 bits (Mula's algorithm): per-byte
-// counts via two pshufb lookups, then horizontal sums with psadbw.
-__attribute__((target("avx2"))) inline __m256i popcount_epi64(__m256i v) {
+// Nibble-LUT per-byte popcount of 256 bits (Mula's algorithm): two pshufb
+// lookups, one per nibble.
+__attribute__((target("avx2"))) inline __m256i popcount_bytes(__m256i v) {
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
                        2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
   const __m256i low_mask = _mm256_set1_epi8(0x0f);
   const __m256i lo = _mm256_and_si256(v, low_mask);
   const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                         _mm256_shuffle_epi8(lut, hi));
 }
 
-__attribute__((target("avx2"))) void hamming_block_avx2(
-    const DescriptorSoA& train, const Descriptor256& query, std::size_t first,
-    std::size_t count, std::uint16_t* out_dist) {
-  const __m256i q0 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[0]));
-  const __m256i q1 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[1]));
-  const __m256i q2 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[2]));
-  const __m256i q3 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[3]));
-  const std::uint64_t* p0 = train.plane(0) + first;
-  const std::uint64_t* p1 = train.plane(1) + first;
-  const std::uint64_t* p2 = train.plane(2) + first;
-  const std::uint64_t* p3 = train.plane(3) + first;
+// Distances of one query (words broadcast in q[0..3]) to the four train
+// descriptors whose plane words are w[0..3], one per 64-bit lane.  The
+// four planes' byte counts are summed before the reduction (at most
+// 4 * 8 = 32 per byte), so a single psadbw yields each lane's distance.
+__attribute__((target("avx2"))) inline __m256i distance4(const __m256i* w,
+                                                         const __m256i* q) {
+  __m256i c = popcount_bytes(_mm256_xor_si256(w[0], q[0]));
+  c = _mm256_add_epi8(c, popcount_bytes(_mm256_xor_si256(w[1], q[1])));
+  c = _mm256_add_epi8(c, popcount_bytes(_mm256_xor_si256(w[2], q[2])));
+  c = _mm256_add_epi8(c, popcount_bytes(_mm256_xor_si256(w[3], q[3])));
+  return _mm256_sad_epu8(c, _mm256_setzero_si256());
+}
+
+// Selection keys: distance << 32 | train index.  The smaller key is the
+// smaller distance, and on equal distances the lower index — exactly the
+// winner of match_one()'s ascending scan.  kNoKey stands for match_one()'s
+// initial state (distance 256, no index); it ranks after every real key.
+constexpr std::uint64_t kNoKey = (std::uint64_t{256} << 32) | 0xFFFFFFFFu;
+
+// Lane-wise fold of keys k into (best, second): best keeps the smaller
+// key, second the smaller of itself and the key that lost.  Keys stay
+// below 2^41, so the signed 64-bit compare orders them correctly.
+__attribute__((target("avx2"))) inline void fold_keys(__m256i k,
+                                                      __m256i& best,
+                                                      __m256i& second) {
+  const __m256i k_wins = _mm256_cmpgt_epi64(best, k);
+  const __m256i loser = _mm256_blendv_epi8(k, best, k_wins);
+  best = _mm256_blendv_epi8(best, k, k_wins);
+  second = _mm256_blendv_epi8(second, loser,
+                              _mm256_cmpgt_epi64(second, loser));
+}
+
+inline void fold_key(std::uint64_t k, std::uint64_t& best,
+                     std::uint64_t& second) {
+  if (k < best) {
+    second = best;
+    best = k;
+  } else if (k < second) {
+    second = k;
+  }
+}
+
+// The two smallest keys are the best match and the runner-up; a best
+// distance of 256 leaves no match, as in match_one().
+inline Match match_from_keys(std::uint64_t best, std::uint64_t second) {
+  Match m;
+  m.distance = static_cast<int>(best >> 32);
+  m.second_best = static_cast<int>(second >> 32);
+  if (m.distance < 256) m.train = static_cast<int>(best & 0xFFFFFFFFu);
+  return m;
+}
+
+__attribute__((target("avx2,popcnt"))) inline int popcnt_distance(
+    const Descriptor256& a, const Descriptor256& b) {
+  return __builtin_popcountll(a.words()[0] ^ b.words()[0]) +
+         __builtin_popcountll(a.words()[1] ^ b.words()[1]) +
+         __builtin_popcountll(a.words()[2] ^ b.words()[2]) +
+         __builtin_popcountll(a.words()[3] ^ b.words()[3]);
+}
+
+// Fused brute force for Q queries at once: each iteration loads four train
+// descriptors (one 256-bit load per word plane) and folds their keys into
+// every query's per-lane best/second registers.  The four lanes are merged
+// once at the end, then the count % 4 tail is folded in scalar.
+template <int Q>
+__attribute__((target("avx2,popcnt"))) void best_two_block_avx2_q(
+    const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
+    std::size_t first, Match* out) {
+  const std::uint64_t* plane[4] = {train.plane(0), train.plane(1),
+                                   train.plane(2), train.plane(3)};
+  const Descriptor256* q[Q];
+  __m256i qw[Q][4];
+  __m256i best[Q], second[Q];
+  for (int k = 0; k < Q; ++k) {
+    q[k] = &queries[first + static_cast<std::size_t>(k)];
+    for (int w = 0; w < 4; ++w)
+      qw[k][w] =
+          _mm256_set1_epi64x(static_cast<long long>(q[k]->words()[w]));
+    best[k] = _mm256_set1_epi64x(static_cast<long long>(kNoKey));
+    second[k] = best[k];
+  }
+  __m256i index = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i step = _mm256_set1_epi64x(4);
   std::size_t j = 0;
   for (; j + 4 <= count; j += 4) {
-    __m256i acc = popcount_epi64(_mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p0 + j)), q0));
-    acc = _mm256_add_epi64(
-        acc, popcount_epi64(_mm256_xor_si256(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p1 + j)),
-                 q1)));
-    acc = _mm256_add_epi64(
-        acc, popcount_epi64(_mm256_xor_si256(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p2 + j)),
-                 q2)));
-    acc = _mm256_add_epi64(
-        acc, popcount_epi64(_mm256_xor_si256(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p3 + j)),
-                 q3)));
-    alignas(32) std::uint64_t d[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(d), acc);
-    out_dist[j + 0] = static_cast<std::uint16_t>(d[0]);
-    out_dist[j + 1] = static_cast<std::uint16_t>(d[1]);
-    out_dist[j + 2] = static_cast<std::uint16_t>(d[2]);
-    out_dist[j + 3] = static_cast<std::uint16_t>(d[3]);
+    __m256i w[4];
+    for (int p = 0; p < 4; ++p)
+      w[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane[p] + j));
+    for (int k = 0; k < Q; ++k)
+      fold_keys(_mm256_or_si256(_mm256_slli_epi64(distance4(w, qw[k]), 32),
+                                index),
+                best[k], second[k]);
+    index = _mm256_add_epi64(index, step);
   }
-  if (j < count)
-    hamming_block_scalar(train, query, first + j, count - j, out_dist + j);
+  for (int k = 0; k < Q; ++k) {
+    alignas(32) std::uint64_t lane_best[4], lane_second[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_best), best[k]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_second), second[k]);
+    std::uint64_t b = kNoKey, s = kNoKey;
+    for (int lane = 0; lane < 4; ++lane) {
+      fold_key(lane_best[lane], b, s);
+      fold_key(lane_second[lane], b, s);
+    }
+    const std::uint64_t* qd = q[k]->words().data();
+    for (std::size_t t = j; t < count; ++t) {
+      const std::uint64_t d = static_cast<std::uint64_t>(
+          __builtin_popcountll(plane[0][t] ^ qd[0]) +
+          __builtin_popcountll(plane[1][t] ^ qd[1]) +
+          __builtin_popcountll(plane[2][t] ^ qd[2]) +
+          __builtin_popcountll(plane[3][t] ^ qd[3]));
+      fold_key((d << 32) | t, b, s);
+    }
+    out[first + static_cast<std::size_t>(k)] = match_from_keys(b, s);
+  }
 }
 
-__attribute__((target("avx2"))) void hamming_gather_avx2(
-    const DescriptorSoA& train, const Descriptor256& query,
+__attribute__((target("avx2,popcnt"))) void best_two_block_avx2(
+    const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
+    Match* out) {
+  std::size_t i = 0;
+  for (; i + 2 <= queries.size(); i += 2)
+    best_two_block_avx2_q<2>(train, count, queries, i, out);
+  if (i < queries.size())
+    best_two_block_avx2_q<1>(train, count, queries, i, out);
+}
+
+__attribute__((target("avx2,popcnt"))) void hamming_gather_avx2(
+    std::span<const Descriptor256> train, const Descriptor256& query,
     std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
-  const __m256i q0 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[0]));
-  const __m256i q1 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[1]));
-  const __m256i q2 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[2]));
-  const __m256i q3 = _mm256_set1_epi64x(
-      static_cast<long long>(query.words()[3]));
-  const auto* p0 = reinterpret_cast<const long long*>(train.plane(0));
-  const auto* p1 = reinterpret_cast<const long long*>(train.plane(1));
-  const auto* p2 = reinterpret_cast<const long long*>(train.plane(2));
-  const auto* p3 = reinterpret_cast<const long long*>(train.plane(3));
-  const std::size_t n = candidates.size();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(candidates.data() + j));
-    __m256i acc = popcount_epi64(
-        _mm256_xor_si256(_mm256_i32gather_epi64(p0, idx, 8), q0));
-    acc = _mm256_add_epi64(acc, popcount_epi64(_mm256_xor_si256(
-                                    _mm256_i32gather_epi64(p1, idx, 8), q1)));
-    acc = _mm256_add_epi64(acc, popcount_epi64(_mm256_xor_si256(
-                                    _mm256_i32gather_epi64(p2, idx, 8), q2)));
-    acc = _mm256_add_epi64(acc, popcount_epi64(_mm256_xor_si256(
-                                    _mm256_i32gather_epi64(p3, idx, 8), q3)));
-    alignas(32) std::uint64_t d[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(d), acc);
-    out_dist[j + 0] = static_cast<std::uint16_t>(d[0]);
-    out_dist[j + 1] = static_cast<std::uint16_t>(d[1]);
-    out_dist[j + 2] = static_cast<std::uint16_t>(d[2]);
-    out_dist[j + 3] = static_cast<std::uint16_t>(d[3]);
-  }
-  if (j < n)
-    hamming_gather_scalar(train, query, candidates.subspan(j), out_dist + j);
+  for (std::size_t j = 0; j < candidates.size(); ++j)
+    out_dist[j] = static_cast<std::uint16_t>(popcnt_distance(
+        query, train[static_cast<std::size_t>(candidates[j])]));
+}
+
+__attribute__((target("avx2,popcnt"))) Match best_two_rows_avx2(
+    const Descriptor256& query, DescriptorRows rows) {
+  Match m;
+  for (std::size_t j = 0; j < rows.size(); ++j)
+    keep_best_two(popcnt_distance(query, rows[j]), static_cast<int>(j), m);
+  return m;
 }
 
 __attribute__((target("avx2"))) void project_batch_avx2(
@@ -263,70 +338,51 @@ __attribute__((target("avx2"))) void project_batch_avx2(
 #if defined(__aarch64__)
 namespace {
 
-void hamming_block_neon(const DescriptorSoA& train, const Descriptor256& query,
-                        std::size_t first, std::size_t count,
-                        std::uint16_t* out_dist) {
-  const uint64x2_t q0 = vdupq_n_u64(query.words()[0]);
-  const uint64x2_t q1 = vdupq_n_u64(query.words()[1]);
-  const uint64x2_t q2 = vdupq_n_u64(query.words()[2]);
-  const uint64x2_t q3 = vdupq_n_u64(query.words()[3]);
-  const std::uint64_t* p0 = train.plane(0) + first;
-  const std::uint64_t* p1 = train.plane(1) + first;
-  const std::uint64_t* p2 = train.plane(2) + first;
-  const std::uint64_t* p3 = train.plane(3) + first;
-  std::size_t j = 0;
-  for (; j + 2 <= count; j += 2) {
-    // vcnt gives per-byte counts; each byte count is at most 8 and there
-    // are 4 planes, so per-byte sums stay <= 32 (no u8 overflow).
-    uint8x16_t c = vcntq_u8(vreinterpretq_u8_u64(
-        veorq_u64(vld1q_u64(p0 + j), q0)));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                        veorq_u64(vld1q_u64(p1 + j), q1))));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                        veorq_u64(vld1q_u64(p2 + j), q2))));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                        veorq_u64(vld1q_u64(p3 + j), q3))));
-    // Pairwise-widen to per-lane (64-bit half) sums.
-    const uint64x2_t lane_sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(c)));
-    out_dist[j + 0] = static_cast<std::uint16_t>(vgetq_lane_u64(lane_sums, 0));
-    out_dist[j + 1] = static_cast<std::uint16_t>(vgetq_lane_u64(lane_sums, 1));
-  }
-  if (j < count)
-    hamming_block_scalar(train, query, first + j, count - j, out_dist + j);
-}
-
-void hamming_gather_neon(const DescriptorSoA& train, const Descriptor256& query,
-                         std::span<const std::int32_t> candidates,
-                         std::uint16_t* out_dist) {
-  // No gather instruction on NEON: load lanes individually, then share the
-  // vector popcount path.
+// Brute force: two train descriptors per step through vcnt, folded with
+// match_one()'s ascending update.  The row kernels (hamming_gather,
+// best_two_rows) take the scalar path on AArch64, where std::popcount
+// already lowers to CNT.
+void best_two_block_neon(const DescriptorSoA& train, std::size_t count,
+                         DescriptorRows queries, Match* out) {
   const std::uint64_t* p0 = train.plane(0);
   const std::uint64_t* p1 = train.plane(1);
   const std::uint64_t* p2 = train.plane(2);
   const std::uint64_t* p3 = train.plane(3);
-  const uint64x2_t q0 = vdupq_n_u64(query.words()[0]);
-  const uint64x2_t q1 = vdupq_n_u64(query.words()[1]);
-  const uint64x2_t q2 = vdupq_n_u64(query.words()[2]);
-  const uint64x2_t q3 = vdupq_n_u64(query.words()[3]);
-  const std::size_t n = candidates.size();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const auto a = static_cast<std::size_t>(candidates[j]);
-    const auto b = static_cast<std::size_t>(candidates[j + 1]);
-    const uint64x2_t w0 = {p0[a], p0[b]};
-    const uint64x2_t w1 = {p1[a], p1[b]};
-    const uint64x2_t w2 = {p2[a], p2[b]};
-    const uint64x2_t w3 = {p3[a], p3[b]};
-    uint8x16_t c = vcntq_u8(vreinterpretq_u8_u64(veorq_u64(w0, q0)));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(veorq_u64(w1, q1))));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(veorq_u64(w2, q2))));
-    c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(veorq_u64(w3, q3))));
-    const uint64x2_t lane_sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(c)));
-    out_dist[j + 0] = static_cast<std::uint16_t>(vgetq_lane_u64(lane_sums, 0));
-    out_dist[j + 1] = static_cast<std::uint16_t>(vgetq_lane_u64(lane_sums, 1));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Descriptor256& query = queries[i];
+    const uint64x2_t q0 = vdupq_n_u64(query.words()[0]);
+    const uint64x2_t q1 = vdupq_n_u64(query.words()[1]);
+    const uint64x2_t q2 = vdupq_n_u64(query.words()[2]);
+    const uint64x2_t q3 = vdupq_n_u64(query.words()[3]);
+    Match m;
+    std::size_t j = 0;
+    for (; j + 2 <= count; j += 2) {
+      // vcnt gives per-byte counts; each byte count is at most 8 and there
+      // are 4 planes, so per-byte sums stay <= 32 (no u8 overflow).
+      uint8x16_t c = vcntq_u8(vreinterpretq_u8_u64(
+          veorq_u64(vld1q_u64(p0 + j), q0)));
+      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
+                          veorq_u64(vld1q_u64(p1 + j), q1))));
+      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
+                          veorq_u64(vld1q_u64(p2 + j), q2))));
+      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
+                          veorq_u64(vld1q_u64(p3 + j), q3))));
+      // Pairwise-widen to per-lane (64-bit half) sums.
+      const uint64x2_t lane_sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(c)));
+      keep_best_two(static_cast<int>(vgetq_lane_u64(lane_sums, 0)),
+                    static_cast<int>(j), m);
+      keep_best_two(static_cast<int>(vgetq_lane_u64(lane_sums, 1)),
+                    static_cast<int>(j + 1), m);
+    }
+    for (; j < count; ++j) {
+      const int d = std::popcount(p0[j] ^ query.words()[0]) +
+                    std::popcount(p1[j] ^ query.words()[1]) +
+                    std::popcount(p2[j] ^ query.words()[2]) +
+                    std::popcount(p3[j] ^ query.words()[3]);
+      keep_best_two(d, static_cast<int>(j), m);
+    }
+    out[i] = m;
   }
-  if (j < n)
-    hamming_gather_scalar(train, query, candidates.subspan(j), out_dist + j);
 }
 
 void project_batch_neon(std::span<const double> xs, std::span<const double> ys,
@@ -392,44 +448,43 @@ void project_batch_neon(std::span<const double> xs, std::span<const double> ys,
 
 // ---- Dispatch entry points ------------------------------------------------
 
-void hamming_block(const DescriptorSoA& train, const Descriptor256& query,
-                   std::size_t first, std::size_t count,
-                   std::uint16_t* out_dist) {
+void best_two_block(const DescriptorSoA& train, std::size_t count,
+                    DescriptorRows queries, Match* out) {
   switch (active_isa()) {
 #if defined(__x86_64__) || defined(__i386__)
     case IsaLevel::kAvx2:
-      hamming_block_avx2(train, query, first, count, out_dist);
+      best_two_block_avx2(train, count, queries, out);
       return;
 #endif
 #if defined(__aarch64__)
     case IsaLevel::kNeon:
-      hamming_block_neon(train, query, first, count, out_dist);
+      best_two_block_neon(train, count, queries, out);
       return;
 #endif
     default:
-      hamming_block_scalar(train, query, first, count, out_dist);
+      best_two_block_scalar(train, count, queries, out);
       return;
   }
 }
 
-void hamming_gather(const DescriptorSoA& train, const Descriptor256& query,
+void hamming_gather(std::span<const Descriptor256> train,
+                    const Descriptor256& query,
                     std::span<const std::int32_t> candidates,
                     std::uint16_t* out_dist) {
-  switch (active_isa()) {
 #if defined(__x86_64__) || defined(__i386__)
-    case IsaLevel::kAvx2:
-      hamming_gather_avx2(train, query, candidates, out_dist);
-      return;
-#endif
-#if defined(__aarch64__)
-    case IsaLevel::kNeon:
-      hamming_gather_neon(train, query, candidates, out_dist);
-      return;
-#endif
-    default:
-      hamming_gather_scalar(train, query, candidates, out_dist);
-      return;
+  if (active_isa() == IsaLevel::kAvx2) {
+    hamming_gather_avx2(train, query, candidates, out_dist);
+    return;
   }
+#endif
+  hamming_gather_scalar(train, query, candidates, out_dist);
+}
+
+Match best_two_rows(const Descriptor256& query, DescriptorRows rows) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (active_isa() == IsaLevel::kAvx2) return best_two_rows_avx2(query, rows);
+#endif
+  return best_two_rows_scalar(query, rows);
 }
 
 void project_batch(std::span<const double> xs, std::span<const double> ys,

@@ -1,52 +1,73 @@
 // Vectorized hot-path kernels with bit-exact scalar parity.
 //
-// Two kernels dominate steady-state tracking (paper section 2.2: feature
-// matching is the FPGA-side bottleneck; here it is the ARM-side one):
+// Feature matching (paper section 3.2: the BRIEF Matcher; on the host it
+// is the ARM-side bottleneck) runs on three Hamming kernels, one per
+// matching tier, each computing exact integer distances so every ISA path
+// is bit-identical to hamming_distance():
 //
-//   1. One query descriptor against a block (or gathered candidate list)
-//      of train descriptors: 256-bit XOR + popcount over the DescriptorSoA
-//      word planes.  Distances are exact integers, so the SIMD paths are
-//      trivially bit-identical to hamming_distance(); best-match selection
-//      stays scalar over the distance buffer in ascending index order,
-//      which preserves the matcher's lowest-index tie rule for free.
+//   1. best_two_block — brute force: every query against a whole
+//      DescriptorSoA train set, keeping each query's best match and
+//      runner-up distance.  The AVX2 path is fused: distances and
+//      selection stay in registers as 64-bit keys (distance << 32 | train
+//      index), so the lane-wise minimum is the lowest-index winner, and two
+//      queries share each train load; lanes merge once per query.
+//   2. hamming_gather — gated tier: one query against a candidate list,
+//      each distance read from the candidate's contiguous 32-byte AoS row.
+//      Selection happens in the matcher, whose tie rule (lower train index
+//      wins on equal distance) makes the result independent of list order.
+//   3. best_two_rows — verification matching: one descriptor against
+//      strided AoS rows (a train set without SoA planes, or the queries in
+//      the cross-check's back scan).
 //
-//   2. Batched map-point projection for the match gate: SE3 transform +
-//      pinhole projection + padded-bounds mask over x/y/z lanes.  The
-//      scalar path replicates the exact FP operation order of
-//      `SE3::operator*` / `PinholeCamera::project` (sum association,
-//      no FMA), and the SIMD paths perform the same operations per lane,
-//      so kept u/v coordinates are bit-identical across ISAs.  NaN inputs
-//      fail the keep mask on every path.
+// All three produce match_one()'s result: best distance, runner-up
+// distance (second smallest over the set) and the lowest train index at
+// the best distance, or -1 when no distance is below 256.
 //
-// Dispatch is picked once at runtime (core/simd_dispatch.h); the _scalar
-// variants are exposed for the parity test suite.
+// Batched map-point projection for the match gate: SE3 transform + pinhole
+// projection + padded-bounds mask over x/y/z lanes.  The scalar path
+// replicates the exact FP operation order of `SE3::operator*` /
+// `PinholeCamera::project` (sum association, no FMA), and the SIMD paths
+// perform the same operations per lane, so kept u/v coordinates are
+// bit-identical across ISAs.  NaN inputs fail the keep mask on every path.
+//
+// Dispatch is picked once at runtime (core/simd_dispatch.h); the AVX2 tier
+// also uses the POPCNT instruction, and the dispatcher checks for both.
+// The _scalar variants are the portable reference, exposed for the parity
+// test suite.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "features/descriptor_soa.h"
+#include "features/matcher.h"
 #include "geometry/camera.h"
 #include "geometry/se3.h"
 
 namespace eslam::simd {
 
-// out_dist[j] = hamming(query, train[first + j]) for j in [0, count).
-void hamming_block(const DescriptorSoA& train, const Descriptor256& query,
-                   std::size_t first, std::size_t count,
-                   std::uint16_t* out_dist);
-void hamming_block_scalar(const DescriptorSoA& train,
-                          const Descriptor256& query, std::size_t first,
-                          std::size_t count, std::uint16_t* out_dist);
+// out[i] = match_one(queries[i], train[0, count)) for every query: train,
+// distance and second_best are set, query is left untouched.  `count` may
+// be smaller than train.size() (a published map view bounds its rows).
+void best_two_block(const DescriptorSoA& train, std::size_t count,
+                    DescriptorRows queries, Match* out);
+void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
+                           DescriptorRows queries, Match* out);
 
 // out_dist[j] = hamming(query, train[candidates[j]]).
-void hamming_gather(const DescriptorSoA& train, const Descriptor256& query,
+void hamming_gather(std::span<const Descriptor256> train,
+                    const Descriptor256& query,
                     std::span<const std::int32_t> candidates,
                     std::uint16_t* out_dist);
-void hamming_gather_scalar(const DescriptorSoA& train,
+void hamming_gather_scalar(std::span<const Descriptor256> train,
                            const Descriptor256& query,
                            std::span<const std::int32_t> candidates,
                            std::uint16_t* out_dist);
+
+// match_one(query, rows): the best row index, its distance and the
+// runner-up distance (query left at -1).
+Match best_two_rows(const Descriptor256& query, DescriptorRows rows);
+Match best_two_rows_scalar(const Descriptor256& query, DescriptorRows rows);
 
 // Projects n map points (xs/ys/zs lanes) through pose_cw and the pinhole
 // model.  out_keep[i] != 0 iff depth > PinholeCamera::kMinDepth and the

@@ -4,11 +4,14 @@
 // Instead of matching every frame against the whole map (brute force,
 // linear in map age), the gate projects the map's positions() snapshot
 // into the image under a constant-velocity prior pose, buckets the
-// projections in a spatial grid (features/GridIndex2d), and emits one
+// projections in a spatial grid of half-search-radius cells, and emits one
 // candidate list per feature: the map points landing within a square
-// window around the feature's pixel.  The candidate matcher
-// (match_candidates) then does the Hamming work on those lists only, so
-// per-frame match cost tracks the *visible* map, not the whole map.
+// window around the feature's pixel.  Cells wholly inside a window are
+// appended without per-point tests, and no list is sorted — the candidate
+// matcher's tie rule makes list order irrelevant (see CandidateSet).  The
+// candidate matcher (match_candidates) then does the Hamming work on those
+// lists only, so per-frame match cost tracks the *visible* map, not the
+// whole map.
 //
 // Brute force remains the second tier: the tracker falls back to it when
 // no prior is available (bootstrap, the frame after it, the frames after
@@ -40,10 +43,9 @@ struct MatchPolicy {
   bool use_gate = true;
   // Half-width of the square search window around the predicted pixel.
   // Must absorb the prior's prediction error (a one-frame-stale
-  // constant-velocity extrapolation) plus keypoint quantization.
+  // constant-velocity extrapolation) plus keypoint quantization.  The
+  // gate's grid cells are half this wide (at least 4 px).
   double search_radius_px = 24.0;
-  // Grid bucket size; ~search radius keeps the query at <= 9 cells.
-  double cell_size_px = 32.0;
   // Below this map size brute force is at least as cheap as projecting
   // and bucketing, so the gate is skipped.
   int min_map_points_for_gate = 512;
@@ -66,24 +68,25 @@ struct GateResult {
   double build_ms = 0;   // host-side projection + bucketing time
 };
 
-// Projects `map_positions` by `prior_pose_cw`, buckets the projections,
-// and collects each feature's candidate list (ascending map indices, as
-// match_candidates requires).  Points projecting up to search_radius_px
-// outside the image are kept — their window can still cover features near
-// the border.
+// Reference builder: projects `map_positions` by `prior_pose_cw`, buckets
+// the projections in a GridIndex2d and collects each feature's candidate
+// list by testing every point of the window's cells (lists ascending).
+// Points projecting up to search_radius_px outside the image are kept —
+// their window can still cover features near the border.
 GateResult build_candidate_set(std::span<const Vec3> map_positions,
                                const SE3& prior_pose_cw,
                                const PinholeCamera& camera,
                                const FeatureList& features,
                                const MatchPolicy& policy);
 
-// Zero-allocation variant of the same computation: positions arrive as
-// SoA lanes (the frame's borrowed MapReadView's xs()/ys()/zs() spans —
-// frozen for the stage, no lock, no per-frame snapshot copy), projection runs
-// through the batched SIMD kernel, and the bucket grid lives in `scratch`
-// (may be null: thread-local fallback).  `out`'s CSR vectors are recycled
-// across frames.  Candidate lists, projected counts, and list ordering are
-// identical to build_candidate_set() on the same inputs (asserted by
+// The hot-path builder of the same candidate sets: positions arrive as SoA
+// lanes (the frame's borrowed MapReadView's xs()/ys()/zs() spans — frozen
+// for the stage, no lock, no per-frame snapshot copy), projection runs
+// through the batched SIMD kernel, the cell-sorted u/v/id columns live in
+// `scratch` (may be null: thread-local fallback), and `out`'s CSR vectors
+// are recycled across frames.  Projected counts and each feature's
+// candidate set equal build_candidate_set()'s on the same inputs; the
+// order inside a list is the grid's cell order (asserted by
 // tests/features/simd_parity_test.cpp).
 void build_candidate_set_into(std::span<const double> xs,
                               std::span<const double> ys,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "geometry/wall_timer.h"
+#include "obs/metrics.h"
 
 namespace eslam {
 
@@ -37,7 +38,10 @@ void FrameState::reset() {
 TrackingCore::TrackingCore(const PinholeCamera& camera,
                            FeatureBackend* backend,
                            const TrackingOptions& options)
-    : camera_(camera), backend_(backend), options_(options) {
+    : camera_(camera),
+      backend_(backend),
+      options_(options),
+      gate_build_ms_(&obs::metrics().histogram("eslam_match_gate_build_ms")) {
   ESLAM_ASSERT(backend_ != nullptr, "tracking needs a feature backend");
 }
 
@@ -76,6 +80,7 @@ void TrackingCore::match(FrameState& fs, const MapReadView& view,
     build_candidate_set_into(view.xs(), view.ys(), view.zs(), *prior, camera_,
                              fs.features, options_.match, fs.arena.get(),
                              fs.gate);
+    gate_build_ms_->record(fs.gate.build_ms);
     backend_->match_candidates_into(fs.features, train, fs.gate.candidates,
                                    fs.arena.get(), fs.matches);
     match_ms += fs.gate.build_ms + backend_->last_match_time_ms();
@@ -146,20 +151,22 @@ bool TrackingCore::match_against_places(FrameState& fs,
     // Verification-grade matching (see RelocOptions::matcher), host-side
     // like the loop job's — the fabric's bulk matcher has no precision
     // knobs, and a lost session is off the nominal fabric schedule anyway.
+    // A hit that falls short leaves fs.matches for the next hit or the
+    // brute-force fallback to overwrite.
     const WallTimer reloc_timer;
-    std::vector<Match> matches =
-        match_descriptors(query, subset, options_.reloc.matcher);
+    match_descriptors_into(query, TrainView{subset, nullptr},
+                           options_.reloc.matcher, fs.arena.get(),
+                           fs.matches);
     match_ms += reloc_timer.elapsed_ms();
-    if (static_cast<int>(matches.size()) < options_.reloc.min_matches)
+    if (static_cast<int>(fs.matches.size()) < options_.reloc.min_matches)
       continue;  // recognition was wrong for this hit; try the next one
     fs.reloc_positions.clear();
-    fs.reloc_positions.reserve(matches.size());
-    for (Match& m : matches) {
+    fs.reloc_positions.reserve(fs.matches.size());
+    for (Match& m : fs.matches) {
       fs.reloc_positions.push_back(
           place[static_cast<std::size_t>(m.train)].position_w);
       m.train = map_index[static_cast<std::size_t>(m.train)];
     }
-    fs.matches = std::move(matches);
     fs.reloc_reference_cw = places.graph.keyframe(hit.keyframe_id).pose_cw;
     return true;
   }

@@ -20,8 +20,9 @@
 // can run it on the device lane while update_map() of an earlier frame
 // retires a pose on the ARM lane.  estimate_pose(), optimize_pose() and
 // retire() read or write the motion model and must run serially in frame
-// order.  The core records no spans or metrics; each owner wraps the
-// stages in its own trace tracks and histograms.
+// order.  The core records one metric, the projection gate's build time
+// (eslam_match_gate_build_ms, wherever the gate runs); each owner wraps
+// the stages in its own trace tracks and histograms.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,10 @@
 #include "slam/ransac.h"
 
 namespace eslam {
+
+namespace obs {
+class Histogram;
+}
 
 // Abstraction over "who computes features and matches" (ARM software vs
 // FPGA fabric).  last_*_time_ms() report the backend's own notion of time:
@@ -394,6 +399,7 @@ class TrackingCore {
   FeatureBackend* backend_;
   TrackingOptions options_;
   MotionModel motion_;
+  obs::Histogram* gate_build_ms_;  // resolved once; recorded per gate build
 };
 
 }  // namespace eslam

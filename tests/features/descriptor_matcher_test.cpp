@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "../test_util.h"
+#include "accel/matcher_hw.h"
+#include "core/arena.h"
 #include "features/descriptor.h"
 #include "features/matcher.h"
 
@@ -345,6 +350,113 @@ TEST(CandidateMatcher, TieBreaksTowardLowestTrainIndex) {
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].train, 1);
   EXPECT_EQ(matches[0].distance, 0);
+}
+
+// The tie rule makes candidate-list order irrelevant: over train sets full
+// of duplicated descriptors (so best distances tie), a shuffled list and
+// the same list in ascending order give identical Match fields on every
+// consumer of a CandidateSet.
+TEST(CandidateMatcher, ListOrderDoesNotChangeMatches) {
+  std::mt19937_64 rng(118);
+  auto train = random_set(300, 119);
+  for (std::size_t i = 0; i + 1 < train.size(); i += 2)
+    train[i + 1] = train[i];  // every even/odd pair is an exact duplicate
+  for (std::size_t i = 0; i + 5 < train.size(); i += 50)
+    train[i + 5] = train[i];  // and some triples across pairs
+  DescriptorSoA soa;
+  soa.assign(train);
+  std::vector<Descriptor256> queries = random_set(80, 120);
+  for (std::size_t q = 0; q < queries.size(); q += 2) {
+    queries[q] = train[rng() % train.size()];
+    queries[q].set_bit(static_cast<int>(rng() % 256), true);  // near a pair
+  }
+  FeatureList features(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q)
+    features[q].descriptor = queries[q];
+
+  // Lists of whole duplicate pairs plus singles; the ascending set is the
+  // reference, the shuffled set the same lists in random order.
+  CandidateSet ascending, shuffled;
+  ascending.offsets.push_back(0);
+  shuffled.offsets.push_back(0);
+  int reordered_ties = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::vector<std::int32_t> list;
+    for (int k = 0; k < 6; ++k) {
+      const auto pair = static_cast<std::int32_t>(2 * (rng() % 150));
+      list.push_back(pair);
+      list.push_back(pair + 1);
+    }
+    for (int k = 0; k < 3; ++k)
+      list.push_back(static_cast<std::int32_t>(rng() % train.size()));
+    if (q % 2 == 0) {  // make sure the query's own pair is listed
+      for (std::size_t t = 0; t < train.size(); ++t)
+        if (hamming_distance(queries[q], train[t]) <= 1)
+          list.push_back(static_cast<std::int32_t>(t));
+    }
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    std::vector<std::int32_t> mixed = list;
+    std::shuffle(mixed.begin(), mixed.end(), rng);
+    ascending.indices.insert(ascending.indices.end(), list.begin(), list.end());
+    shuffled.indices.insert(shuffled.indices.end(), mixed.begin(), mixed.end());
+    ascending.offsets.push_back(
+        static_cast<std::int32_t>(ascending.indices.size()));
+    shuffled.offsets.push_back(
+        static_cast<std::int32_t>(shuffled.indices.size()));
+    // A first-minimum-wins scan over the shuffled list would pick another
+    // index than the lowest-index winner here.
+    const Match lowest = match_one_candidates(queries[q], train, list);
+    for (const std::int32_t t : mixed) {
+      if (hamming_distance(queries[q], train[static_cast<std::size_t>(t)]) ==
+          lowest.distance) {
+        reordered_ties += t != lowest.train ? 1 : 0;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(reordered_ties, 5) << "the shuffle must reorder tied winners";
+
+  const auto expect_same = [](const std::vector<Match>& a,
+                              const std::vector<Match>& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].query, b[i].query) << what << " match " << i;
+      EXPECT_EQ(a[i].train, b[i].train) << what << " match " << i;
+      EXPECT_EQ(a[i].distance, b[i].distance) << what << " match " << i;
+      EXPECT_EQ(a[i].second_best, b[i].second_best) << what << " match " << i;
+    }
+  };
+  for (const bool cross_check : {false, true}) {
+    MatcherOptions opts;
+    opts.max_distance = 256;
+    opts.cross_check = cross_check;
+    expect_same(match_candidates(queries, train, shuffled, opts),
+                match_candidates(queries, train, ascending, opts),
+                "match_candidates");
+    Arena arena;
+    std::vector<Match> a, b;
+    for (const DescriptorSoA* planes : {&soa, static_cast<DescriptorSoA*>(
+                                                  nullptr)}) {
+      match_candidates_into(features, TrainView{train, planes}, shuffled,
+                            opts, &arena, a);
+      match_candidates_into(features, TrainView{train, planes}, ascending,
+                            opts, &arena, b);
+      expect_same(a, b, "match_candidates_into");
+    }
+  }
+  std::vector<Match> one_shuffled, one_ascending;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    one_shuffled.push_back(
+        match_one_candidates(queries[q], train, shuffled.candidates(q)));
+    one_ascending.push_back(
+        match_one_candidates(queries[q], train, ascending.candidates(q)));
+  }
+  expect_same(one_shuffled, one_ascending, "match_one_candidates");
+  BriefMatcherHw hw;
+  expect_same(hw.match_candidates(queries, train, shuffled),
+              hw.match_candidates(queries, train, ascending),
+              "BriefMatcherHw::match_candidates");
 }
 
 TEST(CandidateMatcher, CrossCheckWithinCandidateGraph) {

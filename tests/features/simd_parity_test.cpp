@@ -1,15 +1,18 @@
 // Scalar-vs-SIMD parity: the dispatched kernels (features/simd_kernels)
 // and the allocation-free matcher/gate tiers built on them must be
 // BIT-exact with the scalar reference paths — same Hamming distances, same
-// lowest-index tie winners, same projected pixels, same candidate lists.
+// lowest-index tie winners, same projected pixels, same candidate sets.
 // The suite runs in the default build (dispatch picks AVX2/NEON where
 // available) and in the ESLAM_FORCE_SCALAR CI leg (dispatch pinned to the
 // scalar kernels), so both sides of every comparison stay exercised.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arena.h"
@@ -47,51 +50,118 @@ void expect_matches_equal(const std::vector<Match>& a,
   }
 }
 
+// Train sets with forced ties: every third descriptor repeats its
+// predecessor, and every fifth query is a one-bit variant of a train
+// descriptor (so exact duplicates decide its best match).
+std::vector<Descriptor256> tied_train(std::mt19937_64& rng, std::size_t n) {
+  auto train = random_descriptors(rng, n);
+  for (std::size_t i = 2; i < n; i += 3) train[i] = train[i - 1];
+  return train;
+}
+
+std::vector<Descriptor256> queries_near(std::mt19937_64& rng,
+                                        const std::vector<Descriptor256>& train,
+                                        std::size_t n) {
+  auto queries = random_descriptors(rng, n);
+  for (std::size_t i = 0; i < n && !train.empty(); i += 5) {
+    queries[i] = train[rng() % train.size()];
+    queries[i].set_bit(static_cast<int>(rng() % 256), true);
+  }
+  return queries;
+}
+
+FeatureList features_of(const std::vector<Descriptor256>& descriptors) {
+  FeatureList features(descriptors.size());
+  for (std::size_t i = 0; i < descriptors.size(); ++i)
+    features[i].descriptor = descriptors[i];
+  return features;
+}
+
+void expect_match_eq(const Match& got, const Match& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.train, want.train) << where;
+  EXPECT_EQ(got.distance, want.distance) << where;
+  EXPECT_EQ(got.second_best, want.second_best) << where;
+}
+
 // ---- Hamming kernels -------------------------------------------------------
 
-TEST(SimdParity, HammingBlockMatchesScalarAndReference) {
+TEST(SimdParity, BestTwoBlockEqualsMatchOne) {
   std::mt19937_64 rng(1);
-  // Sizes straddling every SIMD block boundary (AVX2 processes 4/iter).
+  // Train sizes straddling the AVX2 block (4 per step) and NEON (2 per
+  // step); query counts covering the paired and the odd last query.
   for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 64u, 130u}) {
-    const auto train = random_descriptors(rng, n);
-    DescriptorSoA soa;
-    soa.assign(train);
-    const Descriptor256 q = random_descriptor(rng);
-    std::vector<std::uint16_t> simd_d(n + 1, 0xFFFF);
-    std::vector<std::uint16_t> scalar_d(n + 1, 0xFFFF);
-    simd::hamming_block(soa, q, 0, n, simd_d.data());
-    simd::hamming_block_scalar(soa, q, 0, n, scalar_d.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(simd_d[i], scalar_d[i]) << "n=" << n << " i=" << i;
-      EXPECT_EQ(simd_d[i], hamming_distance(q, train[i]))
-          << "n=" << n << " i=" << i;
+    for (const std::size_t nq : {1u, 2u, 3u, 5u}) {
+      const auto train = tied_train(rng, n);
+      const auto queries = queries_near(rng, train, nq);
+      DescriptorSoA soa;
+      soa.assign(train);
+      std::vector<Match> simd_out(nq + 1), scalar_out(nq + 1);
+      simd_out[nq].query = scalar_out[nq].query = 7;  // sentinel
+      simd::best_two_block(soa, n, descriptor_rows(queries), simd_out.data());
+      simd::best_two_block_scalar(soa, n, descriptor_rows(queries),
+                                  scalar_out.data());
+      for (std::size_t i = 0; i < nq; ++i) {
+        const Match want = match_one(queries[i], train);
+        const std::string where =
+            "n=" + std::to_string(n) + " q=" + std::to_string(i);
+        expect_match_eq(simd_out[i], want, where);
+        expect_match_eq(scalar_out[i], want, where);
+      }
+      // The kernel never writes past the last query.
+      EXPECT_EQ(simd_out[nq].query, 7);
+      EXPECT_EQ(scalar_out[nq].query, 7);
     }
-    // The kernel never writes past `count`.
-    EXPECT_EQ(simd_d[n], 0xFFFF);
-    EXPECT_EQ(scalar_d[n], 0xFFFF);
   }
 }
 
-TEST(SimdParity, HammingBlockHonoursFirstOffset) {
+TEST(SimdParity, BestTwoBlockHonoursCountAndFullDistance) {
   std::mt19937_64 rng(2);
-  const auto train = random_descriptors(rng, 37);
+  // A published view bounds the rows: planes longer than `count` are
+  // ignored past it.
+  const auto train = tied_train(rng, 37);
   DescriptorSoA soa;
   soa.assign(train);
-  const Descriptor256 q = random_descriptor(rng);
-  for (const std::size_t first : {0u, 1u, 3u, 36u}) {
-    const std::size_t count = train.size() - first;
-    std::vector<std::uint16_t> d(count);
-    simd::hamming_block(soa, q, first, count, d.data());
-    for (std::size_t i = 0; i < count; ++i)
-      EXPECT_EQ(d[i], hamming_distance(q, train[first + i]));
+  const auto queries = queries_near(rng, train, 6);
+  for (const std::size_t count : {0u, 1u, 3u, 20u, 36u}) {
+    std::vector<Match> out(queries.size());
+    simd::best_two_block(soa, count, descriptor_rows(queries), out.data());
+    const std::span<const Descriptor256> prefix(train.data(), count);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      expect_match_eq(out[i], match_one(queries[i], prefix),
+                      "count=" + std::to_string(count));
+  }
+
+  // Distance 256 (the complement) is never a match, as in match_one():
+  // complements only -> no match; one closer row -> it wins, runner-up 256.
+  Descriptor256 q = random_descriptor(rng);
+  Descriptor256 complement;
+  for (int w = 0; w < Descriptor256::kWords; ++w)
+    complement.words()[w] = ~q.words()[w];
+  const std::vector<Descriptor256> queries_q = {q, q};
+  for (const std::size_t n : {1u, 5u, 9u}) {
+    std::vector<Descriptor256> rows(n, complement);
+    DescriptorSoA c_soa;
+    c_soa.assign(rows);
+    std::vector<Match> out(2);
+    simd::best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
+    expect_match_eq(out[0], match_one(q, rows), "complements n=" +
+                                                    std::to_string(n));
+    EXPECT_EQ(out[0].train, -1);
+    EXPECT_EQ(out[0].distance, 256);
+    rows[n - 1].set_bit(0, q.bit(0));  // distance 255
+    c_soa.assign(rows);
+    simd::best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
+    expect_match_eq(out[1], match_one(q, rows), "one row at 255");
+    EXPECT_EQ(out[1].train, static_cast<int>(n - 1));
+    EXPECT_EQ(simd::best_two_rows(q, descriptor_rows(rows)).train,
+              static_cast<int>(n - 1));
   }
 }
 
 TEST(SimdParity, HammingGatherMatchesScalar) {
   std::mt19937_64 rng(3);
   const auto train = random_descriptors(rng, 256);
-  DescriptorSoA soa;
-  soa.assign(train);
   for (const std::size_t len : {0u, 1u, 2u, 3u, 4u, 5u, 9u, 33u, 100u}) {
     std::vector<std::int32_t> candidates(len);
     for (auto& c : candidates)
@@ -99,8 +169,8 @@ TEST(SimdParity, HammingGatherMatchesScalar) {
     const Descriptor256 q = random_descriptor(rng);
     std::vector<std::uint16_t> simd_d(len + 1, 0xFFFF);
     std::vector<std::uint16_t> scalar_d(len + 1, 0xFFFF);
-    simd::hamming_gather(soa, q, candidates, simd_d.data());
-    simd::hamming_gather_scalar(soa, q, candidates, scalar_d.data());
+    simd::hamming_gather(train, q, candidates, simd_d.data());
+    simd::hamming_gather_scalar(train, q, candidates, scalar_d.data());
     for (std::size_t i = 0; i < len; ++i) {
       EXPECT_EQ(simd_d[i], scalar_d[i]) << "len=" << len << " i=" << i;
       EXPECT_EQ(simd_d[i],
@@ -111,37 +181,61 @@ TEST(SimdParity, HammingGatherMatchesScalar) {
   }
 }
 
+TEST(SimdParity, BestTwoRowsEqualsMatchOne) {
+  std::mt19937_64 rng(4);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 131u}) {
+    const auto rows = tied_train(rng, n);
+    const FeatureList features = features_of(rows);
+    for (const Descriptor256& q : queries_near(rng, rows, 5)) {
+      const Match want = match_one(q, rows);
+      const std::string where = "n=" + std::to_string(n);
+      // Packed rows and the same descriptors read in place from features.
+      expect_match_eq(simd::best_two_rows(q, descriptor_rows(rows)), want,
+                      where);
+      expect_match_eq(simd::best_two_rows(q, descriptor_rows(features)), want,
+                      where + " (feature rows)");
+      expect_match_eq(simd::best_two_rows_scalar(q, descriptor_rows(features)),
+                      want, where + " (scalar)");
+    }
+  }
+}
+
 // ---- Matcher tiers ---------------------------------------------------------
 
 TEST(SimdParity, MatchDescriptorsIntoEqualsReference) {
+  // Every acceptance gate, forced ties, and sizes off every block multiple
+  // (up to 1023 queries x 6143 train): the fused brute-force kernel (SoA
+  // view) and the verification path (no SoA; queries read in place from
+  // features or from a packed array) against the AoS reference.
   std::mt19937_64 rng(4);
-  for (const bool cross_check : {false, true}) {
-    for (const double ratio : {1.0, 0.85}) {
-      MatcherOptions options;
-      options.max_distance = 140;  // random descriptors center near 128
-      options.cross_check = cross_check;
-      options.ratio = ratio;
-      const auto queries = random_descriptors(rng, 120);
-      const auto train = random_descriptors(rng, 300);
-      DescriptorSoA soa;
-      soa.assign(train);
-      FeatureList features(queries.size());
-      for (std::size_t i = 0; i < queries.size(); ++i)
-        features[i].descriptor = queries[i];
-
-      const std::vector<Match> reference =
-          match_descriptors(queries, train, options);
-      Arena arena;
-      std::vector<Match> out;
-      match_descriptors_into(features, TrainView{train, &soa}, options,
-                             &arena, out);
-      expect_matches_equal(reference, out);
-
-      // AoS-only view (soa == nullptr) must agree too.
-      std::vector<Match> out_aos;
-      match_descriptors_into(features, TrainView{train, nullptr}, options,
-                             nullptr, out_aos);
-      expect_matches_equal(reference, out_aos);
+  for (const auto& [n_queries, n_train] :
+       {std::pair<std::size_t, std::size_t>{120, 300}, {1023, 6143}}) {
+    const auto train = tied_train(rng, n_train);
+    const auto queries = queries_near(rng, train, n_queries);
+    const FeatureList features = features_of(queries);
+    DescriptorSoA soa;
+    soa.assign(train);
+    Arena arena;
+    for (const bool cross_check : {false, true}) {
+      for (const double ratio : {1.0, 0.85}) {
+        MatcherOptions options;
+        options.max_distance = 140;  // random descriptors center near 128
+        options.cross_check = cross_check;
+        options.ratio = ratio;
+        const std::vector<Match> reference =
+            match_descriptors(queries, train, options);
+        ASSERT_FALSE(reference.empty());
+        std::vector<Match> out;
+        match_descriptors_into(features, TrainView{train, &soa}, options,
+                               &arena, out);
+        expect_matches_equal(reference, out);
+        match_descriptors_into(features, TrainView{train, nullptr}, options,
+                               nullptr, out);
+        expect_matches_equal(reference, out);
+        match_descriptors_into(queries, TrainView{train, nullptr}, options,
+                               &arena, out);
+        expect_matches_equal(reference, out);
+      }
     }
   }
 }
@@ -181,15 +275,16 @@ TEST(SimdParity, MatchCandidatesIntoEqualsReference) {
     MatcherOptions options;
     options.max_distance = 140;
     options.cross_check = cross_check;
-    const auto queries = random_descriptors(rng, 80);
-    const auto train = random_descriptors(rng, 200);
+    const auto train = tied_train(rng, 200);
+    const auto queries = queries_near(rng, train, 80);
     DescriptorSoA soa;
     soa.assign(train);
     FeatureList features(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i)
       features[i].descriptor = queries[i];
 
-    // Random ascending candidate lists (some empty).
+    // Random candidate lists (some empty), each index at most once, in
+    // random order.
     CandidateSet candidates;
     candidates.offsets.push_back(0);
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -199,6 +294,7 @@ TEST(SimdParity, MatchCandidatesIntoEqualsReference) {
         c = static_cast<std::int32_t>(rng() % train.size());
       std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());
+      std::shuffle(list.begin(), list.end(), rng);
       for (const auto c : list) candidates.indices.push_back(c);
       candidates.offsets.push_back(
           static_cast<std::int32_t>(candidates.indices.size()));
@@ -286,6 +382,47 @@ TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
 
 // ---- Gate ------------------------------------------------------------------
 
+// The gate contract: each feature's candidate set equals the reference
+// builder's (list order is free), projected counts agree, and matching
+// over either set gives identical matches.
+void expect_same_candidate_sets(const GateResult& reference,
+                                const GateResult& out,
+                                const std::string& where) {
+  EXPECT_EQ(reference.projected, out.projected) << where;
+  ASSERT_EQ(reference.candidates.num_queries(), out.candidates.num_queries())
+      << where;
+  for (std::size_t q = 0; q < out.candidates.num_queries(); ++q) {
+    const auto ref_list = reference.candidates.candidates(q);
+    const auto list = out.candidates.candidates(q);
+    std::vector<std::int32_t> sorted(list.begin(), list.end());
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << where << " feature " << q << ": an index listed twice";
+    EXPECT_EQ(sorted, std::vector<std::int32_t>(ref_list.begin(),
+                                                ref_list.end()))
+        << where << " feature " << q;
+  }
+}
+
+void expect_same_matches_over(const GateResult& reference,
+                              const GateResult& out,
+                              const FeatureList& features,
+                              const std::vector<Descriptor256>& train) {
+  Arena arena;
+  for (const bool cross_check : {false, true}) {
+    MatcherOptions options;
+    options.max_distance = 256;
+    options.cross_check = cross_check;
+    std::vector<Match> from_reference, from_out;
+    match_candidates_into(features, TrainView{train, nullptr},
+                          reference.candidates, options, &arena,
+                          from_reference);
+    match_candidates_into(features, TrainView{train, nullptr}, out.candidates,
+                          options, &arena, from_out);
+    expect_matches_equal(from_reference, from_out);
+  }
+}
+
 TEST(SimdParity, BuildCandidateSetIntoEqualsReference) {
   std::mt19937_64 rng(8);
   const PinholeCamera cam = PinholeCamera::tum_freiburg1();
@@ -308,7 +445,9 @@ TEST(SimdParity, BuildCandidateSetIntoEqualsReference) {
     f.keypoint.x = static_cast<int>(uniform(0.0, 640.0));
     f.keypoint.y = static_cast<int>(uniform(0.0, 480.0));
     f.keypoint.scale = 1.0;
+    f.descriptor = random_descriptor(rng);
   }
+  const auto train = tied_train(rng, n_points);
   MatchPolicy policy;
 
   const GateResult reference =
@@ -317,17 +456,135 @@ TEST(SimdParity, BuildCandidateSetIntoEqualsReference) {
   GateResult out;
   build_candidate_set_into(xs, ys, zs, pose, cam, features, policy, &arena,
                            out);
-
-  EXPECT_EQ(reference.projected, out.projected);
-  ASSERT_EQ(reference.candidates.offsets, out.candidates.offsets);
-  ASSERT_EQ(reference.candidates.indices, out.candidates.indices);
+  ASSERT_GT(reference.candidates.total_candidates(), 0u);
+  expect_same_candidate_sets(reference, out, "random");
+  expect_same_matches_over(reference, out, features, train);
 
   // Recycled-output reuse: a second build into the same GateResult must
   // not accumulate stale state.
+  const GateResult first = out;
   build_candidate_set_into(xs, ys, zs, pose, cam, features, policy, &arena,
                            out);
-  EXPECT_EQ(reference.candidates.indices, out.candidates.indices);
-  EXPECT_EQ(reference.candidates.offsets, out.candidates.offsets);
+  EXPECT_EQ(first.candidates.indices, out.candidates.indices);
+  EXPECT_EQ(first.candidates.offsets, out.candidates.offsets);
+}
+
+TEST(SimdParity, BuildCandidateSetIntoEdgePlacements) {
+  // Unit focal length and depth 1 under the identity pose: a point at
+  // (x, y, 1) projects to exactly (x, y), so placements land on the
+  // window and cell edges exactly.
+  const PinholeCamera cam(1.0, 1.0, 0.0, 0.0, 640, 480);
+  std::mt19937_64 rng(9);
+  for (const double radius : {24.0, 10.0, 5.0, 37.5}) {
+    MatchPolicy policy;
+    policy.search_radius_px = radius;
+    const double cell = std::max(radius / 2, 4.0);
+    FeatureList features;
+    const auto add_feature = [&](int x, int y, double scale = 1.0) {
+      Feature f;
+      f.keypoint.x = x;
+      f.keypoint.y = y;
+      f.keypoint.scale = scale;
+      f.descriptor = random_descriptor(rng);
+      features.push_back(f);
+    };
+    // Window edges on cell boundaries (padded x0 - r and x0 + r are cell
+    // multiples), image corners (windows cross the padded grid's border),
+    // a generic pixel and scaled pyramid-level coordinates.
+    const int on_edge = static_cast<int>(std::lround(10 * cell));
+    add_feature(on_edge, on_edge);
+    add_feature(0, 0);
+    add_feature(639, 479);
+    add_feature(0, 479);
+    add_feature(639, 0);
+    add_feature(301, 203);
+    add_feature(83, 61, 1.2);
+    add_feature(250, 190, 1.2 * 1.2 * 1.2);
+
+    std::vector<double> us, vs;
+    const auto add_point = [&](double u, double v) {
+      us.push_back(u);
+      vs.push_back(v);
+    };
+    const double below = std::nextafter(radius, 0.0);
+    const double above = std::nextafter(radius, 1e9);
+    for (const Feature& f : features) {
+      const double x0 = f.keypoint.x0(), y0 = f.keypoint.y0();
+      // Exactly +-r from the feature, one ulp inside and outside, and on
+      // the window's corners.
+      for (const double d : {radius, below, above, radius + 1e-9}) {
+        add_point(x0 + d, y0);
+        add_point(x0 - d, y0);
+        add_point(x0, y0 + d);
+        add_point(x0, y0 - d);
+        add_point(x0 + d, y0 + d);
+        add_point(x0 - d, y0 - d);
+      }
+    }
+    // Points on and around the cell edges crossed by the first window
+    // (image coordinate = padded coordinate - margin).
+    for (int k = 0; k < 30; ++k) {
+      const double edge = k * cell - radius;
+      for (const double e : {edge, std::nextafter(edge, -1e9),
+                             std::nextafter(edge, 1e9)}) {
+        add_point(e, on_edge);
+        add_point(on_edge, e);
+        add_point(e, e);
+      }
+    }
+    // The padded grid's border: the first kept coordinate (-margin), the
+    // last one below width/height + margin, and the first one past it.
+    for (const double u : {-radius, std::nextafter(640 + radius, 0.0),
+                           640 + radius, 0.0, 639.0}) {
+      for (const double v : {-radius, std::nextafter(480 + radius, 0.0),
+                             480 + radius, 0.0, 479.0})
+        add_point(u, v);
+    }
+    // Plus a random scatter.
+    for (int i = 0; i < 400; ++i)
+      add_point(static_cast<double>(rng() % 7000) / 10.0 - 30.0,
+                static_cast<double>(rng() % 5400) / 10.0 - 30.0);
+
+    const std::size_t n = us.size();
+    std::vector<Vec3> positions(n);
+    std::vector<double> zs(n, 1.0);
+    for (std::size_t i = 0; i < n; ++i) positions[i] = Vec3{us[i], vs[i], 1.0};
+    const GateResult reference =
+        build_candidate_set(positions, SE3{}, cam, features, policy);
+    Arena arena;
+    GateResult out;
+    build_candidate_set_into(us, vs, zs, SE3{}, cam, features, policy, &arena,
+                             out);
+    const std::string where = "radius=" + std::to_string(radius);
+    expect_same_candidate_sets(reference, out, where);
+    expect_same_matches_over(reference, out, features,
+                             tied_train(rng, n));
+
+    // The window is closed: on a level-0 feature a point exactly r away
+    // (on one axis or both) is a candidate, one just beyond is not.
+    for (std::size_t q = 0; q < features.size(); ++q) {
+      if (features[q].keypoint.scale != 1.0) continue;
+      const double x0 = features[q].keypoint.x0();
+      const double y0 = features[q].keypoint.y0();
+      const auto list = out.candidates.candidates(q);
+      const auto listed = [&](double u, double v) {
+        for (const std::int32_t i : list)
+          if (us[static_cast<std::size_t>(i)] == u &&
+              vs[static_cast<std::size_t>(i)] == v)
+            return true;
+        return false;
+      };
+      const std::string at = where + " feature " + std::to_string(q);
+      EXPECT_TRUE(listed(x0 + radius, y0)) << at;
+      EXPECT_TRUE(listed(x0 - radius, y0)) << at;
+      EXPECT_TRUE(listed(x0, y0 + radius)) << at;
+      EXPECT_TRUE(listed(x0, y0 - radius)) << at;
+      EXPECT_TRUE(listed(x0 + radius, y0 + radius)) << at;
+      EXPECT_TRUE(listed(x0 - radius, y0 - radius)) << at;
+      EXPECT_FALSE(listed(x0 + radius + 1e-9, y0)) << at;
+      EXPECT_FALSE(listed(x0, y0 - (radius + 1e-9))) << at;
+    }
+  }
 }
 
 TEST(SimdParity, DispatchReportsConsistentIsa) {

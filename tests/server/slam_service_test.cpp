@@ -8,30 +8,44 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "dataset/multi_sequence.h"
 
-// The stalled-session test pits a wall-clock sleep (session A's pacer)
-// against real tracking work (session B): instrumentation that slows the
-// work but not the sleep would break the "A outlasts B" premise, so the
-// stall is scaled up under ThreadSanitizer.
-#if defined(__SANITIZE_THREAD__)
-#define ESLAM_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ESLAM_TEST_TSAN 1
-#endif
-#endif
-
 namespace eslam {
 namespace {
 
-#ifdef ESLAM_TEST_TSAN
-constexpr double kStallMs = 30000.0;
-#else
-constexpr double kStallMs = 3000.0;
-#endif
+// A gate a pacer can park a stage on until the test opens it.
+class StageLatch {
+ public:
+  void wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    opened_.wait(lock, [this] { return open_; });
+  }
+  void open() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    opened_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_ = false;
+};
+
+// Opens the latch when the test leaves its scope by any path, so a failed
+// assertion cannot leave a worker parked (and the session teardown that
+// drains it hanging).
+struct OpenOnExit {
+  std::shared_ptr<StageLatch> latch;
+  ~OpenOnExit() { latch->open(); }
+};
 
 OrbConfig small_orb() {
   OrbConfig orb;
@@ -189,19 +203,25 @@ TEST(SlamService, StalledSessionDoesNotBlockOthers) {
 
   SlamService service(ServiceOptions{/*arm_workers=*/2});
 
-  // Session A: 1-deep ring + an ARM side pinned slow through the platform
-  // pacer.  Pacing sleeps (instead of burning iterations) make A's
-  // slowness deterministic wall-time — independent of host load — and
-  // leave the CPU free for B, so the isolation property under test is not
-  // confounded by core contention.
+  // Session A: 1-deep ring + an ARM side held through the platform pacer:
+  // its pose estimation parks on a latch until B has drained.  Parking
+  // (instead of burning iterations or sleeping a fixed time) makes A
+  // outlast B however loaded the host is, and leaves the CPU free for B,
+  // so the isolation property under test is not confounded by core
+  // contention.
+  const auto latch = std::make_shared<StageLatch>();
   SessionConfig slow = software_session(streams.stream(0));
   slow.queue_capacity = 1;
-  slow.pacer = [](PipeStage stage) {
-    return stage == PipeStage::kPoseEstimation ? kStallMs : 0.0;
+  slow.pacer = [latch](PipeStage stage) {
+    if (stage == PipeStage::kPoseEstimation) latch->wait();
+    return 0.0;
   };
   SessionHandle a = service.open_session(slow);
   // Session B: default, fast.
   SessionHandle b = service.open_session(software_session(streams.stream(1)));
+  // Declared after the handles, so it runs first on every exit path:
+  // closing a handle drains its session, which needs A's worker released.
+  const OpenOnExit release{latch};
 
   // Burst-feed A without polling: its bounded ring must push back on A
   // only (in-flight is capped by ring depths + the two lane slots).  The
@@ -215,18 +235,17 @@ TEST(SlamService, StalledSessionDoesNotBlockOthers) {
   EXPECT_GT(accepted, 0);
   EXPECT_GT(a.stats().rejected_feeds, 0);
 
-  // B flows to completion while A is still parked in its paced PE (each
-  // of A's frames holds the ARM stage for kStallMs; B's whole run is far
-  // shorter even on a loaded single-core host, since A sleeps).
+  // B flows to completion while A is still parked in its held PE.
   for (int f = 0; f < kFrames; ++f) b.feed(streams.stream(1).frame(f));
   const std::vector<TrackResult> b_results = b.drain();
   ASSERT_EQ(b_results.size(), static_cast<std::size_t>(kFrames));
   EXPECT_GT(a.in_flight(), 0);  // A genuinely was stalled the whole time
 
+  latch->open();
   const std::vector<TrackResult> a_results = a.drain();
   ASSERT_EQ(a_results.size(), static_cast<std::size_t>(accepted));
   // A's accepted frames still match a solo run of that exact frame set
-  // bit-for-bit (the pacer pads wall time only, never results).
+  // bit-for-bit (the pacer holds wall time only, never changes results).
   const std::vector<TrackResult> a_solo =
       solo_sequential(streams.stream(0), accepted_frames);
   expect_bit_identical(a_results, a_solo, "stalled session");
