@@ -10,12 +10,19 @@
 //   * verification matching at 1024 x 1881 (cross-checked, no SoA planes —
 //     the relocalization and loop-closure shape): dispatched vs the AoS
 //     reference;
-//   * batched map-point projection, scalar vs dispatched.
+//   * batched map-point projection, scalar vs dispatched;
+//   * pose estimation at 1000 correspondences: the 4-point RANSAC
+//     hypothesis solve, the 10-iteration refit on the inliers and the
+//     15-iteration Huber pose optimization, each against
+//     solve_pnp_reference(), and RANSAC's inlier scoring (dispatched,
+//     scalar tier, and the reprojection_error_sq() loop).
 //
 // Every timed case first asserts that its outputs equal the reference
-// (candidate sets per feature, Match fields, projected pixels) — a
-// dispatch regression fails the bench before it pollutes the numbers.
+// (candidate sets per feature, Match fields, projected pixels, PnP results
+// bit for bit, inlier lists) — a dispatch regression fails the bench
+// before it pollutes the numbers.
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -32,6 +39,8 @@
 #include "geometry/wall_timer.h"
 #include "image/convolve.h"
 #include "slam/match_gate.h"
+#include "slam/pnp.h"
+#include "slam/ransac.h"
 
 namespace {
 
@@ -91,6 +100,22 @@ void require_same_matches(const std::vector<Match>& a,
                 a[i].distance == b[i].distance &&
                 a[i].second_best == b[i].second_best,
             what);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void require_same_pnp(const PnpResult& a, const PnpResult& b,
+                      const char* what) {
+  for (int i = 0; i < 9; ++i)
+    require(same_bits(a.pose.rotation()[i], b.pose.rotation()[i]), what);
+  for (int i = 0; i < 3; ++i)
+    require(same_bits(a.pose.translation()[i], b.pose.translation()[i]),
+            what);
+  require(same_bits(a.final_cost, b.final_cost) &&
+              a.iterations == b.iterations && a.converged == b.converged,
+          what);
 }
 
 // Median-of-reps wall time for `fn`, in milliseconds.
@@ -336,6 +361,151 @@ int main() {
     json.number("project_scalar_ms", scalar_ms);
     json.number("project_simd_ms", simd_ms);
     json.number("project_speedup", simd_ms > 0 ? scalar_ms / simd_ms : 0.0);
+  }
+
+  // ---- Pose estimation: LM solves and RANSAC scoring ---------------------
+  {
+    // 1000 correspondences at the tracking workloads' inlier share: 1-px
+    // noise, one in four a gross outlier.
+    std::mt19937_64 prng(11);
+    auto uniform = [&](double lo, double hi) {
+      return lo + (hi - lo) * (static_cast<double>(prng() >> 11) * 0x1p-53);
+    };
+    const SE3 truth = SE3::exp({0.05, -0.02, 0.1, 0.03, -0.04, 0.02});
+    const SE3 truth_wc = truth.inverse();
+    std::vector<Correspondence> corr;
+    while (corr.size() < 1000) {
+      const Vec3 p_cam{uniform(-2.0, 2.0), uniform(-1.5, 1.5),
+                       uniform(1.0, 6.0)};
+      const auto px = cam.project(p_cam);
+      if (!px || !cam.in_image(*px)) continue;
+      Vec2 pixel = *px + Vec2{uniform(-1.0, 1.0), uniform(-1.0, 1.0)};
+      if (corr.size() % 4 == 3)
+        pixel = Vec2{uniform(0.0, 640.0), uniform(0.0, 480.0)};
+      corr.push_back(Correspondence{truth_wc * p_cam, pixel});
+    }
+    const SE3 prior = SE3::exp({0.01, 0.01, -0.02, 0.005, 0.0, -0.005}) *
+                      truth;
+
+    // RANSAC's hypothesis refit: 4 points, refit.max_iterations (10).
+    const RansacOptions ransac;
+    PnpOptions refit = ransac.refit;
+    refit.max_iterations = std::max(refit.max_iterations, 5);
+    const int kSamples = 256;
+    std::vector<Correspondence> samples(4 * kSamples);
+    for (auto& c : samples) c = corr[prng() % corr.size()];
+    auto sample = [&](int k) {
+      return std::span<const Correspondence>(samples).subspan(
+          static_cast<std::size_t>(4 * k), 4);
+    };
+    for (int k = 0; k < kSamples; ++k)
+      require_same_pnp(solve_pnp(sample(k), cam, prior, refit),
+                       solve_pnp_reference(sample(k), cam, prior, refit),
+                       "4-point solve_pnp vs reference");
+    const double hyp_ms = time_ms(9, [&] {
+      for (int k = 0; k < kSamples; ++k)
+        (void)solve_pnp(sample(k), cam, prior, refit);
+    });
+    const double hyp_ref_ms = time_ms(9, [&] {
+      for (int k = 0; k < kSamples; ++k)
+        (void)solve_pnp_reference(sample(k), cam, prior, refit);
+    });
+    const double hyp_us = hyp_ms * 1e3 / kSamples;
+    const double hyp_ref_us = hyp_ref_ms * 1e3 / kSamples;
+
+    // The final refit (10 iterations) and pose optimization (Huber 2.5,
+    // 15 iterations) over all 1000 points.
+    PnpOptions final_fit = ransac.refit;
+    final_fit.max_iterations = 10;
+    const PnpOptions po{/*max_iterations=*/15, /*initial_lambda=*/1e-4,
+                        /*huber_delta=*/2.5, /*convergence_step=*/1e-8};
+    require_same_pnp(solve_pnp(corr, cam, prior, final_fit),
+                     solve_pnp_reference(corr, cam, prior, final_fit),
+                     "1000-point refit vs reference");
+    require_same_pnp(solve_pnp(corr, cam, prior, po),
+                     solve_pnp_reference(corr, cam, prior, po),
+                     "1000-point Huber PO vs reference");
+    const double refit_ms =
+        time_ms(9, [&] { (void)solve_pnp(corr, cam, prior, final_fit); });
+    const double refit_ref_ms = time_ms(
+        9, [&] { (void)solve_pnp_reference(corr, cam, prior, final_fit); });
+    const double po_ms =
+        time_ms(9, [&] { (void)solve_pnp(corr, cam, prior, po); });
+    const double po_ref_ms =
+        time_ms(9, [&] { (void)solve_pnp_reference(corr, cam, prior, po); });
+
+    // Inlier scoring of one hypothesis over the 1000 correspondences.
+    const std::size_t n = corr.size();
+    std::vector<double> xs(n), ys(n), zs(n), us(n), vs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = corr[i].world[0];
+      ys[i] = corr[i].world[1];
+      zs[i] = corr[i].world[2];
+      us[i] = corr[i].pixel[0];
+      vs[i] = corr[i].pixel[1];
+    }
+    const simd::ReprojectionColumns columns{xs, ys, zs, us, vs};
+    const double thresh_sq =
+        ransac.inlier_threshold_px * ransac.inlier_threshold_px;
+    std::vector<int> want, got(n), got_scalar(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (reprojection_error_sq(corr[i], cam, prior) < thresh_sq)
+        want.push_back(static_cast<int>(i));
+    got.resize(
+        simd::reprojection_inliers(columns, prior, cam, thresh_sq, got.data()));
+    got_scalar.resize(simd::reprojection_inliers_scalar(
+        columns, prior, cam, thresh_sq, got_scalar.data()));
+    require(got == want, "reprojection_inliers vs error loop");
+    require(got_scalar == want, "reprojection_inliers_scalar vs error loop");
+    got.resize(n);
+    const int inner = 64;
+    std::size_t sink = 0;
+    const double score_ms = time_ms(9, [&] {
+      for (int r = 0; r < inner; ++r)
+        sink += simd::reprojection_inliers(columns, prior, cam, thresh_sq,
+                                           got.data());
+    });
+    const double score_scalar_ms = time_ms(9, [&] {
+      for (int r = 0; r < inner; ++r)
+        sink += simd::reprojection_inliers_scalar(columns, prior, cam,
+                                                  thresh_sq, got.data());
+    });
+    const double score_ref_ms = time_ms(9, [&] {
+      for (int r = 0; r < inner; ++r) {
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          if (reprojection_error_sq(corr[i], cam, prior) < thresh_sq)
+            got[count++] = static_cast<int>(i);
+        sink += count;
+      }
+    });
+    require(sink > 0, "scoring found inliers");
+    const double score_us = score_ms * 1e3 / inner;
+    const double score_scalar_us = score_scalar_ms * 1e3 / inner;
+    const double score_ref_us = score_ref_ms * 1e3 / inner;
+
+    std::printf("pnp_hypothesis 4 points   %6.2f us  reference %6.2f us  "
+                "speedup %5.2fx\n",
+                hyp_us, hyp_ref_us, hyp_us > 0 ? hyp_ref_us / hyp_us : 0.0);
+    std::printf("pnp_refit      %zu points %6.3f ms  reference %6.3f ms  "
+                "speedup %5.2fx\n",
+                n, refit_ms, refit_ref_ms,
+                refit_ms > 0 ? refit_ref_ms / refit_ms : 0.0);
+    std::printf("pnp_po_huber   %zu points %6.3f ms  reference %6.3f ms  "
+                "speedup %5.2fx\n",
+                n, po_ms, po_ref_ms, po_ms > 0 ? po_ref_ms / po_ms : 0.0);
+    std::printf("ransac_score   %zu points dispatched %6.2f us  scalar %6.2f "
+                "us  error loop %6.2f us  (%zu inliers)\n",
+                n, score_us, score_scalar_us, score_ref_us, want.size());
+    json.number("pnp_hypothesis_us", hyp_us);
+    json.number("pnp_hypothesis_reference_us", hyp_ref_us);
+    json.number("pnp_refit_ms", refit_ms);
+    json.number("pnp_refit_reference_ms", refit_ref_ms);
+    json.number("pnp_po_ms", po_ms);
+    json.number("pnp_po_reference_ms", po_ref_ms);
+    json.number("ransac_score_us", score_us);
+    json.number("ransac_score_scalar_us", score_scalar_us);
+    json.number("ransac_score_reference_us", score_ref_us);
   }
 
   // ---- Legacy scalar micro kernels (continuity with earlier runs) --------

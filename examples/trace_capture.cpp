@@ -160,6 +160,12 @@ int main(int argc, char** argv) {
            "exposition: match gate build p99");
   check(expo.find("eslam_match_gate_build_ms_count 0\n") == std::string::npos,
         "exposition: match gate builds recorded");
+  // RANSAC hypotheses drawn by every run: both session kinds and loop
+  // verification (what pose estimation's per-frame cost scales with).
+  contains(expo, "eslam_ransac_hypotheses_total ",
+           "exposition: RANSAC hypothesis counter");
+  check(expo.find("eslam_ransac_hypotheses_total 0\n") == std::string::npos,
+        "exposition: RANSAC hypotheses counted");
 
   a.close();
   b.close();

@@ -29,6 +29,34 @@ inline void keep_best_two(int d, int j, Match& m) {
   }
 }
 
+// Pose and intrinsics hoisted into scalars.  project() keeps the exact
+// operation order of SE3::operator* (Mat*Vec accumulates from a
+// zero-initialised element, then the translation is added last) and of
+// PinholeCamera::project; u/v are meaningful only when zc > kMinDepth.
+struct Projector {
+  double r00, r01, r02, r10, r11, r12, r20, r21, r22;
+  double t0, t1, t2, fx, fy, cx, cy;
+
+  Projector(const SE3& pose, const PinholeCamera& camera) {
+    const Mat3& r = pose.rotation();
+    const Vec3& t = pose.translation();
+    r00 = r(0, 0), r01 = r(0, 1), r02 = r(0, 2);
+    r10 = r(1, 0), r11 = r(1, 1), r12 = r(1, 2);
+    r20 = r(2, 0), r21 = r(2, 1), r22 = r(2, 2);
+    t0 = t[0], t1 = t[1], t2 = t[2];
+    fx = camera.fx(), fy = camera.fy(), cx = camera.cx(), cy = camera.cy();
+  }
+
+  void project(double px, double py, double pz, double& u, double& v,
+               double& zc) const {
+    const double xc = (((0.0 + r00 * px) + r01 * py) + r02 * pz) + t0;
+    const double yc = (((0.0 + r10 * px) + r11 * py) + r12 * pz) + t1;
+    zc = (((0.0 + r20 * px) + r21 * py) + r22 * pz) + t2;
+    u = fx * xc / zc + cx;
+    v = fy * yc / zc + cy;
+  }
+};
+
 }  // namespace
 
 void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
@@ -74,31 +102,56 @@ void project_batch_scalar(std::span<const double> xs,
                           const PinholeCamera& camera, double margin,
                           double* out_u, double* out_v,
                           std::uint8_t* out_keep) {
-  const Mat3& r = pose_cw.rotation();
-  const Vec3& t = pose_cw.translation();
-  const double r00 = r(0, 0), r01 = r(0, 1), r02 = r(0, 2);
-  const double r10 = r(1, 0), r11 = r(1, 1), r12 = r(1, 2);
-  const double r20 = r(2, 0), r21 = r(2, 1), r22 = r(2, 2);
-  const double t0 = t[0], t1 = t[1], t2 = t[2];
-  const double fx = camera.fx(), fy = camera.fy();
-  const double cx = camera.cx(), cy = camera.cy();
+  const Projector projector(pose_cw, camera);
   const double u_min = -margin, u_max = camera.width() + margin;
   const double v_min = -margin, v_max = camera.height() + margin;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double px = xs[i], py = ys[i], pz = zs[i];
-    // Exact operation order of SE3::operator* (Mat*Vec accumulates from a
-    // zero-initialised element, then the translation is added last).
-    const double xc = (((0.0 + r00 * px) + r01 * py) + r02 * pz) + t0;
-    const double yc = (((0.0 + r10 * px) + r11 * py) + r12 * pz) + t1;
-    const double zc = (((0.0 + r20 * px) + r21 * py) + r22 * pz) + t2;
-    const double u = fx * xc / zc + cx;
-    const double v = fy * yc / zc + cy;
+    double u, v, zc;
+    projector.project(xs[i], ys[i], zs[i], u, v, zc);
     const bool keep = zc > PinholeCamera::kMinDepth && u >= u_min &&
                       u < u_max && v >= v_min && v < v_max;
     out_u[i] = u;
     out_v[i] = v;
     out_keep[i] = keep ? 1 : 0;
   }
+}
+
+namespace {
+
+// reprojection_inliers() over [begin, columns.size()), writing absolute
+// indices.  The residual is squared and summed from zero like
+// Vec2::squared_norm, as in reprojection_error_sq().
+std::size_t reprojection_inliers_from(const ReprojectionColumns& columns,
+                                      std::size_t begin, const SE3& pose_cw,
+                                      const PinholeCamera& camera,
+                                      double thresh_sq, int* out_inliers) {
+  const Projector projector(pose_cw, camera);
+  // reprojection_error_sq() scores a point behind the camera 1e12.
+  const bool behind_is_inlier = 1e12 < thresh_sq;
+  std::size_t count = 0;
+  for (std::size_t i = begin; i < columns.size(); ++i) {
+    double u, v, zc;
+    projector.project(columns.x[i], columns.y[i], columns.z[i], u, v, zc);
+    const double du = u - columns.u[i];
+    const double dv = v - columns.v[i];
+    const double err_sq = (0.0 + du * du) + dv * dv;
+    const bool inlier =
+        (zc > PinholeCamera::kMinDepth && err_sq < thresh_sq) ||
+        (behind_is_inlier && zc <= PinholeCamera::kMinDepth);
+    out_inliers[count] = static_cast<int>(i);
+    count += inlier ? 1 : 0;
+  }
+  return count;
+}
+
+}  // namespace
+
+std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
+                                        const SE3& pose_cw,
+                                        const PinholeCamera& camera,
+                                        double thresh_sq, int* out_inliers) {
+  return reprojection_inliers_from(columns, 0, pose_cw, camera, thresh_sq,
+                                   out_inliers);
 }
 
 // ---- AVX2 (+ POPCNT) --------------------------------------------------------
@@ -261,39 +314,38 @@ __attribute__((target("avx2,popcnt"))) Match best_two_rows_avx2(
   return m;
 }
 
-__attribute__((target("avx2"))) void project_batch_avx2(
-    std::span<const double> xs, std::span<const double> ys,
-    std::span<const double> zs, const SE3& pose_cw,
-    const PinholeCamera& camera, double margin, double* out_u, double* out_v,
-    std::uint8_t* out_keep) {
-  const Mat3& r = pose_cw.rotation();
-  const Vec3& t = pose_cw.translation();
-  const __m256d r00 = _mm256_set1_pd(r(0, 0)), r01 = _mm256_set1_pd(r(0, 1)),
-                r02 = _mm256_set1_pd(r(0, 2));
-  const __m256d r10 = _mm256_set1_pd(r(1, 0)), r11 = _mm256_set1_pd(r(1, 1)),
-                r12 = _mm256_set1_pd(r(1, 2));
-  const __m256d r20 = _mm256_set1_pd(r(2, 0)), r21 = _mm256_set1_pd(r(2, 1)),
-                r22 = _mm256_set1_pd(r(2, 2));
-  const __m256d t0 = _mm256_set1_pd(t[0]), t1 = _mm256_set1_pd(t[1]),
-                t2 = _mm256_set1_pd(t[2]);
-  const __m256d fx = _mm256_set1_pd(camera.fx()),
-                fy = _mm256_set1_pd(camera.fy());
-  const __m256d cx = _mm256_set1_pd(camera.cx()),
-                cy = _mm256_set1_pd(camera.cy());
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
-  const __m256d u_min = _mm256_set1_pd(-margin);
-  const __m256d u_max = _mm256_set1_pd(camera.width() + margin);
-  const __m256d v_min = _mm256_set1_pd(-margin);
-  const __m256d v_max = _mm256_set1_pd(camera.height() + margin);
-  const std::size_t n = xs.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d px = _mm256_loadu_pd(xs.data() + i);
-    const __m256d py = _mm256_loadu_pd(ys.data() + i);
-    const __m256d pz = _mm256_loadu_pd(zs.data() + i);
-    // Same association as the scalar path: ((0 + r*0*x) + r*1*y) + r*2*z,
-    // then + t.  No FMA anywhere (bit-parity with scalar).
+// Projector's pose and intrinsics broadcast to four lanes; project() runs
+// its operations per lane in the same association, with no FMA anywhere
+// (bit-parity with scalar).
+struct LaneProjector {
+  __m256d r00, r01, r02, r10, r11, r12, r20, r21, r22;
+  __m256d t0, t1, t2, fx, fy, cx, cy;
+
+  __attribute__((target("avx2"))) LaneProjector(const SE3& pose,
+                                                const PinholeCamera& camera) {
+    const Mat3& r = pose.rotation();
+    const Vec3& t = pose.translation();
+    r00 = _mm256_set1_pd(r(0, 0)), r01 = _mm256_set1_pd(r(0, 1));
+    r02 = _mm256_set1_pd(r(0, 2)), r10 = _mm256_set1_pd(r(1, 0));
+    r11 = _mm256_set1_pd(r(1, 1)), r12 = _mm256_set1_pd(r(1, 2));
+    r20 = _mm256_set1_pd(r(2, 0)), r21 = _mm256_set1_pd(r(2, 1));
+    r22 = _mm256_set1_pd(r(2, 2));
+    t0 = _mm256_set1_pd(t[0]), t1 = _mm256_set1_pd(t[1]);
+    t2 = _mm256_set1_pd(t[2]);
+    fx = _mm256_set1_pd(camera.fx()), fy = _mm256_set1_pd(camera.fy());
+    cx = _mm256_set1_pd(camera.cx()), cy = _mm256_set1_pd(camera.cy());
+  }
+
+  // Projects the four points at xs[0..3], ys[0..3], zs[0..3].
+  __attribute__((target("avx2"))) void project(const double* xs,
+                                               const double* ys,
+                                               const double* zs, __m256d& u,
+                                               __m256d& v,
+                                               __m256d& zc) const {
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d px = _mm256_loadu_pd(xs);
+    const __m256d py = _mm256_loadu_pd(ys);
+    const __m256d pz = _mm256_loadu_pd(zs);
     __m256d xc = _mm256_add_pd(zero, _mm256_mul_pd(r00, px));
     xc = _mm256_add_pd(xc, _mm256_mul_pd(r01, py));
     xc = _mm256_add_pd(xc, _mm256_mul_pd(r02, pz));
@@ -302,14 +354,31 @@ __attribute__((target("avx2"))) void project_batch_avx2(
     yc = _mm256_add_pd(yc, _mm256_mul_pd(r11, py));
     yc = _mm256_add_pd(yc, _mm256_mul_pd(r12, pz));
     yc = _mm256_add_pd(yc, t1);
-    __m256d zc = _mm256_add_pd(zero, _mm256_mul_pd(r20, px));
+    zc = _mm256_add_pd(zero, _mm256_mul_pd(r20, px));
     zc = _mm256_add_pd(zc, _mm256_mul_pd(r21, py));
     zc = _mm256_add_pd(zc, _mm256_mul_pd(r22, pz));
     zc = _mm256_add_pd(zc, t2);
-    const __m256d u =
-        _mm256_add_pd(_mm256_div_pd(_mm256_mul_pd(fx, xc), zc), cx);
-    const __m256d v =
-        _mm256_add_pd(_mm256_div_pd(_mm256_mul_pd(fy, yc), zc), cy);
+    u = _mm256_add_pd(_mm256_div_pd(_mm256_mul_pd(fx, xc), zc), cx);
+    v = _mm256_add_pd(_mm256_div_pd(_mm256_mul_pd(fy, yc), zc), cy);
+  }
+};
+
+__attribute__((target("avx2"))) void project_batch_avx2(
+    std::span<const double> xs, std::span<const double> ys,
+    std::span<const double> zs, const SE3& pose_cw,
+    const PinholeCamera& camera, double margin, double* out_u, double* out_v,
+    std::uint8_t* out_keep) {
+  const LaneProjector projector(pose_cw, camera);
+  const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
+  const __m256d u_min = _mm256_set1_pd(-margin);
+  const __m256d u_max = _mm256_set1_pd(camera.width() + margin);
+  const __m256d v_min = _mm256_set1_pd(-margin);
+  const __m256d v_max = _mm256_set1_pd(camera.height() + margin);
+  const std::size_t n = xs.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d u, v, zc;
+    projector.project(xs.data() + i, ys.data() + i, zs.data() + i, u, v, zc);
     // Ordered comparisons: any NaN lane fails every test, like the scalar
     // &&-chain.
     __m256d keep = _mm256_cmp_pd(zc, min_depth, _CMP_GT_OQ);
@@ -328,6 +397,43 @@ __attribute__((target("avx2"))) void project_batch_avx2(
   if (i < n)
     project_batch_scalar(xs.subspan(i), ys.subspan(i), zs.subspan(i), pose_cw,
                          camera, margin, out_u + i, out_v + i, out_keep + i);
+}
+
+// Four correspondences per step; the residual is squared and summed from
+// zero like Vec2::squared_norm.
+__attribute__((target("avx2"))) std::size_t reprojection_inliers_avx2(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
+  const LaneProjector projector(pose_cw, camera);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
+  const __m256d thresh = _mm256_set1_pd(thresh_sq);
+  const bool behind_is_inlier = 1e12 < thresh_sq;
+  const std::size_t n = columns.size();
+  std::size_t i = 0, count = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d u, v, zc;
+    projector.project(columns.x.data() + i, columns.y.data() + i,
+                      columns.z.data() + i, u, v, zc);
+    const __m256d du = _mm256_sub_pd(u, _mm256_loadu_pd(columns.u.data() + i));
+    const __m256d dv = _mm256_sub_pd(v, _mm256_loadu_pd(columns.v.data() + i));
+    const __m256d err_sq = _mm256_add_pd(
+        _mm256_add_pd(zero, _mm256_mul_pd(du, du)), _mm256_mul_pd(dv, dv));
+    // Ordered comparisons: a NaN lane is neither in front nor behind, and
+    // its NaN residual fails the threshold — an outlier, as in scalar.
+    __m256d inlier =
+        _mm256_and_pd(_mm256_cmp_pd(zc, min_depth, _CMP_GT_OQ),
+                      _mm256_cmp_pd(err_sq, thresh, _CMP_LT_OQ));
+    if (behind_is_inlier)
+      inlier = _mm256_or_pd(inlier, _mm256_cmp_pd(zc, min_depth, _CMP_LE_OQ));
+    const int mask = _mm256_movemask_pd(inlier);
+    for (int k = 0; k < 4; ++k) {
+      out_inliers[count] = static_cast<int>(i) + k;
+      count += static_cast<std::size_t>((mask >> k) & 1);
+    }
+  }
+  return count + reprojection_inliers_from(columns, i, pose_cw, camera,
+                                           thresh_sq, out_inliers + count);
 }
 
 }  // namespace
@@ -509,6 +615,19 @@ void project_batch(std::span<const double> xs, std::span<const double> ys,
                            out_keep);
       return;
   }
+}
+
+std::size_t reprojection_inliers(const ReprojectionColumns& columns,
+                                 const SE3& pose_cw,
+                                 const PinholeCamera& camera,
+                                 double thresh_sq, int* out_inliers) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (active_isa() == IsaLevel::kAvx2)
+    return reprojection_inliers_avx2(columns, pose_cw, camera, thresh_sq,
+                                     out_inliers);
+#endif
+  return reprojection_inliers_scalar(columns, pose_cw, camera, thresh_sq,
+                                     out_inliers);
 }
 
 }  // namespace eslam::simd

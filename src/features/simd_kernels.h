@@ -30,6 +30,15 @@
 // perform the same operations per lane, so kept u/v coordinates are
 // bit-identical across ISAs.  NaN inputs fail the keep mask on every path.
 //
+// RANSAC inlier scoring: the same transform and projection per
+// correspondence, then the squared pixel residual against a threshold,
+// written as an ascending list of inlier indices.  Bit-identical to a
+// loop over reprojection_error_sq() (slam/pnp.h), including its
+// behind-camera sentinel: depth <= kMinDepth scores 1e12.  Ordered
+// comparisons make a NaN lane an outlier on every path.  The AVX2 tier
+// runs 4 lanes with project_batch's association; NEON takes the scalar
+// tier.
+//
 // Dispatch is picked once at runtime (core/simd_dispatch.h); the AVX2 tier
 // also uses the POPCNT instruction, and the dispatcher checks for both.
 // The _scalar variants are the portable reference, exposed for the parity
@@ -84,5 +93,26 @@ void project_batch_scalar(std::span<const double> xs,
                           const PinholeCamera& camera, double margin,
                           double* out_u, double* out_v,
                           std::uint8_t* out_keep);
+
+// Correspondences as SoA columns: world point (x, y, z) and the observed
+// pixel (u, v), all of one length.
+struct ReprojectionColumns {
+  std::span<const double> x, y, z;
+  std::span<const double> u, v;
+
+  std::size_t size() const { return x.size(); }
+};
+
+// Writes to out_inliers, ascending, every index i whose squared
+// reprojection error under pose_cw is below thresh_sq, and returns how
+// many.  out_inliers must hold columns.size() entries.
+std::size_t reprojection_inliers(const ReprojectionColumns& columns,
+                                 const SE3& pose_cw,
+                                 const PinholeCamera& camera,
+                                 double thresh_sq, int* out_inliers);
+std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
+                                        const SE3& pose_cw,
+                                        const PinholeCamera& camera,
+                                        double thresh_sq, int* out_inliers);
 
 }  // namespace eslam::simd

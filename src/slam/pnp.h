@@ -4,6 +4,23 @@
 // where g_i are matched world points, c_i their pixel observations and p
 // the world-to-camera pose.  Used both inside RANSAC (minimal 4-point
 // refits) and as the final Pose Optimization stage (with a Huber kernel).
+//
+// Cost: solve_pnp() makes one pass over the correspondences per LM
+// iteration, plus one at the start pose.  The pass at a candidate pose
+// both scores it and builds its normal equations (the upper triangle of
+// H = sum w J^T J, and b = sum w J^T r), so an accepted step carries them
+// into the next iteration and a rejected step keeps the ones it already
+// holds.  The per-point kernel writes the two Jacobian rows of
+// j_proj * [I | -hat(p)] in closed form.
+//
+// Bit-identity: solve_pnp() returns exactly what solve_pnp_reference()
+// returns — the generic-Mat solver that evaluates every iteration twice.
+// Every H, b and cost entry keeps the reference's operation order (points
+// summed in order, no FMA, no reassociation); the kernel drops only the
+// products with a structurally zero Jacobian entry and the leading
+// `0.0 +` of each dot product, which for finite values can change nothing
+// but the sign of an exact zero, and sums that start at +0.0 absorb that.
+// tests/slam/pnp_ransac_test.cpp holds the two equal bit for bit.
 #pragma once
 
 #include <span>
@@ -39,8 +56,19 @@ PnpResult solve_pnp(std::span<const Correspondence> correspondences,
                     const PinholeCamera& camera, const SE3& initial_pose,
                     const PnpOptions& options = {});
 
+// The generic-Mat solver: two full passes per LM iteration through
+// Mat<2,3> * Mat<3,6> and Mat<6,2> * Mat<2,6> products.  The reference
+// the parity test and bench/micro_kernels compare solve_pnp() against; no
+// production code calls it.
+PnpResult solve_pnp_reference(std::span<const Correspondence> correspondences,
+                              const PinholeCamera& camera,
+                              const SE3& initial_pose,
+                              const PnpOptions& options = {});
+
 // Squared reprojection error of a single correspondence under `pose`;
-// returns a large sentinel when the point falls behind the camera.
+// returns a large sentinel (1e12) when the point falls behind the camera.
+// The scalar reference for RANSAC's batched scoring kernel
+// (simd::reprojection_inliers).
 double reprojection_error_sq(const Correspondence& c,
                              const PinholeCamera& camera, const SE3& pose);
 

@@ -5,9 +5,22 @@
 #include <cmath>
 #include <random>
 
+#include "features/simd_kernels.h"
+#include "obs/metrics.h"
 #include "slam/sampling.h"
 
 namespace eslam {
+
+namespace {
+
+// Resolved once: the registry lookup allocates, the add does not.
+obs::Counter& hypotheses_total() {
+  static obs::Counter& counter =
+      obs::metrics().counter("eslam_ransac_hypotheses_total");
+  return counter;
+}
+
+}  // namespace
 
 RansacResult ransac_pnp(std::span<const Correspondence> correspondences,
                         const PinholeCamera& camera, const SE3& prior_pose,
@@ -55,6 +68,23 @@ void ransac_pnp_into(std::span<const Correspondence> correspondences,
       arena.alloc_span<int>(static_cast<std::size_t>(n));
   best.inliers.reserve(static_cast<std::size_t>(n));
 
+  // SoA columns for the batched scoring kernel, built once per call.
+  const std::size_t count = static_cast<std::size_t>(n);
+  const std::span<double> xs = arena.alloc_span<double>(count);
+  const std::span<double> ys = arena.alloc_span<double>(count);
+  const std::span<double> zs = arena.alloc_span<double>(count);
+  const std::span<double> us = arena.alloc_span<double>(count);
+  const std::span<double> vs = arena.alloc_span<double>(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Correspondence& c = correspondences[i];
+    xs[i] = c.world[0];
+    ys[i] = c.world[1];
+    zs[i] = c.world[2];
+    us[i] = c.pixel[0];
+    vs[i] = c.pixel[1];
+  }
+  const simd::ReprojectionColumns columns{xs, ys, zs, us, vs};
+
   int needed_iterations = options.max_iterations;
   for (int iter = 0; iter < needed_iterations; ++iter) {
     best.iterations = iter + 1;
@@ -89,11 +119,8 @@ void ransac_pnp_into(std::span<const Correspondence> correspondences,
       hypothesis_pose = solve_pnp(sample, camera, prior_pose, refit).pose;
     }
 
-    std::size_t inlier_count = 0;
-    for (int i = 0; i < n; ++i)
-      if (reprojection_error_sq(correspondences[static_cast<std::size_t>(i)],
-                                camera, hypothesis_pose) < thresh_sq)
-        current[inlier_count++] = i;
+    const std::size_t inlier_count = simd::reprojection_inliers(
+        columns, hypothesis_pose, camera, thresh_sq, current.data());
 
     if (inlier_count > best.inliers.size()) {
       best.inliers.assign(current.begin(),
@@ -109,12 +136,18 @@ void ransac_pnp_into(std::span<const Correspondence> correspondences,
       const double all_inlier_prob =
           std::pow(w, static_cast<double>(options.sample_size));
       if (all_inlier_prob > 1e-9 && all_inlier_prob < 1.0) {
-        const int adaptive = static_cast<int>(std::ceil(
-            std::log(1.0 - options.confidence) /
-            std::log(1.0 - all_inlier_prob)));
-        needed_iterations = std::clamp(
-            std::max(adaptive, options.min_iterations), iter + 1,
-            options.max_iterations);
+        // Clamped in double before the cast: just above the 1e-9 floor the
+        // ratio exceeds INT_MAX, and converting an out-of-range double is
+        // undefined (x86 yields INT_MIN, AArch64 saturates), which would
+        // break the seed contract across toolchains.  A NaN falls to
+        // min_iterations (std::max returns its first argument).
+        const double adaptive =
+            std::ceil(std::log(1.0 - options.confidence) /
+                      std::log(1.0 - all_inlier_prob));
+        needed_iterations = static_cast<int>(std::clamp(
+            std::max(static_cast<double>(options.min_iterations), adaptive),
+            static_cast<double>(iter + 1),
+            static_cast<double>(options.max_iterations)));
       }
     }
   }
@@ -132,6 +165,7 @@ void ransac_pnp_into(std::span<const Correspondence> correspondences,
     best.pose = solve_pnp(inlier_set, camera, best.pose, final_fit).pose;
     best.success = true;
   }
+  hypotheses_total().add(best.iterations);
 }
 
 }  // namespace eslam

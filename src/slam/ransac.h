@@ -3,6 +3,15 @@
 // a few Gauss-Newton iterations starting from the motion prior (previous
 // frame pose), which is the standard choice for frame-to-frame tracking
 // where inter-frame motion is small.
+//
+// Where the time goes: per hypothesis, the 4-point solve_pnp() refit (P3P
+// first when use_p3p) and a scoring pass over every correspondence.
+// Scoring runs on simd::reprojection_inliers() over SoA x/y/z/u/v columns
+// built once per call in the caller's arena; it is bit-identical to a
+// reprojection_error_sq() loop, so poses, inlier sets (in ascending
+// order) and iteration counts do not depend on the ISA.  Every
+// run adds its hypothesis count (RansacResult::iterations) to the
+// eslam_ransac_hypotheses_total counter.
 #pragma once
 
 #include <span>
@@ -52,11 +61,11 @@ RansacResult ransac_pnp(std::span<const Correspondence> correspondences,
                         const RansacOptions& options = {});
 
 // Allocation-free variant for the per-frame hot path: sample/index/inlier
-// scratch lives in `scratch` (may be null: thread-local fallback) and the
-// result — including its inlier vector's capacity — is recycled across
-// calls.  The RNG stream, hypothesis order, adaptive termination, and
-// refit are identical to ransac_pnp(), so both produce the same pose and
-// inlier set for the same inputs.
+// buffers and the scoring columns live in `scratch` (may be null:
+// thread-local fallback) and the result — including its inlier vector's
+// capacity — is recycled across calls.  The RNG stream, hypothesis order,
+// adaptive termination, and refit are identical to ransac_pnp(), so both
+// produce the same pose and inlier set for the same inputs.
 void ransac_pnp_into(std::span<const Correspondence> correspondences,
                      const PinholeCamera& camera, const SE3& prior_pose,
                      const RansacOptions& options, Arena* scratch,

@@ -22,6 +22,7 @@
 #include "features/simd_kernels.h"
 #include "geometry/camera.h"
 #include "slam/match_gate.h"
+#include "slam/pnp.h"
 
 namespace eslam {
 namespace {
@@ -378,6 +379,114 @@ TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
   simd::project_batch_scalar(xs, ys, zs, identity, cam, 24.0, u.data(),
                              v.data(), keep_s.data());
   EXPECT_EQ(keep, keep_s);
+}
+
+// ---- RANSAC inlier scoring --------------------------------------------------
+
+// The scoring contract: the ascending indices i with
+// reprojection_error_sq(c_i) < thresh_sq, on the dispatched and the scalar
+// tier alike.
+std::vector<int> reference_inliers(const std::vector<Correspondence>& corr,
+                                   const PinholeCamera& cam, const SE3& pose,
+                                   double thresh_sq) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < corr.size(); ++i)
+    if (reprojection_error_sq(corr[i], cam, pose) < thresh_sq)
+      out.push_back(static_cast<int>(i));
+  return out;
+}
+
+void expect_scoring_matches_reference(const std::vector<Correspondence>& corr,
+                                      const PinholeCamera& cam,
+                                      const SE3& pose, double thresh_sq,
+                                      const std::string& where) {
+  const std::size_t n = corr.size();
+  std::vector<double> xs(n), ys(n), zs(n), us(n), vs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = corr[i].world[0];
+    ys[i] = corr[i].world[1];
+    zs[i] = corr[i].world[2];
+    us[i] = corr[i].pixel[0];
+    vs[i] = corr[i].pixel[1];
+  }
+  const simd::ReprojectionColumns columns{xs, ys, zs, us, vs};
+  const std::vector<int> want = reference_inliers(corr, cam, pose, thresh_sq);
+  std::vector<int> got(n), got_scalar(n);
+  got.resize(
+      simd::reprojection_inliers(columns, pose, cam, thresh_sq, got.data()));
+  got_scalar.resize(simd::reprojection_inliers_scalar(
+      columns, pose, cam, thresh_sq, got_scalar.data()));
+  EXPECT_EQ(got, want) << where << " (dispatched)";
+  EXPECT_EQ(got_scalar, want) << where << " (scalar)";
+}
+
+TEST(SimdParity, ReprojectionInliersEqualErrorLoop) {
+  std::mt19937_64 rng(23);
+  auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
+  };
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  const SE3 poses[] = {SE3{},
+                       SE3::exp({0.1, -0.2, 0.05, 0.3, -0.1, 0.2})};
+  for (const SE3& pose : poses) {
+    const SE3 pose_wc = pose.inverse();
+    for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 1023u}) {
+      std::vector<Correspondence> corr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Camera-frame points, mostly in front, about one in eight
+        // behind; pixels within ~4 px of the projection so both sides of
+        // the 3 px gate are populated.
+        const Vec3 p_cam{uniform(-2.0, 2.0), uniform(-1.5, 1.5),
+                         i % 8 == 3 ? uniform(-3.0, 0.0) : uniform(0.5, 6.0)};
+        const Vec2 px{cam.fx() * p_cam[0] / p_cam[2] + cam.cx(),
+                      cam.fy() * p_cam[1] / p_cam[2] + cam.cy()};
+        corr[i] = Correspondence{
+            pose_wc * p_cam,
+            px + Vec2{uniform(-4.0, 4.0), uniform(-4.0, 4.0)}};
+      }
+      for (const double thresh_sq : {9.0, 0.0, 1e13}) {
+        expect_scoring_matches_reference(
+            corr, cam, pose,
+            thresh_sq, "n=" + std::to_string(n) +
+                           " thresh_sq=" + std::to_string(thresh_sq));
+      }
+    }
+  }
+}
+
+TEST(SimdParity, ReprojectionInliersEdgeCases) {
+  // Integral intrinsics, so the residuals below are exact.
+  const PinholeCamera cam(500.0, 500.0, 320.0, 240.0, 640, 480);
+  const SE3 identity;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double min_depth = PinholeCamera::kMinDepth;
+  const std::vector<Correspondence> corr = {
+      {Vec3{0.0, 0.0, 1.0}, Vec2{320.0, 240.0}},    // 0: exact, inlier
+      {Vec3{0.0, 0.0, 1.0}, Vec2{323.0, 240.0}},    // 1: residual^2 == 9
+      {Vec3{0.0, 0.0, 1.0}, Vec2{320.0, 237.0}},    // 2: residual^2 == 9
+      {Vec3{0.0, 0.0, 1.0}, Vec2{322.0, 242.0}},    // 3: residual^2 == 8
+      {Vec3{0.0, 0.0, min_depth}, Vec2{320.0, 240.0}},  // 4: z == kMinDepth
+      {Vec3{0.0, 0.0, -1.0}, Vec2{320.0, 240.0}},   // 5: behind
+      {Vec3{nan, 0.0, 1.0}, Vec2{320.0, 240.0}},    // 6: NaN x
+      {Vec3{0.0, 0.0, nan}, Vec2{320.0, 240.0}},    // 7: NaN depth
+      {Vec3{0.0, 0.0, 1.0}, Vec2{nan, 240.0}},      // 8: NaN pixel
+      {Vec3{0.5, -0.25, 2.0}, Vec2{445.0, 177.5}},  // 9: exact, inlier
+  };
+  const std::vector<int> want = {0, 3, 9};
+  EXPECT_EQ(reference_inliers(corr, cam, identity, 9.0), want);
+  expect_scoring_matches_reference(corr, cam, identity, 9.0, "3 px gate");
+  // Above the 1e12 sentinel the reference counts points behind the
+  // camera (and at z == kMinDepth) as inliers; NaN depth stays out.
+  const std::vector<int> want_huge = {0, 1, 2, 3, 4, 5, 9};
+  EXPECT_EQ(reference_inliers(corr, cam, identity, 1e13), want_huge);
+  expect_scoring_matches_reference(corr, cam, identity, 1e13, "1e13 gate");
+  // Every lane position of the 4-wide tier, with the tail: rotate the set.
+  for (std::size_t shift = 1; shift < 4; ++shift) {
+    std::vector<Correspondence> rotated(corr.begin() + shift, corr.end());
+    rotated.insert(rotated.end(), corr.begin(), corr.begin() + shift);
+    expect_scoring_matches_reference(rotated, cam, identity, 9.0,
+                                     "shift " + std::to_string(shift));
+  }
 }
 
 // ---- Gate ------------------------------------------------------------------

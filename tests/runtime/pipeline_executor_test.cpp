@@ -150,9 +150,12 @@ TrackerOptions slow_arm_options() {
   // adaptive stop and an unreachable early-exit share defeats the early
   // exit, so pose estimation dominates every frame.  The count must make
   // PE clearly slower than software FE + 2x FM (~300 ms here), or the
-  // FPGA lane becomes the bottleneck and never speculates.
-  opts.ransac.max_iterations = 12000;
-  opts.ransac.min_iterations = 12000;
+  // FPGA lane becomes the bottleneck and never speculates.  That must
+  // hold under ThreadSanitizer too, which slows the memory-bound FE far
+  // more than PE's register arithmetic (a hypothesis plus its scoring is
+  // ~6 us at ~1000 correspondences in an optimized build).
+  opts.ransac.max_iterations = 48000;
+  opts.ransac.min_iterations = 48000;
   opts.ransac.early_exit_ratio = 1.1;
   // More key frames (and thus more barrier/replay events) in few frames.
   opts.keyframe.translation_threshold = 0.05;

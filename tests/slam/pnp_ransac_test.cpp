@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "../test_util.h"
 #include "slam/ransac.h"
 
@@ -114,6 +118,147 @@ TEST_P(PnpPoseSweep, RecoversRandomPosesFromPerturbedStart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PnpPoseSweep, ::testing::Range(0, 6));
+
+// ---- solve_pnp() vs solve_pnp_reference(): bit for bit ---------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const PnpResult& got, const PnpResult& want,
+                          const std::string& where) {
+  for (int i = 0; i < 9; ++i)
+    EXPECT_EQ(bits(got.pose.rotation()[i]), bits(want.pose.rotation()[i]))
+        << where << " rotation[" << i << "]";
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(bits(got.pose.translation()[i]),
+              bits(want.pose.translation()[i]))
+        << where << " translation[" << i << "]";
+  EXPECT_EQ(bits(got.final_cost), bits(want.final_cost)) << where << " cost";
+  EXPECT_EQ(got.iterations, want.iterations) << where << " iterations";
+  EXPECT_EQ(got.converged, want.converged) << where << " converged";
+}
+
+// Noisy correspondences with gross outliers and, optionally, points that
+// sit behind the camera at the true pose.
+std::vector<Correspondence> noisy_scene(const SE3& truth,
+                                        const PinholeCamera& cam, int n,
+                                        int behind) {
+  auto corr = make_scene(truth, cam, n);
+  const SE3 truth_wc = truth.inverse();
+  for (int i = 0; i < n; ++i) {
+    Correspondence& c = corr[static_cast<std::size_t>(i)];
+    c.pixel += Vec2{eslam::testing::uniform(-1.5, 1.5),
+                    eslam::testing::uniform(-1.5, 1.5)};
+    if (i % 7 == 6)
+      c.pixel = Vec2{eslam::testing::uniform(0, 640),
+                     eslam::testing::uniform(0, 480)};
+    if (i < behind)
+      c.world = truth_wc * Vec3{eslam::testing::uniform(-1.0, 1.0),
+                                eslam::testing::uniform(-1.0, 1.0),
+                                eslam::testing::uniform(-4.0, -0.5)};
+  }
+  return corr;
+}
+
+TEST(PnpParity, MatchesReferenceBitForBit) {
+  eslam::testing::rng(400);
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  PnpOptions refit;  // RANSAC's hypothesis settings
+  PnpOptions damped;
+  damped.initial_lambda = 0.0;  // pure Gauss-Newton: rejected steps happen
+  damped.max_iterations = 30;
+  PnpOptions po{/*max_iterations=*/15, /*initial_lambda=*/1e-4,
+                /*huber_delta=*/2.5, /*convergence_step=*/1e-8};
+  PnpOptions heavy = po;
+  heavy.initial_lambda = 10.0;
+  heavy.huber_delta = 1.0;
+  const PnpOptions option_sets[] = {refit, damped, po, heavy};
+  for (const int n : {4, 5, 37, 1000}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const SE3 truth = eslam::testing::random_pose(0.3, 0.5);
+      const int behind = n >= 37 ? n / 10 : trial == 2 ? 1 : 0;
+      const auto corr = noisy_scene(truth, cam, n, behind);
+      const SE3 starts[] = {truth, perturb(truth, 0.04, 0.08),
+                            perturb(truth, 0.2, 0.4)};
+      for (std::size_t o = 0; o < std::size(option_sets); ++o)
+        for (std::size_t s = 0; s < std::size(starts); ++s) {
+          const std::string where = "n=" + std::to_string(n) + " trial " +
+                                    std::to_string(trial) + " options " +
+                                    std::to_string(o) + " start " +
+                                    std::to_string(s);
+          expect_bitwise_equal(
+              solve_pnp(corr, cam, starts[s], option_sets[o]),
+              solve_pnp_reference(corr, cam, starts[s], option_sets[o]),
+              where);
+        }
+    }
+  }
+}
+
+TEST(PnpParity, IdentityRotationWithExactZeros) {
+  // Identity rotation and points on the axes: the transform, the residuals
+  // and several Jacobian entries are exact zeros of either sign.
+  const PinholeCamera cam(500.0, 500.0, 320.0, 240.0, 640, 480);
+  const std::vector<Correspondence> corr = {
+      {Vec3{0.0, 0.0, 2.0}, Vec2{320.0, 240.0}},
+      {Vec3{1.0, 0.0, 2.0}, Vec2{570.0, 240.0}},
+      {Vec3{0.0, -1.0, 2.0}, Vec2{320.0, -10.0}},
+      {Vec3{-1.0, 1.0, 4.0}, Vec2{195.0, 365.0}},
+      {Vec3{0.0, 0.0, 3.0}, Vec2{321.0, 240.0}},
+  };
+  for (const double huber : {0.0, 2.5}) {
+    PnpOptions opts;
+    opts.huber_delta = huber;
+    const std::string where = "huber " + std::to_string(huber);
+    expect_bitwise_equal(solve_pnp(corr, cam, SE3{}, opts),
+                         solve_pnp_reference(corr, cam, SE3{}, opts),
+                         where + " from identity");
+    const SE3 shifted{Mat3::identity(), Vec3{0.0, 0.0, 0.5}};
+    expect_bitwise_equal(solve_pnp(corr, cam, shifted, opts),
+                         solve_pnp_reference(corr, cam, shifted, opts),
+                         where + " from a pure translation");
+  }
+}
+
+TEST(PnpParity, FewerThanThreeUsablePoints) {
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  const std::vector<Correspondence> corr = {
+      {Vec3{0.1, 0.2, 2.0}, Vec2{340.0, 300.0}},
+      {Vec3{-0.3, 0.1, 3.0}, Vec2{270.0, 270.0}},
+      {Vec3{0.0, 0.0, -2.0}, Vec2{320.0, 240.0}},
+      {Vec3{0.5, 0.5, -1.0}, Vec2{320.0, 240.0}},
+  };
+  for (const double huber : {0.0, 2.5}) {
+    PnpOptions opts;
+    opts.huber_delta = huber;
+    const PnpResult got = solve_pnp(corr, cam, SE3{}, opts);
+    expect_bitwise_equal(got, solve_pnp_reference(corr, cam, SE3{}, opts),
+                         "huber " + std::to_string(huber));
+    EXPECT_EQ(got.iterations, 0);
+    EXPECT_FALSE(got.converged);
+  }
+}
+
+TEST(Ransac, AdaptiveBoundSaturatesBeforeTheCast) {
+  // 6 exact inliers of 1000 under the identity prior: w^4 = 1.3e-9, just
+  // above the 1e-9 floor, so log(1 - confidence) / log(1 - w^4) ~ 5.3e9
+  // exceeds INT_MAX.  The bound must saturate at max_iterations on every
+  // toolchain (an unclamped cast gives INT_MIN on x86, hence
+  // min_iterations, and saturates on AArch64).
+  eslam::testing::rng(240);
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  std::vector<Correspondence> corr = make_scene(SE3{}, cam, 6);
+  while (corr.size() < 1000)
+    corr.push_back(Correspondence{
+        Vec3{eslam::testing::uniform(-2, 2), eslam::testing::uniform(-2, 2),
+             eslam::testing::uniform(-6, -1)},
+        Vec2{eslam::testing::uniform(0, 640),
+             eslam::testing::uniform(0, 480)}});
+  const RansacOptions opts;
+  const RansacResult r = ransac_pnp(corr, cam, SE3{}, opts);
+  EXPECT_EQ(r.inliers.size(), 6u);
+  EXPECT_EQ(r.iterations, opts.max_iterations);
+  EXPECT_FALSE(r.success);  // 6 < min_inliers
+}
 
 TEST(Ransac, PerfectDataIsFullyInlying) {
   eslam::testing::rng(210);
