@@ -5,11 +5,15 @@
 //   * gate build: the projection gate's candidate lists at ~3k and ~6k
 //     projected points x 1024 features, hot-path builder vs the GridIndex2d
 //     reference, plus the gated Hamming work on the lists it built;
-//   * brute force at 1024 x 6140: the dispatched fused kernel (SoA) vs its
-//     scalar tier and the AoS reference;
+//   * brute force at 1024 x 6140: the dispatched fused kernel (SoA) vs the
+//     AoS reference;
 //   * verification matching at 1024 x 1881 (cross-checked, no SoA planes —
 //     the relocalization and loop-closure shape): dispatched vs the AoS
 //     reference;
+//   * the three Hamming kernels on every tier the host supports (the
+//     tier_<isa>_* keys): brute force, the gated lists of both gate sizes
+//     and the verification shape, each checked against the scalar tier
+//     first.  The other keys describe the dispatched tier (`isa`);
 //   * batched map-point projection, scalar vs dispatched;
 //   * pose estimation at 1000 correspondences: the 4-point RANSAC
 //     hypothesis solve, the 10-iteration refit on the inliers and the
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -118,6 +123,42 @@ void require_same_pnp(const PnpResult& a, const PnpResult& b,
           what);
 }
 
+// The tiers this CPU runs, announcing the ones it cannot.
+std::vector<simd::IsaLevel> supported_tiers() {
+  std::vector<simd::IsaLevel> out;
+  for (const simd::IsaLevel level : simd::kIsaLevels) {
+    if (simd::isa_supported(level))
+      out.push_back(level);
+    else
+      std::printf("tier %-7s not supported by this CPU: not measured\n",
+                  simd::isa_name(level));
+  }
+  return out;
+}
+
+std::string tier_key(simd::IsaLevel level, const std::string& metric) {
+  return std::string("tier_") + simd::isa_name(level) + "_" + metric;
+}
+
+// Verification matching's kernel work on one tier, as match_descriptors_into
+// does it with ratio 1: each query's best row, then for a match within
+// max_distance the cross-check's back scan over the queries.
+std::vector<Match> verify_on(const simd::KernelTable& tier,
+                             std::span<const Descriptor256> queries,
+                             std::span<const Descriptor256> train,
+                             int max_distance) {
+  std::vector<Match> out;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    Match m = tier.best_two_rows(queries[i], descriptor_rows(train));
+    m.query = static_cast<int>(i);
+    if (m.train < 0 || m.distance > max_distance) continue;
+    const Match back = tier.best_two_rows(
+        train[static_cast<std::size_t>(m.train)], descriptor_rows(queries));
+    if (back.train == m.query) out.push_back(m);
+  }
+  return out;
+}
+
 // Median-of-reps wall time for `fn`, in milliseconds.
 template <typename Fn>
 double time_ms(int reps, Fn&& fn) {
@@ -139,6 +180,7 @@ int main() {
                       "section 3.2 (BRIEF matcher) kernel throughput");
   BenchJson json("micro_kernels");
   json.text("isa", simd::active_isa_name());
+  const std::vector<simd::IsaLevel> tiers = supported_tiers();
 
   std::mt19937_64 rng(42);
   const PinholeCamera cam = PinholeCamera::tum_freiburg1();
@@ -220,6 +262,30 @@ int main() {
                   "(%.1f candidates/feature)\n",
                   out.projected, kFeatures, build_ms, reference_ms,
                   hamming_ms, per_feature);
+
+      // The gather kernel alone over every feature's list, per tier.
+      const CandidateSet& lists = out.candidates;
+      std::vector<std::uint16_t> dist(lists.total_candidates());
+      std::vector<std::uint16_t> dist_scalar(dist.size());
+      const auto gather_all = [&](const simd::KernelTable& tier,
+                                  std::vector<std::uint16_t>& d) {
+        for (std::size_t q = 0; q < features.size(); ++q)
+          tier.hamming_gather(
+              train, features[q].descriptor, lists.candidates(q),
+              d.data() + static_cast<std::size_t>(lists.offsets[q]));
+      };
+      gather_all(simd::kernels(simd::IsaLevel::kScalar), dist_scalar);
+      const std::string size_tag = target == 3000 ? "3k" : "6k";
+      std::printf("  gather kernel, %s projected:", size_tag.c_str());
+      for (const simd::IsaLevel level : tiers) {
+        const simd::KernelTable& tier = simd::kernels(level);
+        gather_all(tier, dist);
+        require(dist == dist_scalar, "hamming_gather tier vs scalar");
+        const double ms = time_ms(reps, [&] { gather_all(tier, dist); });
+        std::printf("  %s %6.3f ms", simd::isa_name(level), ms);
+        json.number(tier_key(level, "gather_" + size_tag + "_ms"), ms);
+      }
+      std::printf("\n");
       gate_rows.push_back({static_cast<double>(out.projected), build_ms,
                            reference_ms, hamming_ms, per_feature});
     }
@@ -246,38 +312,51 @@ int main() {
     require_same_matches(out, match_descriptors(queries, train, options),
                          "brute force vs AoS reference");
     std::vector<Match> best(features.size()), best_scalar(features.size());
-    simd::best_two_block(soa, train.size(), descriptor_rows(features),
-                         best.data());
     simd::best_two_block_scalar(soa, train.size(), descriptor_rows(features),
                                 best_scalar.data());
-    for (std::size_t i = 0; i < best.size(); ++i)
-      require(best[i].train == best_scalar[i].train &&
-                  best[i].distance == best_scalar[i].distance &&
-                  best[i].second_best == best_scalar[i].second_best,
-              "best_two_block vs scalar");
 
     const int reps = 9;
     const double simd_ms = time_ms(reps, [&] {
       match_descriptors_into(features, TrainView{train, &soa}, options,
                              &arena, out);
     });
-    const double scalar_ms = time_ms(reps, [&] {
-      simd::best_two_block_scalar(soa, train.size(),
-                                  descriptor_rows(features),
-                                  best_scalar.data());
-    });
     const double aos_ms = time_ms(
         reps, [&] { (void)match_descriptors(queries, train, options); });
     const double pairs = static_cast<double>(features.size()) * train.size();
     std::printf("brute_match    %zu x %zu  dispatched %7.3f ms (%.2f ns/pair)"
-                "  scalar kernel %7.3f ms  aos reference %7.3f ms\n",
+                "  aos reference %7.3f ms\n",
                 features.size(), train.size(), simd_ms,
-                simd_ms * 1e6 / pairs, scalar_ms, aos_ms);
+                simd_ms * 1e6 / pairs, aos_ms);
     json.number("brute_match_ms", simd_ms);
     json.number("brute_ns_per_pair", simd_ms * 1e6 / pairs);
-    json.number("brute_scalar_kernel_ms", scalar_ms);
     json.number("brute_match_aos_ms", aos_ms);
     json.number("brute_match_speedup", simd_ms > 0 ? aos_ms / simd_ms : 0.0);
+
+    // The fused kernel alone, per tier.
+    std::printf("  best_two_block kernel:");
+    for (const simd::IsaLevel level : tiers) {
+      const simd::KernelTable& tier = simd::kernels(level);
+      tier.best_two_block(soa, train.size(), descriptor_rows(features),
+                          best.data());
+      for (std::size_t i = 0; i < best.size(); ++i)
+        require(best[i].train == best_scalar[i].train &&
+                    best[i].distance == best_scalar[i].distance &&
+                    best[i].second_best == best_scalar[i].second_best,
+                "best_two_block tier vs scalar");
+      const double ms = time_ms(level == simd::IsaLevel::kScalar ? 3 : reps,
+                                [&] {
+                                  tier.best_two_block(
+                                      soa, train.size(),
+                                      descriptor_rows(features), best.data());
+                                });
+      std::printf("  %s %7.3f ms (%.2f ns/pair)", simd::isa_name(level), ms,
+                  ms * 1e6 / pairs);
+      json.number(tier_key(level, "brute_ms"), ms);
+      json.number(tier_key(level, "brute_ns_per_pair"), ms * 1e6 / pairs);
+      if (level == simd::IsaLevel::kScalar)
+        json.number("brute_scalar_kernel_ms", ms);
+    }
+    std::printf("\n");
   }
 
   // ---- Verification: 1024 x 1881, cross-checked, AoS rows ----------------
@@ -312,6 +391,21 @@ int main() {
     json.number("verify_match_ms", simd_ms);
     json.number("verify_match_aos_ms", aos_ms);
     json.number("verify_match_speedup", simd_ms > 0 ? aos_ms / simd_ms : 0.0);
+
+    // The row kernel's share of that work, per tier.
+    std::printf("  best_two_rows kernel:");
+    for (const simd::IsaLevel level : tiers) {
+      const simd::KernelTable& tier = simd::kernels(level);
+      require_same_matches(
+          verify_on(tier, queries, train, options.max_distance), reference,
+          "best_two_rows tier vs AoS reference");
+      const double ms = time_ms(reps, [&] {
+        (void)verify_on(tier, queries, train, options.max_distance);
+      });
+      std::printf("  %s %7.3f ms", simd::isa_name(level), ms);
+      json.number(tier_key(level, "verify_ms"), ms);
+    }
+    std::printf("\n");
   }
 
   // ---- Batched projection (the match gate's kernel) ----------------------

@@ -1,14 +1,12 @@
 #include "features/simd_kernels.h"
 
+#include <algorithm>
 #include <bit>
 
-#include "core/simd_dispatch.h"
+#include "geometry/assert.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace eslam::simd {
@@ -214,6 +212,18 @@ inline void fold_key(std::uint64_t k, std::uint64_t& best,
   }
 }
 
+// Merges a query's per-lane best and runner-up keys into (best, second),
+// which start at kNoKey: the two smallest keys of every lane hold the two
+// smallest overall.
+inline void fold_lanes(const std::uint64_t* lane_best,
+                       const std::uint64_t* lane_second, int lanes,
+                       std::uint64_t& best, std::uint64_t& second) {
+  for (int lane = 0; lane < lanes; ++lane) {
+    fold_key(lane_best[lane], best, second);
+    fold_key(lane_second[lane], best, second);
+  }
+}
+
 // The two smallest keys are the best match and the runner-up; a best
 // distance of 256 leaves no match, as in match_one().
 inline Match match_from_keys(std::uint64_t best, std::uint64_t second) {
@@ -271,10 +281,7 @@ __attribute__((target("avx2,popcnt"))) void best_two_block_avx2_q(
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_best), best[k]);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_second), second[k]);
     std::uint64_t b = kNoKey, s = kNoKey;
-    for (int lane = 0; lane < 4; ++lane) {
-      fold_key(lane_best[lane], b, s);
-      fold_key(lane_second[lane], b, s);
-    }
+    fold_lanes(lane_best, lane_second, 4, b, s);
     const std::uint64_t* qd = q[k]->words().data();
     for (std::size_t t = j; t < count; ++t) {
       const std::uint64_t d = static_cast<std::uint64_t>(
@@ -436,198 +443,284 @@ __attribute__((target("avx2"))) std::size_t reprojection_inliers_avx2(
                                            thresh_sq, out_inliers + count);
 }
 
+// ---- AVX-512 (+ VPOPCNTDQ) ---------------------------------------------------
+
+// vpopcntq on AVX-512F registers (AVX-512F implies AVX2); neither VL nor
+// BW is needed.
+#define ESLAM_TARGET_AVX512 \
+  __attribute__((target("avx512f,avx512vpopcntdq")))
+
+// GCC 12's AVX-512 intrinsics initialise their "undefined" vectors from
+// themselves, which -Wuninitialized reports at every inlined use.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+// fold_keys over eight lanes: best keeps the smaller key, second the
+// smaller of itself and the larger of (best, k) — the key that lost.
+// Keys are compared unsigned; they stay below 2^41 either way.
+ESLAM_TARGET_AVX512 inline void fold_keys8(__m512i k, __m512i& best,
+                                           __m512i& second) {
+  second = _mm512_min_epu64(second, _mm512_max_epu64(best, k));
+  best = _mm512_min_epu64(best, k);
+}
+
+// Keys of eight distances at train indices `index`.  Lanes outside
+// `valid` (past the end of the set) get kNoKey, which displaces nothing.
+ESLAM_TARGET_AVX512 inline __m512i keys8(__m512i distance, __m512i index,
+                                         __mmask8 valid) {
+  return _mm512_mask_or_epi64(
+      _mm512_set1_epi64(static_cast<long long>(kNoKey)), valid,
+      _mm512_slli_epi64(distance, 32), index);
+}
+
+// A query's result from its eight lanes' keys.
+ESLAM_TARGET_AVX512 inline Match match_from_lanes8(__m512i best,
+                                                   __m512i second) {
+  alignas(64) std::uint64_t lane_best[8], lane_second[8];
+  _mm512_store_si512(lane_best, best);
+  _mm512_store_si512(lane_second, second);
+  std::uint64_t b = kNoKey, s = kNoKey;
+  fold_lanes(lane_best, lane_second, 8, b, s);
+  return match_from_keys(b, s);
+}
+
+// The first `n` (at most 8) lanes.
+inline __mmask8 first_lanes(std::size_t n) {
+  return static_cast<__mmask8>((1u << std::min<std::size_t>(n, 8)) - 1);
+}
+
+// One brute-force step for Q queries: the eight train descriptors from j
+// (those in `valid`; the masked load reads nothing past the end), one
+// 512-bit load per word plane and one vpopcntq per plane and query.
+template <int Q>
+ESLAM_TARGET_AVX512 inline void fold_block8(
+    const std::uint64_t* const* plane, std::size_t j, __mmask8 valid,
+    __m512i index, const __m512i (*qw)[4], __m512i* best, __m512i* second) {
+  __m512i w[4];
+  for (int p = 0; p < 4; ++p)
+    w[p] = _mm512_maskz_loadu_epi64(valid, plane[p] + j);
+  for (int k = 0; k < Q; ++k) {
+    __m512i d = _mm512_popcnt_epi64(_mm512_xor_si512(w[0], qw[k][0]));
+    for (int p = 1; p < 4; ++p)
+      d = _mm512_add_epi64(
+          d, _mm512_popcnt_epi64(_mm512_xor_si512(w[p], qw[k][p])));
+    fold_keys8(keys8(d, index, valid), best[k], second[k]);
+  }
+}
+
+// Fused brute force for Q queries at once; the count % 8 tail is one
+// masked step, and the eight lanes merge once per query at the end.
+template <int Q>
+ESLAM_TARGET_AVX512 void best_two_block_avx512_q(const DescriptorSoA& train,
+                                                 std::size_t count,
+                                                 DescriptorRows queries,
+                                                 std::size_t first,
+                                                 Match* out) {
+  const std::uint64_t* plane[4] = {train.plane(0), train.plane(1),
+                                   train.plane(2), train.plane(3)};
+  __m512i qw[Q][4];
+  __m512i best[Q], second[Q];
+  for (int k = 0; k < Q; ++k) {
+    const Descriptor256& q = queries[first + static_cast<std::size_t>(k)];
+    for (int w = 0; w < 4; ++w)
+      qw[k][w] = _mm512_set1_epi64(static_cast<long long>(q.words()[w]));
+    best[k] = _mm512_set1_epi64(static_cast<long long>(kNoKey));
+    second[k] = best[k];
+  }
+  __m512i index = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512i step = _mm512_set1_epi64(8);
+  std::size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    fold_block8<Q>(plane, j, 0xFF, index, qw, best, second);
+    index = _mm512_add_epi64(index, step);
+  }
+  if (j < count)
+    fold_block8<Q>(plane, j, first_lanes(count - j), index, qw, best, second);
+  for (int k = 0; k < Q; ++k)
+    out[first + static_cast<std::size_t>(k)] =
+        match_from_lanes8(best[k], second[k]);
+}
+
+ESLAM_TARGET_AVX512 void best_two_block_avx512(const DescriptorSoA& train,
+                                               std::size_t count,
+                                               DescriptorRows queries,
+                                               Match* out) {
+  std::size_t i = 0;
+  for (; i + 4 <= queries.size(); i += 4)
+    best_two_block_avx512_q<4>(train, count, queries, i, out);
+  for (; i < queries.size(); ++i)
+    best_two_block_avx512_q<1>(train, count, queries, i, out);
+}
+
+// The query's four words in both 256-bit halves.
+ESLAM_TARGET_AVX512 inline __m512i broadcast_rows(const Descriptor256& query) {
+  return _mm512_broadcast_i64x4(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&query)));
+}
+
+// Per-word popcounts of rows lo (lanes 0-3) and hi (lanes 4-7) against q.
+ESLAM_TARGET_AVX512 inline __m512i count_row_pair(const Descriptor256* lo,
+                                                  const Descriptor256* hi,
+                                                  __m512i q) {
+  const __m512i rows = _mm512_inserti64x4(
+      _mm512_castsi256_si512(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo))),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi)), 1);
+  return _mm512_popcnt_epi64(_mm512_xor_si512(rows, q));
+}
+
+// Distances of the query (q, from broadcast_rows) to rows r[0..7], one
+// per 64-bit lane in row order.  Registers pair rows (0,2), (1,3), (4,6)
+// and (5,7); an unpack-add leaves each row's two half sums in the same
+// lane of two 128-bit blocks, and one 128-bit shuffle pair plus an add
+// completes every sum in row order.
+ESLAM_TARGET_AVX512 inline __m512i distance_rows8(const Descriptor256* const* r,
+                                                  __m512i q) {
+  const __m512i a = count_row_pair(r[0], r[2], q);
+  const __m512i b = count_row_pair(r[1], r[3], q);
+  const __m512i c = count_row_pair(r[4], r[6], q);
+  const __m512i d = count_row_pair(r[5], r[7], q);
+  // Blocks of ab: [0+1 of rows 0,1] [2+3 of rows 0,1] [0+1 of rows 2,3]
+  // [2+3 of rows 2,3] (words summed); cd likewise for rows 4-7.
+  const __m512i ab =
+      _mm512_add_epi64(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b));
+  const __m512i cd =
+      _mm512_add_epi64(_mm512_unpacklo_epi64(c, d), _mm512_unpackhi_epi64(c, d));
+  return _mm512_add_epi64(_mm512_shuffle_i64x2(ab, cd, 0x88),
+                          _mm512_shuffle_i64x2(ab, cd, 0xDD));
+}
+
+// Fills r[0..7] with rows(j + k) for k < n - j and the query for the lanes
+// past the end, which then count distance 0 and are never used.  Returns
+// the valid lanes.
+template <typename Row>
+inline __mmask8 rows8(std::size_t j, std::size_t n, const Descriptor256& query,
+                      Row row, const Descriptor256** r) {
+  for (std::size_t k = 0; k < 8; ++k) r[k] = j + k < n ? &row(j + k) : &query;
+  return first_lanes(n - j);
+}
+
+ESLAM_TARGET_AVX512 void hamming_gather_avx512(
+    std::span<const Descriptor256> train, const Descriptor256& query,
+    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
+  const __m512i q = broadcast_rows(query);
+  const auto row = [&](std::size_t j) -> const Descriptor256& {
+    return train[static_cast<std::size_t>(candidates[j])];
+  };
+  const std::size_t n = candidates.size();
+  for (std::size_t j = 0; j < n; j += 8) {
+    const Descriptor256* r[8];
+    rows8(j, n, query, row, r);
+    const __m128i d = _mm512_cvtepi64_epi16(distance_rows8(r, q));
+    if (j + 8 <= n) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out_dist + j), d);
+    } else {
+      alignas(16) std::uint16_t last[8];
+      _mm_store_si128(reinterpret_cast<__m128i*>(last), d);
+      std::copy_n(last, n - j, out_dist + j);
+    }
+  }
+}
+
+ESLAM_TARGET_AVX512 Match best_two_rows_avx512(const Descriptor256& query,
+                                               DescriptorRows rows) {
+  const __m512i q = broadcast_rows(query);
+  __m512i best = _mm512_set1_epi64(static_cast<long long>(kNoKey));
+  __m512i second = best;
+  __m512i index = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m512i step = _mm512_set1_epi64(8);
+  const auto row = [&](std::size_t j) -> const Descriptor256& {
+    return rows[j];
+  };
+  const std::size_t n = rows.size();
+  for (std::size_t j = 0; j < n; j += 8) {
+    const Descriptor256* r[8];
+    const __mmask8 valid = rows8(j, n, query, row, r);
+    fold_keys8(keys8(distance_rows8(r, q), index, valid), best, second);
+    index = _mm512_add_epi64(index, step);
+  }
+  return match_from_lanes8(best, second);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#undef ESLAM_TARGET_AVX512
+
 }  // namespace
 #endif  // x86
 
-// ---- NEON -----------------------------------------------------------------
+// ---- Tiers and dispatch -----------------------------------------------------
 
-#if defined(__aarch64__)
 namespace {
 
-// Brute force: two train descriptors per step through vcnt, folded with
-// match_one()'s ascending update.  The row kernels (hamming_gather,
-// best_two_rows) take the scalar path on AArch64, where std::popcount
-// already lowers to CNT.
-void best_two_block_neon(const DescriptorSoA& train, std::size_t count,
-                         DescriptorRows queries, Match* out) {
-  const std::uint64_t* p0 = train.plane(0);
-  const std::uint64_t* p1 = train.plane(1);
-  const std::uint64_t* p2 = train.plane(2);
-  const std::uint64_t* p3 = train.plane(3);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Descriptor256& query = queries[i];
-    const uint64x2_t q0 = vdupq_n_u64(query.words()[0]);
-    const uint64x2_t q1 = vdupq_n_u64(query.words()[1]);
-    const uint64x2_t q2 = vdupq_n_u64(query.words()[2]);
-    const uint64x2_t q3 = vdupq_n_u64(query.words()[3]);
-    Match m;
-    std::size_t j = 0;
-    for (; j + 2 <= count; j += 2) {
-      // vcnt gives per-byte counts; each byte count is at most 8 and there
-      // are 4 planes, so per-byte sums stay <= 32 (no u8 overflow).
-      uint8x16_t c = vcntq_u8(vreinterpretq_u8_u64(
-          veorq_u64(vld1q_u64(p0 + j), q0)));
-      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                          veorq_u64(vld1q_u64(p1 + j), q1))));
-      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                          veorq_u64(vld1q_u64(p2 + j), q2))));
-      c = vaddq_u8(c, vcntq_u8(vreinterpretq_u8_u64(
-                          veorq_u64(vld1q_u64(p3 + j), q3))));
-      // Pairwise-widen to per-lane (64-bit half) sums.
-      const uint64x2_t lane_sums = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(c)));
-      keep_best_two(static_cast<int>(vgetq_lane_u64(lane_sums, 0)),
-                    static_cast<int>(j), m);
-      keep_best_two(static_cast<int>(vgetq_lane_u64(lane_sums, 1)),
-                    static_cast<int>(j + 1), m);
-    }
-    for (; j < count; ++j) {
-      const int d = std::popcount(p0[j] ^ query.words()[0]) +
-                    std::popcount(p1[j] ^ query.words()[1]) +
-                    std::popcount(p2[j] ^ query.words()[2]) +
-                    std::popcount(p3[j] ^ query.words()[3]);
-      keep_best_two(d, static_cast<int>(j), m);
-    }
-    out[i] = m;
+const KernelTable& table_of(IsaLevel level) {
+  static constexpr KernelTable kScalarTable{
+      best_two_block_scalar, hamming_gather_scalar, best_two_rows_scalar,
+      project_batch_scalar, reprojection_inliers_scalar};
+#if defined(__x86_64__) || defined(__i386__)
+  static constexpr KernelTable kAvx2Table{
+      best_two_block_avx2, hamming_gather_avx2, best_two_rows_avx2,
+      project_batch_avx2, reprojection_inliers_avx2};
+  // The Hamming kernels at 512 bits; projection and scoring stay AVX2.
+  static constexpr KernelTable kAvx512Table{
+      best_two_block_avx512, hamming_gather_avx512, best_two_rows_avx512,
+      project_batch_avx2, reprojection_inliers_avx2};
+  switch (level) {
+    case IsaLevel::kAvx512: return kAvx512Table;
+    case IsaLevel::kAvx2: return kAvx2Table;
+    case IsaLevel::kScalar: break;
   }
+#endif
+  (void)level;
+  return kScalarTable;
 }
 
-void project_batch_neon(std::span<const double> xs, std::span<const double> ys,
-                        std::span<const double> zs, const SE3& pose_cw,
-                        const PinholeCamera& camera, double margin,
-                        double* out_u, double* out_v, std::uint8_t* out_keep) {
-  const Mat3& r = pose_cw.rotation();
-  const Vec3& t = pose_cw.translation();
-  const float64x2_t r00 = vdupq_n_f64(r(0, 0)), r01 = vdupq_n_f64(r(0, 1)),
-                    r02 = vdupq_n_f64(r(0, 2));
-  const float64x2_t r10 = vdupq_n_f64(r(1, 0)), r11 = vdupq_n_f64(r(1, 1)),
-                    r12 = vdupq_n_f64(r(1, 2));
-  const float64x2_t r20 = vdupq_n_f64(r(2, 0)), r21 = vdupq_n_f64(r(2, 1)),
-                    r22 = vdupq_n_f64(r(2, 2));
-  const float64x2_t t0 = vdupq_n_f64(t[0]), t1 = vdupq_n_f64(t[1]),
-                    t2 = vdupq_n_f64(t[2]);
-  const float64x2_t fx = vdupq_n_f64(camera.fx()), fy = vdupq_n_f64(camera.fy());
-  const float64x2_t cx = vdupq_n_f64(camera.cx()), cy = vdupq_n_f64(camera.cy());
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t min_depth = vdupq_n_f64(PinholeCamera::kMinDepth);
-  const float64x2_t u_min = vdupq_n_f64(-margin);
-  const float64x2_t u_max = vdupq_n_f64(camera.width() + margin);
-  const float64x2_t v_min = vdupq_n_f64(-margin);
-  const float64x2_t v_max = vdupq_n_f64(camera.height() + margin);
-  const std::size_t n = xs.size();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t px = vld1q_f64(xs.data() + i);
-    const float64x2_t py = vld1q_f64(ys.data() + i);
-    const float64x2_t pz = vld1q_f64(zs.data() + i);
-    // No FMA (vfmaq) — same association and rounding as the scalar path.
-    float64x2_t xc = vaddq_f64(zero, vmulq_f64(r00, px));
-    xc = vaddq_f64(xc, vmulq_f64(r01, py));
-    xc = vaddq_f64(xc, vmulq_f64(r02, pz));
-    xc = vaddq_f64(xc, t0);
-    float64x2_t yc = vaddq_f64(zero, vmulq_f64(r10, px));
-    yc = vaddq_f64(yc, vmulq_f64(r11, py));
-    yc = vaddq_f64(yc, vmulq_f64(r12, pz));
-    yc = vaddq_f64(yc, t1);
-    float64x2_t zc = vaddq_f64(zero, vmulq_f64(r20, px));
-    zc = vaddq_f64(zc, vmulq_f64(r21, py));
-    zc = vaddq_f64(zc, vmulq_f64(r22, pz));
-    zc = vaddq_f64(zc, t2);
-    const float64x2_t u = vaddq_f64(vdivq_f64(vmulq_f64(fx, xc), zc), cx);
-    const float64x2_t v = vaddq_f64(vdivq_f64(vmulq_f64(fy, yc), zc), cy);
-    uint64x2_t keep = vcgtq_f64(zc, min_depth);
-    keep = vandq_u64(keep, vcgeq_f64(u, u_min));
-    keep = vandq_u64(keep, vcltq_f64(u, u_max));
-    keep = vandq_u64(keep, vcgeq_f64(v, v_min));
-    keep = vandq_u64(keep, vcltq_f64(v, v_max));
-    vst1q_f64(out_u + i, u);
-    vst1q_f64(out_v + i, v);
-    out_keep[i + 0] = vgetq_lane_u64(keep, 0) != 0 ? 1 : 0;
-    out_keep[i + 1] = vgetq_lane_u64(keep, 1) != 0 ? 1 : 0;
-  }
-  if (i < n)
-    project_batch_scalar(xs.subspan(i), ys.subspan(i), zs.subspan(i), pose_cw,
-                         camera, margin, out_u + i, out_v + i, out_keep + i);
+const KernelTable& active_kernels() {
+  static const KernelTable& table = table_of(active_isa());
+  return table;
 }
 
 }  // namespace
-#endif  // aarch64
 
-// ---- Dispatch entry points ------------------------------------------------
+const KernelTable& kernels(IsaLevel level) {
+  ESLAM_ASSERT(isa_supported(level), "kernel tier not supported by this CPU");
+  return table_of(level);
+}
 
 void best_two_block(const DescriptorSoA& train, std::size_t count,
                     DescriptorRows queries, Match* out) {
-  switch (active_isa()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case IsaLevel::kAvx2:
-      best_two_block_avx2(train, count, queries, out);
-      return;
-#endif
-#if defined(__aarch64__)
-    case IsaLevel::kNeon:
-      best_two_block_neon(train, count, queries, out);
-      return;
-#endif
-    default:
-      best_two_block_scalar(train, count, queries, out);
-      return;
-  }
+  active_kernels().best_two_block(train, count, queries, out);
 }
 
 void hamming_gather(std::span<const Descriptor256> train,
                     const Descriptor256& query,
                     std::span<const std::int32_t> candidates,
                     std::uint16_t* out_dist) {
-#if defined(__x86_64__) || defined(__i386__)
-  if (active_isa() == IsaLevel::kAvx2) {
-    hamming_gather_avx2(train, query, candidates, out_dist);
-    return;
-  }
-#endif
-  hamming_gather_scalar(train, query, candidates, out_dist);
+  active_kernels().hamming_gather(train, query, candidates, out_dist);
 }
 
 Match best_two_rows(const Descriptor256& query, DescriptorRows rows) {
-#if defined(__x86_64__) || defined(__i386__)
-  if (active_isa() == IsaLevel::kAvx2) return best_two_rows_avx2(query, rows);
-#endif
-  return best_two_rows_scalar(query, rows);
+  return active_kernels().best_two_rows(query, rows);
 }
 
 void project_batch(std::span<const double> xs, std::span<const double> ys,
                    std::span<const double> zs, const SE3& pose_cw,
                    const PinholeCamera& camera, double margin, double* out_u,
                    double* out_v, std::uint8_t* out_keep) {
-  switch (active_isa()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case IsaLevel::kAvx2:
-      project_batch_avx2(xs, ys, zs, pose_cw, camera, margin, out_u, out_v,
-                         out_keep);
-      return;
-#endif
-#if defined(__aarch64__)
-    case IsaLevel::kNeon:
-      project_batch_neon(xs, ys, zs, pose_cw, camera, margin, out_u, out_v,
-                         out_keep);
-      return;
-#endif
-    default:
-      project_batch_scalar(xs, ys, zs, pose_cw, camera, margin, out_u, out_v,
-                           out_keep);
-      return;
-  }
+  active_kernels().project_batch(xs, ys, zs, pose_cw, camera, margin, out_u,
+                                 out_v, out_keep);
 }
 
 std::size_t reprojection_inliers(const ReprojectionColumns& columns,
                                  const SE3& pose_cw,
                                  const PinholeCamera& camera,
                                  double thresh_sq, int* out_inliers) {
-#if defined(__x86_64__) || defined(__i386__)
-  if (active_isa() == IsaLevel::kAvx2)
-    return reprojection_inliers_avx2(columns, pose_cw, camera, thresh_sq,
-                                     out_inliers);
-#endif
-  return reprojection_inliers_scalar(columns, pose_cw, camera, thresh_sq,
-                                     out_inliers);
+  return active_kernels().reprojection_inliers(columns, pose_cw, camera,
+                                               thresh_sq, out_inliers);
 }
 
 }  // namespace eslam::simd

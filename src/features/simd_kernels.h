@@ -2,15 +2,17 @@
 //
 // Feature matching (paper section 3.2: the BRIEF Matcher; on the host it
 // is the ARM-side bottleneck) runs on three Hamming kernels, one per
-// matching tier, each computing exact integer distances so every ISA path
-// is bit-identical to hamming_distance():
+// matching tier, each computing exact integer distances so every tier is
+// bit-identical to hamming_distance():
 //
 //   1. best_two_block — brute force: every query against a whole
 //      DescriptorSoA train set, keeping each query's best match and
-//      runner-up distance.  The AVX2 path is fused: distances and
+//      runner-up distance.  The SIMD tiers are fused: distances and
 //      selection stay in registers as 64-bit keys (distance << 32 | train
-//      index), so the lane-wise minimum is the lowest-index winner, and two
-//      queries share each train load; lanes merge once per query.
+//      index), so the lane-wise minimum is the lowest-index winner, and
+//      several queries share each train load (AVX2: two queries, four
+//      train descriptors per step; AVX-512: four queries, eight train
+//      descriptors); lanes merge once per query.
 //   2. hamming_gather — gated tier: one query against a candidate list,
 //      each distance read from the candidate's contiguous 32-byte AoS row.
 //      Selection happens in the matcher, whose tie rule (lower train index
@@ -19,35 +21,41 @@
 //      strided AoS rows (a train set without SoA planes, or the queries in
 //      the cross-check's back scan).
 //
-// All three produce match_one()'s result: best distance, runner-up
-// distance (second smallest over the set) and the lowest train index at
-// the best distance, or -1 when no distance is below 256.
+// AVX2 counts a row with four POPCNT instructions in the row kernels and
+// with a nibble lookup in the fused block; AVX-512 loads two rows per
+// register, counts eight words per vpopcntq and keeps best_two_rows'
+// selection in key registers as well.  All three produce match_one()'s
+// result: best distance, runner-up distance (second smallest over the set)
+// and the lowest train index at the best distance, or -1 when no distance
+// is below 256.
 //
 // Batched map-point projection for the match gate: SE3 transform + pinhole
 // projection + padded-bounds mask over x/y/z lanes.  The scalar path
 // replicates the exact FP operation order of `SE3::operator*` /
-// `PinholeCamera::project` (sum association, no FMA), and the SIMD paths
-// perform the same operations per lane, so kept u/v coordinates are
-// bit-identical across ISAs.  NaN inputs fail the keep mask on every path.
+// `PinholeCamera::project` (sum association, no FMA), and the AVX2 path
+// performs the same operations per lane, so kept u/v coordinates are
+// bit-identical across tiers.  NaN inputs fail the keep mask on every path.
 //
 // RANSAC inlier scoring: the same transform and projection per
 // correspondence, then the squared pixel residual against a threshold,
 // written as an ascending list of inlier indices.  Bit-identical to a
 // loop over reprojection_error_sq() (slam/pnp.h), including its
 // behind-camera sentinel: depth <= kMinDepth scores 1e12.  Ordered
-// comparisons make a NaN lane an outlier on every path.  The AVX2 tier
-// runs 4 lanes with project_batch's association; NEON takes the scalar
-// tier.
+// comparisons make a NaN lane an outlier on every path.  The AVX2 code
+// runs 4 lanes with project_batch's association.
 //
-// Dispatch is picked once at runtime (core/simd_dispatch.h); the AVX2 tier
-// also uses the POPCNT instruction, and the dispatcher checks for both.
-// The _scalar variants are the portable reference, exposed for the parity
-// test suite.
+// Each entry point runs the kernel of the tier core/simd_dispatch picked
+// (active_isa()); kernels() is the one place a tier maps to its kernels —
+// the AVX-512 tier widens the three Hamming kernels and keeps the AVX2
+// projection and scoring.  The _scalar variants are the portable
+// reference; the parity suite and bench_micro_kernels reach every other
+// tier the host supports through kernels().
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "core/simd_dispatch.h"
 #include "features/descriptor_soa.h"
 #include "features/matcher.h"
 #include "geometry/camera.h"
@@ -114,5 +122,18 @@ std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
                                         const SE3& pose_cw,
                                         const PinholeCamera& camera,
                                         double thresh_sq, int* out_inliers);
+
+// One tier's kernels, with the entry points' signatures.
+struct KernelTable {
+  decltype(&best_two_block_scalar) best_two_block;
+  decltype(&hamming_gather_scalar) hamming_gather;
+  decltype(&best_two_rows_scalar) best_two_rows;
+  decltype(&project_batch_scalar) project_batch;
+  decltype(&reprojection_inliers_scalar) reprojection_inliers;
+};
+
+// The kernels `level` runs.  Aborts unless isa_supported(level): the CPU
+// would fault on the instructions.
+const KernelTable& kernels(IsaLevel level);
 
 }  // namespace eslam::simd

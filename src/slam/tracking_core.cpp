@@ -97,12 +97,16 @@ void TrackingCore::match(FrameState& fs, const MapReadView& view,
   if (!gated && places && can_relocalize(fs) &&
       static_cast<int>(places->graph.size()) >= options_.reloc.min_keyframes) {
     fs.result.reloc_attempted = true;
+    // The whole recognition tier counts as FM: the index query, the
+    // neighbourhood assembly and the verification matching.
+    const WallTimer reloc_timer;
     // Relocalization is a rare, off-schedule path: the descriptor staging
     // copy the index query needs is allocated here, not on every frame.
     std::vector<Descriptor256> query;
     query.reserve(fs.features.size());
     for (const Feature& f : fs.features) query.push_back(f.descriptor);
-    relocated = match_against_places(fs, view, *places, query, match_ms);
+    relocated = match_against_places(fs, view, *places, query);
+    match_ms += reloc_timer.elapsed_ms();
   }
   if (!gated && !relocated) {
     backend_->match_into(fs.features, train, fs.arena.get(), fs.matches);
@@ -119,8 +123,8 @@ void TrackingCore::match(FrameState& fs, const MapReadView& view,
 bool TrackingCore::match_against_places(FrameState& fs,
                                         const MapReadView& view,
                                         const Places& places,
-                                        std::span<const Descriptor256> query,
-                                        double& match_ms) const {
+                                        std::span<const Descriptor256> query)
+    const {
   const std::vector<backend::KeyframeScore> ranked =
       places.index.query(query, options_.reloc.max_candidates);
   for (const backend::KeyframeScore& hit : ranked) {
@@ -153,11 +157,9 @@ bool TrackingCore::match_against_places(FrameState& fs,
     // knobs, and a lost session is off the nominal fabric schedule anyway.
     // A hit that falls short leaves fs.matches for the next hit or the
     // brute-force fallback to overwrite.
-    const WallTimer reloc_timer;
     match_descriptors_into(query, TrainView{subset, nullptr},
                            options_.reloc.matcher, fs.arena.get(),
                            fs.matches);
-    match_ms += reloc_timer.elapsed_ms();
     if (static_cast<int>(fs.matches.size()) < options_.reloc.min_matches)
       continue;  // recognition was wrong for this hit; try the next one
     fs.reloc_positions.clear();

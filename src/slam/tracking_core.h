@@ -392,8 +392,7 @@ class TrackingCore {
   // neighbourhood yielding reloc.min_matches matches produces fs.matches.
   bool match_against_places(FrameState& fs, const MapReadView& view,
                             const Places& places,
-                            std::span<const Descriptor256> query,
-                            double& match_ms) const;
+                            std::span<const Descriptor256> query) const;
 
   PinholeCamera camera_;
   FeatureBackend* backend_;

@@ -1,15 +1,18 @@
-// Scalar-vs-SIMD parity: the dispatched kernels (features/simd_kernels)
-// and the allocation-free matcher/gate tiers built on them must be
+// Scalar-vs-SIMD parity: every kernel tier (features/simd_kernels) and the
+// allocation-free matcher/gate tiers built on the dispatched one must be
 // BIT-exact with the scalar reference paths — same Hamming distances, same
 // lowest-index tie winners, same projected pixels, same candidate sets.
-// The suite runs in the default build (dispatch picks AVX2/NEON where
-// available) and in the ESLAM_FORCE_SCALAR CI leg (dispatch pinned to the
-// scalar kernels), so both sides of every comparison stay exercised.
+// The kernel cases run once per tier the host supports, whatever dispatch
+// picked, and skip a tier the CPU lacks with the reason in the log.  The
+// suite runs in the default build and in the ESLAM_FORCE_SCALAR CI leg
+// (dispatch pinned to the scalar kernels), so the matcher tiers see both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <ostream>
 #include <random>
 #include <string>
 #include <utility>
@@ -25,6 +28,13 @@
 #include "slam/pnp.h"
 
 namespace eslam {
+namespace simd {
+
+// Names the tier in gtest's parameter printouts.
+void PrintTo(IsaLevel level, std::ostream* os) { *os << isa_name(level); }
+
+}  // namespace simd
+
 namespace {
 
 Descriptor256 random_descriptor(std::mt19937_64& rng) {
@@ -85,21 +95,42 @@ void expect_match_eq(const Match& got, const Match& want,
   EXPECT_EQ(got.second_best, want.second_best) << where;
 }
 
+// The kernel cases, once per tier: kernels() is the tier's table, the
+// _scalar functions the reference it must equal.
+class TierParity : public ::testing::TestWithParam<simd::IsaLevel> {
+ protected:
+  void SetUp() override {
+    if (!simd::isa_supported(GetParam()))
+      GTEST_SKIP() << "the " << simd::isa_name(GetParam())
+                   << " tier is not supported by this CPU; its kernels are "
+                      "not exercised here";
+  }
+  const simd::KernelTable& tier() const { return simd::kernels(GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, TierParity, ::testing::ValuesIn(simd::kIsaLevels),
+    [](const ::testing::TestParamInfo<simd::IsaLevel>& info) {
+      return std::string(simd::isa_name(info.param));
+    });
+
 // ---- Hamming kernels -------------------------------------------------------
 
-TEST(SimdParity, BestTwoBlockEqualsMatchOne) {
+TEST_P(TierParity, BestTwoBlockEqualsMatchOne) {
   std::mt19937_64 rng(1);
-  // Train sizes straddling the AVX2 block (4 per step) and NEON (2 per
-  // step); query counts covering the paired and the odd last query.
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 64u, 130u}) {
-    for (const std::size_t nq : {1u, 2u, 3u, 5u}) {
+  // Train sizes straddling the AVX2 step (4 train descriptors) and the
+  // AVX-512 step (8, and its masked tail); query counts straddling the
+  // query groups (AVX2: 2, AVX-512: 4) and their remainders.
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 130u}) {
+    for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 8u, 9u}) {
       const auto train = tied_train(rng, n);
       const auto queries = queries_near(rng, train, nq);
       DescriptorSoA soa;
       soa.assign(train);
       std::vector<Match> simd_out(nq + 1), scalar_out(nq + 1);
       simd_out[nq].query = scalar_out[nq].query = 7;  // sentinel
-      simd::best_two_block(soa, n, descriptor_rows(queries), simd_out.data());
+      tier().best_two_block(soa, n, descriptor_rows(queries), simd_out.data());
       simd::best_two_block_scalar(soa, n, descriptor_rows(queries),
                                   scalar_out.data());
       for (std::size_t i = 0; i < nq; ++i) {
@@ -116,17 +147,17 @@ TEST(SimdParity, BestTwoBlockEqualsMatchOne) {
   }
 }
 
-TEST(SimdParity, BestTwoBlockHonoursCountAndFullDistance) {
+TEST_P(TierParity, BestTwoBlockHonoursCountAndFullDistance) {
   std::mt19937_64 rng(2);
   // A published view bounds the rows: planes longer than `count` are
-  // ignored past it.
+  // ignored past it, also inside a vector step.
   const auto train = tied_train(rng, 37);
   DescriptorSoA soa;
   soa.assign(train);
   const auto queries = queries_near(rng, train, 6);
-  for (const std::size_t count : {0u, 1u, 3u, 20u, 36u}) {
+  for (const std::size_t count : {0u, 1u, 3u, 7u, 9u, 20u, 36u}) {
     std::vector<Match> out(queries.size());
-    simd::best_two_block(soa, count, descriptor_rows(queries), out.data());
+    tier().best_two_block(soa, count, descriptor_rows(queries), out.data());
     const std::span<const Descriptor256> prefix(train.data(), count);
     for (std::size_t i = 0; i < queries.size(); ++i)
       expect_match_eq(out[i], match_one(queries[i], prefix),
@@ -140,37 +171,48 @@ TEST(SimdParity, BestTwoBlockHonoursCountAndFullDistance) {
   for (int w = 0; w < Descriptor256::kWords; ++w)
     complement.words()[w] = ~q.words()[w];
   const std::vector<Descriptor256> queries_q = {q, q};
-  for (const std::size_t n : {1u, 5u, 9u}) {
+  for (const std::size_t n : {1u, 5u, 8u, 9u, 17u}) {
     std::vector<Descriptor256> rows(n, complement);
     DescriptorSoA c_soa;
     c_soa.assign(rows);
     std::vector<Match> out(2);
-    simd::best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
-    expect_match_eq(out[0], match_one(q, rows), "complements n=" +
-                                                    std::to_string(n));
-    EXPECT_EQ(out[0].train, -1);
-    EXPECT_EQ(out[0].distance, 256);
+    const std::string where = "complements n=" + std::to_string(n);
+    tier().best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
+    expect_match_eq(out[0], match_one(q, rows), where);
+    EXPECT_EQ(out[0].train, -1) << where;
+    EXPECT_EQ(out[0].distance, 256) << where;
+    expect_match_eq(tier().best_two_rows(q, descriptor_rows(rows)),
+                    match_one(q, rows), where + " (rows)");
     rows[n - 1].set_bit(0, q.bit(0));  // distance 255
     c_soa.assign(rows);
-    simd::best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
-    expect_match_eq(out[1], match_one(q, rows), "one row at 255");
-    EXPECT_EQ(out[1].train, static_cast<int>(n - 1));
-    EXPECT_EQ(simd::best_two_rows(q, descriptor_rows(rows)).train,
-              static_cast<int>(n - 1));
+    tier().best_two_block(c_soa, n, descriptor_rows(queries_q), out.data());
+    expect_match_eq(out[1], match_one(q, rows), where + ", one row at 255");
+    EXPECT_EQ(out[1].train, static_cast<int>(n - 1)) << where;
+    EXPECT_EQ(tier().best_two_rows(q, descriptor_rows(rows)).train,
+              static_cast<int>(n - 1))
+        << where;
   }
 }
 
-TEST(SimdParity, HammingGatherMatchesScalar) {
+TEST_P(TierParity, HammingGatherEqualsHammingDistance) {
   std::mt19937_64 rng(3);
-  const auto train = random_descriptors(rng, 256);
-  for (const std::size_t len : {0u, 1u, 2u, 3u, 4u, 5u, 9u, 33u, 100u}) {
+  const auto train = tied_train(rng, 256);
+  // Lengths straddling the AVX-512 step (8 rows) and its partial block.
+  for (const std::size_t len :
+       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 33u, 100u}) {
     std::vector<std::int32_t> candidates(len);
     for (auto& c : candidates)
       c = static_cast<std::int32_t>(rng() % train.size());
-    const Descriptor256 q = random_descriptor(rng);
+    // Odd lists start with the complement of their query (distance 256).
+    Descriptor256 q = random_descriptor(rng);
+    if (len > 1 && len % 2 == 1) {
+      q = train[static_cast<std::size_t>(candidates[0])];
+      for (int w = 0; w < Descriptor256::kWords; ++w)
+        q.words()[w] = ~q.words()[w];
+    }
     std::vector<std::uint16_t> simd_d(len + 1, 0xFFFF);
     std::vector<std::uint16_t> scalar_d(len + 1, 0xFFFF);
-    simd::hamming_gather(train, q, candidates, simd_d.data());
+    tier().hamming_gather(train, q, candidates, simd_d.data());
     simd::hamming_gather_scalar(train, q, candidates, scalar_d.data());
     for (std::size_t i = 0; i < len; ++i) {
       EXPECT_EQ(simd_d[i], scalar_d[i]) << "len=" << len << " i=" << i;
@@ -178,23 +220,25 @@ TEST(SimdParity, HammingGatherMatchesScalar) {
                 hamming_distance(q, train[static_cast<std::size_t>(
                                         candidates[i])]));
     }
-    EXPECT_EQ(simd_d[len], 0xFFFF);
+    // The kernel never writes past the last candidate.
+    EXPECT_EQ(simd_d[len], 0xFFFF) << "len=" << len;
   }
 }
 
-TEST(SimdParity, BestTwoRowsEqualsMatchOne) {
+TEST_P(TierParity, BestTwoRowsEqualsMatchOne) {
   std::mt19937_64 rng(4);
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 131u}) {
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 7u, 8u, 9u, 16u, 17u, 64u, 131u}) {
     const auto rows = tied_train(rng, n);
     const FeatureList features = features_of(rows);
     for (const Descriptor256& q : queries_near(rng, rows, 5)) {
       const Match want = match_one(q, rows);
       const std::string where = "n=" + std::to_string(n);
       // Packed rows and the same descriptors read in place from features.
-      expect_match_eq(simd::best_two_rows(q, descriptor_rows(rows)), want,
+      expect_match_eq(tier().best_two_rows(q, descriptor_rows(rows)), want,
                       where);
-      expect_match_eq(simd::best_two_rows(q, descriptor_rows(features)), want,
-                      where + " (feature rows)");
+      expect_match_eq(tier().best_two_rows(q, descriptor_rows(features)),
+                      want, where + " (feature rows)");
       expect_match_eq(simd::best_two_rows_scalar(q, descriptor_rows(features)),
                       want, where + " (scalar)");
     }
@@ -318,7 +362,7 @@ TEST(SimdParity, MatchCandidatesIntoEqualsReference) {
 
 // ---- Projection ------------------------------------------------------------
 
-TEST(SimdParity, ProjectBatchBitExactWithScalarAndSourceExpression) {
+TEST_P(TierParity, ProjectBatchBitExactWithScalarAndSourceExpression) {
   std::mt19937_64 rng(7);
   const PinholeCamera cam = PinholeCamera::tum_freiburg1();
   auto uniform = [&](double lo, double hi) {
@@ -336,8 +380,8 @@ TEST(SimdParity, ProjectBatchBitExactWithScalarAndSourceExpression) {
     }
     std::vector<double> u_a(n), v_a(n), u_b(n), v_b(n);
     std::vector<std::uint8_t> keep_a(n), keep_b(n);
-    simd::project_batch(xs, ys, zs, pose, cam, margin, u_a.data(), v_a.data(),
-                        keep_a.data());
+    tier().project_batch(xs, ys, zs, pose, cam, margin, u_a.data(),
+                         v_a.data(), keep_a.data());
     simd::project_batch_scalar(xs, ys, zs, pose, cam, margin, u_b.data(),
                                v_b.data(), keep_b.data());
     for (std::size_t i = 0; i < n; ++i) {
@@ -357,7 +401,7 @@ TEST(SimdParity, ProjectBatchBitExactWithScalarAndSourceExpression) {
   }
 }
 
-TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
+TEST_P(TierParity, ProjectBatchRejectsNaNAndBehindCamera) {
   const PinholeCamera cam = PinholeCamera::tum_freiburg1();
   const SE3 identity;
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -368,8 +412,8 @@ TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
   const std::vector<double> zs = {2.0, -2.0, 0.0, 2.0, 2.0};
   std::vector<double> u(xs.size()), v(xs.size());
   std::vector<std::uint8_t> keep(xs.size());
-  simd::project_batch(xs, ys, zs, identity, cam, 24.0, u.data(), v.data(),
-                      keep.data());
+  tier().project_batch(xs, ys, zs, identity, cam, 24.0, u.data(), v.data(),
+                       keep.data());
   EXPECT_EQ(keep[0], 1);
   EXPECT_EQ(keep[1], 0) << "behind the camera";
   EXPECT_EQ(keep[2], 0) << "at the camera plane";
@@ -384,8 +428,8 @@ TEST(SimdParity, ProjectBatchRejectsNaNAndBehindCamera) {
 // ---- RANSAC inlier scoring --------------------------------------------------
 
 // The scoring contract: the ascending indices i with
-// reprojection_error_sq(c_i) < thresh_sq, on the dispatched and the scalar
-// tier alike.
+// reprojection_error_sq(c_i) < thresh_sq, on every tier and the scalar
+// reference alike.
 std::vector<int> reference_inliers(const std::vector<Correspondence>& corr,
                                    const PinholeCamera& cam, const SE3& pose,
                                    double thresh_sq) {
@@ -396,7 +440,8 @@ std::vector<int> reference_inliers(const std::vector<Correspondence>& corr,
   return out;
 }
 
-void expect_scoring_matches_reference(const std::vector<Correspondence>& corr,
+void expect_scoring_matches_reference(const simd::KernelTable& tier,
+                                      const std::vector<Correspondence>& corr,
                                       const PinholeCamera& cam,
                                       const SE3& pose, double thresh_sq,
                                       const std::string& where) {
@@ -413,14 +458,14 @@ void expect_scoring_matches_reference(const std::vector<Correspondence>& corr,
   const std::vector<int> want = reference_inliers(corr, cam, pose, thresh_sq);
   std::vector<int> got(n), got_scalar(n);
   got.resize(
-      simd::reprojection_inliers(columns, pose, cam, thresh_sq, got.data()));
+      tier.reprojection_inliers(columns, pose, cam, thresh_sq, got.data()));
   got_scalar.resize(simd::reprojection_inliers_scalar(
       columns, pose, cam, thresh_sq, got_scalar.data()));
-  EXPECT_EQ(got, want) << where << " (dispatched)";
+  EXPECT_EQ(got, want) << where << " (tier)";
   EXPECT_EQ(got_scalar, want) << where << " (scalar)";
 }
 
-TEST(SimdParity, ReprojectionInliersEqualErrorLoop) {
+TEST_P(TierParity, ReprojectionInliersEqualErrorLoop) {
   std::mt19937_64 rng(23);
   auto uniform = [&](double lo, double hi) {
     return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
@@ -446,7 +491,7 @@ TEST(SimdParity, ReprojectionInliersEqualErrorLoop) {
       }
       for (const double thresh_sq : {9.0, 0.0, 1e13}) {
         expect_scoring_matches_reference(
-            corr, cam, pose,
+            tier(), corr, cam, pose,
             thresh_sq, "n=" + std::to_string(n) +
                            " thresh_sq=" + std::to_string(thresh_sq));
       }
@@ -454,7 +499,7 @@ TEST(SimdParity, ReprojectionInliersEqualErrorLoop) {
   }
 }
 
-TEST(SimdParity, ReprojectionInliersEdgeCases) {
+TEST_P(TierParity, ReprojectionInliersEdgeCases) {
   // Integral intrinsics, so the residuals below are exact.
   const PinholeCamera cam(500.0, 500.0, 320.0, 240.0, 640, 480);
   const SE3 identity;
@@ -474,17 +519,19 @@ TEST(SimdParity, ReprojectionInliersEdgeCases) {
   };
   const std::vector<int> want = {0, 3, 9};
   EXPECT_EQ(reference_inliers(corr, cam, identity, 9.0), want);
-  expect_scoring_matches_reference(corr, cam, identity, 9.0, "3 px gate");
+  expect_scoring_matches_reference(tier(), corr, cam, identity, 9.0,
+                                   "3 px gate");
   // Above the 1e12 sentinel the reference counts points behind the
   // camera (and at z == kMinDepth) as inliers; NaN depth stays out.
   const std::vector<int> want_huge = {0, 1, 2, 3, 4, 5, 9};
   EXPECT_EQ(reference_inliers(corr, cam, identity, 1e13), want_huge);
-  expect_scoring_matches_reference(corr, cam, identity, 1e13, "1e13 gate");
+  expect_scoring_matches_reference(tier(), corr, cam, identity, 1e13,
+                                   "1e13 gate");
   // Every lane position of the 4-wide tier, with the tail: rotate the set.
   for (std::size_t shift = 1; shift < 4; ++shift) {
     std::vector<Correspondence> rotated(corr.begin() + shift, corr.end());
     rotated.insert(rotated.end(), corr.begin(), corr.begin() + shift);
-    expect_scoring_matches_reference(rotated, cam, identity, 9.0,
+    expect_scoring_matches_reference(tier(), rotated, cam, identity, 9.0,
                                      "shift " + std::to_string(shift));
   }
 }
@@ -697,11 +744,39 @@ TEST(SimdParity, BuildCandidateSetIntoEdgePlacements) {
 }
 
 TEST(SimdParity, DispatchReportsConsistentIsa) {
-  const simd::IsaLevel isa = simd::active_isa();
+  using simd::IsaLevel;
+  const IsaLevel isa = simd::active_isa();
+  EXPECT_TRUE(simd::isa_supported(isa));
+  EXPECT_TRUE(simd::isa_supported(IsaLevel::kScalar));
+  // Each tier's CPU requirements include the ones of the tier below.
+  if (simd::isa_supported(IsaLevel::kAvx512)) {
+    EXPECT_TRUE(simd::isa_supported(IsaLevel::kAvx2));
+  }
+  // Dispatch takes the highest supported tier unless an override pins the
+  // scalar one.
+  IsaLevel highest = IsaLevel::kScalar;
+  for (const IsaLevel level : simd::kIsaLevels)
+    if (simd::isa_supported(level)) highest = level;
 #if defined(ESLAM_FORCE_SCALAR)
-  EXPECT_EQ(isa, simd::IsaLevel::kScalar);
+  EXPECT_EQ(isa, IsaLevel::kScalar);
+#else
+  const char* env = std::getenv("ESLAM_FORCE_SCALAR");
+  const bool forced = env != nullptr && env[0] != '\0' &&
+                      std::string(env) != "0";
+  EXPECT_EQ(isa, forced ? IsaLevel::kScalar : highest);
 #endif
-  EXPECT_NE(simd::isa_name(isa), nullptr);
+  // Distinct names; every supported tier has its kernel table.
+  for (const IsaLevel a : simd::kIsaLevels) {
+    EXPECT_STRNE(simd::isa_name(a), "?");
+    for (const IsaLevel b : simd::kIsaLevels) {
+      if (a != b) {
+        EXPECT_STRNE(simd::isa_name(a), simd::isa_name(b));
+      }
+    }
+    if (simd::isa_supported(a)) {
+      EXPECT_NE(simd::kernels(a).best_two_block, nullptr) << simd::isa_name(a);
+    }
+  }
 }
 
 }  // namespace
