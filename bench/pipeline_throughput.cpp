@@ -1,6 +1,7 @@
 // Measured counterpart of Figure 7 / Table 3: runs the same synthetic
 // sequence through the sequential schedule and through the concurrent
-// pipeline runtime (runtime/PipelineExecutor), and prints measured
+// pipeline runtime (runtime/TrackerScheduler, one session on one ARM
+// worker: the paper's two-lane pipeline), and prints measured
 // per-frame latency/throughput side-by-side with the analytic
 // pipeline_timeline model fed with the measured stage durations.
 //
@@ -27,7 +28,7 @@
 
 #include "bench_util.h"
 #include "obs/trace.h"
-#include "runtime/pipeline_executor.h"
+#include "runtime/tracker_scheduler.h"
 
 namespace {
 
@@ -58,6 +59,23 @@ TrackerOptions bench_tracker_options() {
 }
 
 int failures = 0;
+
+// The single-stream Figure-7 pipeline over one tracker.
+struct SingleStream {
+  explicit SingleStream(Tracker& tracker) {
+    SchedulerSessionOptions options;
+    options.record_events = true;  // the shape checks read the event log
+    session = scheduler.add_session(tracker, options);
+  }
+
+  std::vector<TrackResult> run(const std::vector<FrameInput>& frames) {
+    for (const FrameInput& f : frames) scheduler.feed(session, f);
+    return scheduler.drain(session);
+  }
+
+  TrackerScheduler scheduler{SchedulerOptions{/*arm_workers=*/1}};
+  SessionRef session;
+};
 
 void check(bool ok, const char* what) {
   std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
@@ -182,15 +200,15 @@ int main() {
 
   // --- pipelined run ------------------------------------------------------
   auto pipelined = make_tracker();
-  PipelineExecutor executor(*pipelined, PipelineOptions{});
+  SingleStream pipe(*pipelined);
   const WallTimer pipe_timer;
-  for (const FrameInput& f : frames) executor.feed(f);
-  const std::vector<TrackResult> results = executor.drain();
+  const std::vector<TrackResult> results = pipe.run(frames);
   const double pipe_wall_ms = pipe_timer.elapsed_ms();
 
-  const std::vector<StageEvent> events = executor.stage_events();
+  const std::vector<StageEvent> events =
+      pipe.scheduler.stage_events(pipe.session);
   const std::map<int, FrameEvents> by_frame = index_events(events);
-  const PipelineStats stats = executor.stats();
+  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
 
   // Steady-state per-frame latency: retire-to-retire interval, attributed
   // to the frame that retires.  Skip the two warmup frames.
@@ -291,11 +309,11 @@ int main() {
     const bool was = obs::trace_enabled();
     obs::set_trace_enabled(tracing_on);
     auto tracker = make_tracker();
-    PipelineExecutor ex(*tracker, PipelineOptions{});
-    for (const FrameInput& f : frames) ex.feed(f);
-    ex.drain();
+    SingleStream ab(*tracker);
+    ab.run(frames);
     obs::set_trace_enabled(was);
-    const std::map<int, FrameEvents> bf = index_events(ex.stage_events());
+    const std::map<int, FrameEvents> bf =
+        index_events(ab.scheduler.stage_events(ab.session));
     std::vector<double> ps;
     for (int n = 2; n < opts.frames; ++n)
       ps.push_back(bf.at(n).mu->end_ms - bf.at(n - 1).mu->end_ms);

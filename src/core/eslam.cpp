@@ -1,7 +1,5 @@
 #include "core/eslam.h"
 
-#include "geometry/assert.h"
-
 namespace eslam {
 
 namespace {
@@ -24,42 +22,10 @@ std::unique_ptr<FeatureBackend> make_backend(const SystemConfig& config) {
 System::System(const PinholeCamera& camera, const SystemConfig& config)
     : config_(config),
       tracker_(std::make_unique<Tracker>(camera, make_backend(config),
-                                         config.tracker)) {
-  if (config_.execution == ExecutionMode::kPipelined)
-    executor_ = std::make_unique<PipelineExecutor>(*tracker_,
-                                                   config_.pipeline);
-}
-
-System::~System() = default;
+                                         config.tracker)) {}
 
 TrackResult System::process(const FrameInput& frame) {
-  ESLAM_ASSERT(executor_ == nullptr,
-               "process() is sequential-only; pipelined systems use "
-               "feed()/poll()/drain()");
   return tracker_->process(frame);
-}
-
-void System::feed(FrameInput frame) {
-  if (executor_) {
-    executor_->feed(std::move(frame));
-    return;
-  }
-  pending_.push_back(tracker_->process(frame));
-}
-
-std::optional<TrackResult> System::poll() {
-  if (executor_) return executor_->poll();
-  if (pending_.empty()) return std::nullopt;
-  TrackResult r = std::move(pending_.front());
-  pending_.pop_front();
-  return r;
-}
-
-std::vector<TrackResult> System::drain() {
-  if (executor_) return executor_->drain();
-  std::vector<TrackResult> out(pending_.begin(), pending_.end());
-  pending_.clear();
-  return out;
 }
 
 std::vector<SE3> System::poses() const {

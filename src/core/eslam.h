@@ -1,6 +1,7 @@
 // eslam::System — the library's public entry point.
 //
-// Wraps the full heterogeneous pipeline of the paper behind one facade:
+// Wraps the full heterogeneous pipeline of the paper behind one
+// sequential facade:
 //
 //   eslam::SystemConfig cfg;
 //   cfg.platform = eslam::Platform::kAccelerated;   // FPGA simulation
@@ -11,43 +12,28 @@
 // Platform::kSoftware runs the pure-CPU ORB pipeline (the paper's ARM/i7
 // baseline); Platform::kAccelerated runs the cycle-simulated eSLAM fabric
 // for feature extraction/matching with the same ARM-side tracker.
+//
+// process() runs all five stages inline, one frame start-to-finish at a
+// time: the reference schedule.  Streaming through the concurrent
+// Figure-7 runtime (FE+FM of frame N+1 on the fabric lane while PE/PO/MU
+// of frame N run on the ARM side) is TrackerScheduler's job — one
+// add_session() on a one-worker scheduler for a single stream, or
+// SlamService for many — and reproduces process() bit-for-bit with the
+// local-mapping backend disabled.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "accel/backend_factory.h"
 #include "accel/eslam_accel.h"
 #include "accel/timing_model.h"
-#include "runtime/pipeline_executor.h"
 #include "slam/tracker.h"
 
 namespace eslam {
 
 // Platform (software vs simulated-FPGA backend) is defined in
 // accel/backend_factory.h, shared with the multi-session server layer.
-
-enum class ExecutionMode {
-  // process()/feed() run all five stages inline, one frame start-to-finish
-  // at a time.  The reference schedule: every other mode must reproduce
-  // its results bit-for-bit (with the local-mapping backend disabled —
-  // when TrackerOptions::backend.enabled is set, sequential mode runs BA
-  // jobs inline at keyframes, deterministically, while pipelined mode
-  // runs them on the scheduler's background lane, so delta timing may
-  // legitimately differ between the modes).
-  kSequential,
-  // feed() streams frames through the Figure-7 runtime.  Since the server
-  // layer (server/SlamService) was introduced, this is literally a
-  // single-session instance of the service's scheduler: System's
-  // PipelineExecutor wraps a TrackerScheduler with one registered tracker
-  // and a one-worker ARM pool, the same engine SlamService runs with N
-  // sessions and a wider pool.  A System is therefore "a SlamService of
-  // one" — code that outgrows one camera migrates to SlamService without
-  // changing its per-frame feed()/poll()/drain() calling pattern.
-  kPipelined,
-};
 
 struct SystemConfig {
   Platform platform = Platform::kAccelerated;
@@ -58,11 +44,6 @@ struct SystemConfig {
   HwExtractorConfig hw_extractor; // accelerated extractor settings
   HwMatcherConfig hw_matcher;
   TrackerOptions tracker;
-  // Execution of the five stages: sequential (one frame start-to-finish at
-  // a time) or the concurrent frame-level pipeline of Figure 7.  Both
-  // modes produce bit-identical poses for the same input order.
-  ExecutionMode execution = ExecutionMode::kSequential;
-  PipelineOptions pipeline;       // used when execution == kPipelined
 };
 
 struct SystemStats {
@@ -80,29 +61,12 @@ struct SystemStats {
 class System {
  public:
   System(const PinholeCamera& camera, const SystemConfig& config = {});
-  ~System();
 
   // Processes one RGB-D frame synchronously and returns the tracking
-  // result.  Only valid in ExecutionMode::kSequential — streaming systems
-  // must use feed()/poll()/drain() exclusively.
+  // result.
   TrackResult process(const FrameInput& frame);
 
-  // --- streaming API ------------------------------------------------------
-  // feed() accepts a frame for processing (blocking on back-pressure in
-  // pipelined mode); poll() returns the next completed result in feed
-  // order, if any; drain() blocks until every fed frame has completed and
-  // returns the not-yet-polled results.  In sequential mode feed()
-  // processes inline, so the same calling code runs in both modes.
-  void feed(FrameInput frame);
-  std::optional<TrackResult> poll();
-  std::vector<TrackResult> drain();
-
-  // The pipeline runtime, for stats / stage events (nullptr when
-  // execution == kSequential).
-  const PipelineExecutor* pipeline() const { return executor_.get(); }
-
   // Estimated camera-in-world poses so far (one per processed frame).
-  // In pipelined mode, only valid when quiescent (after drain()).
   std::vector<SE3> poses() const;
 
   const std::vector<TrackResult>& results() const {
@@ -111,7 +75,7 @@ class System {
   const Map& map() const { return tracker_->map(); }
   const SystemConfig& config() const { return config_; }
 
-  // Aggregated per-stage timing statistics (quiescent-only, like poses()).
+  // Aggregated per-stage timing statistics.
   SystemStats stats() const;
 
   // The underlying backend (e.g. to query accelerator cycle reports).
@@ -120,8 +84,6 @@ class System {
  private:
   SystemConfig config_;
   std::unique_ptr<Tracker> tracker_;
-  std::unique_ptr<PipelineExecutor> executor_;  // pipelined mode only
-  std::deque<TrackResult> pending_;  // sequential-mode poll() buffer
 };
 
 }  // namespace eslam

@@ -1,9 +1,7 @@
-// Lane abstraction shared by the Figure-7 runtime: which heterogeneous
-// unit executes a stage (the simulated FPGA fabric vs the ARM host), the
-// five pipeline stages, the timestamped stage-event record, and the
-// per-stream occupancy/progress statistics.  Both the single-stream
-// PipelineExecutor and the multi-session TrackerScheduler speak in these
-// terms, so stage logs from either are directly comparable.
+// Lane abstraction of the Figure-7 runtime (TrackerScheduler): which
+// heterogeneous unit executes a stage (the simulated FPGA fabric vs the
+// ARM host), the five pipeline stages, the timestamped stage-event
+// record, and the per-session occupancy/progress statistics.
 #pragma once
 
 namespace eslam {
@@ -33,10 +31,8 @@ struct StageEvent {
   bool speculative = false;
 };
 
-// Per-stream progress and lane-occupancy statistics.  For a
-// PipelineExecutor this covers its single stream; for a TrackerScheduler
-// session it covers that session only (lane busy-ms are the shared lane's
-// time spent on *this* stream's stages).
+// Per-session progress and lane-occupancy statistics (lane busy-ms are
+// the shared lane's time spent on *this* session's stages).
 struct PipelineStats {
   int frames_fed = 0;
   int frames_retired = 0;       // through map updating / commit
@@ -44,6 +40,8 @@ struct PipelineStats {
   int speculative_matches = 0;  // FM runs issued before the barrier cleared
   int replayed_matches = 0;     // ...of those, discarded by a key frame
   int rejected_feeds = 0;       // try_feed() calls bounced by back-pressure
+  int malformed_feeds = 0;      // frames refused: gray image not the
+                                //   session camera's width x height
   int device_dispatches = 0;    // device-lane scheduling turns consumed
   double fpga_busy_ms = 0;      // summed FE+FM wall time (lane occupancy)
   double arm_busy_ms = 0;       // summed PE+PO+MU wall time

@@ -1,5 +1,5 @@
 // Bounded single-producer / single-consumer ring for the pipeline stage
-// queues (runtime/pipeline_executor.*), modeling the FIFOs between the
+// queues (runtime/tracker_scheduler.*), modeling the FIFOs between the
 // FPGA fabric and the ARM host.
 //
 // All slot storage is allocated once at construction — the stage hot path

@@ -47,6 +47,7 @@ struct SchedulerSession {
   SchedulerSession(Tracker& tracker_, const SchedulerSessionOptions& opts_)
       : tracker(&tracker_),
         opts(opts_),
+        camera(tracker_.camera()),
         input_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))),
         handoff_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))) {
   }
@@ -56,6 +57,7 @@ struct SchedulerSession {
   SchedulerSession(Localizer& localizer_, const SchedulerSessionOptions& opts_)
       : localizer(&localizer_),
         opts(opts_),
+        camera(localizer_.camera()),
         input_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))),
         handoff_q(1) {}
 
@@ -64,6 +66,8 @@ struct SchedulerSession {
   Tracker* tracker = nullptr;
   Localizer* localizer = nullptr;
   SchedulerSessionOptions opts;
+  // The session camera: its image size is the only one feeds accept.
+  PinholeCamera camera;
 
   SpscRing<FrameInput> input_q;    // user -> device lane
   SpscRing<FrameState> handoff_q;  // device lane -> ARM pool
@@ -71,11 +75,11 @@ struct SchedulerSession {
   // Device-lane-private barrier slot: the frame whose authoritative FM is
   // waiting for the previous frame's retirement (or whose handoff is
   // waiting for ring space).  At most one frame per session sits here, so
-  // per-session device order is FIFO by construction.
+  // per-session device order is FIFO by construction.  A frame parked
+  // with pending_ready == false carries a speculative FM.
   std::optional<FrameState> pending;
   bool pending_ready = false;       // FM is authoritative; awaiting handoff
-  bool pending_speculated = false;  // pending FM ran speculatively
-  int pending_spec_event = -1;      // its event index, for replay marking
+  int pending_spec_event = -1;      // that FM's event index, for replay
 
   // Guarded by the scheduler-wide work_mutex_: how many handed-off frames
   // await ARM stages, and whether a worker currently owns this session.
@@ -92,6 +96,7 @@ struct SchedulerSession {
   std::atomic<int> frames_retired{0};
   std::atomic<int> frames_delivered{0};
   std::atomic<int> retired_through{-1};  // highest retired frame index
+  std::atomic<int> malformed_feeds{0};   // refused at the door
 
   // Finished results awaiting poll().  Unbounded on purpose: ARM workers
   // must never block on one session's poll cadence (that would eat a pool
@@ -136,13 +141,22 @@ std::uint64_t user_signal_snapshot(SchedulerSession& s) {
   return s.user_signal;
 }
 
+// True, and counted, when the frame's gray image is not the session
+// camera's size.
+bool refuse_malformed(SchedulerSession& s, const FrameInput& frame) {
+  if (frame.gray.width() == s.camera.width() &&
+      frame.gray.height() == s.camera.height())
+    return false;
+  s.malformed_feeds.fetch_add(1);
+  return true;
+}
+
 }  // namespace
 
 TrackerScheduler::TrackerScheduler(const SchedulerOptions& options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      backend_q_(std::max(1, options.backend_queue_capacity),
-                 options.backend_priority) {
+      backend_q_(std::max(1, options.backend_queue_capacity)) {
   const int workers = std::max(1, options_.arm_workers);
   // Resource-row trace tracks (one "scheduler" process: the shared device
   // lane plus each pool worker) and the scheduler-wide metrics.  All cold:
@@ -344,20 +358,20 @@ bool TrackerScheduler::push_input(const SessionRef& session,
 }
 
 bool TrackerScheduler::try_feed(const SessionRef& session, FrameInput frame) {
-  if (!session) return false;
+  if (!session || refuse_malformed(*session, frame)) return false;
   if (push_input(session, frame)) return true;
   const std::lock_guard<std::mutex> lock(session->stats_mutex);
   ++session->stats.rejected_feeds;
   return false;
 }
 
-void TrackerScheduler::feed(const SessionRef& session, FrameInput frame) {
-  if (!session) return;
+bool TrackerScheduler::feed(const SessionRef& session, FrameInput frame) {
+  if (!session || refuse_malformed(*session, frame)) return false;
   SchedulerSession& s = *session;
   for (;;) {
     const std::uint64_t seen = user_signal_snapshot(s);
-    if (push_input(session, frame)) return;
-    if (stop_.load()) return;  // teardown mid-feed: drop rather than hang
+    if (push_input(session, frame)) return true;
+    if (stop_.load()) return false;  // teardown mid-feed: drop, not hang
     // Park until the device lane frees a ring slot (it kicks on every
     // input pop) — a blocked feeder costs no CPU.
     std::unique_lock<std::mutex> lock(s.user_mutex);
@@ -420,6 +434,7 @@ PipelineStats TrackerScheduler::stats(const SessionRef& session) const {
     out = session->stats;
   }
   out.frames_retired = session->frames_retired.load();
+  out.malformed_feeds = session->malformed_feeds.load();
   out.wall_ms = now_ms();
   out.backend_concurrent_hwm = backend_concurrent_high_water();
   return out;
@@ -524,8 +539,7 @@ bool TrackerScheduler::device_step(const SessionRef& sp) {
     // published view instead of taking a lock — so one session's keyframe
     // insert no longer stalls FM dispatch for every session on this
     // shared lane.
-    if (s.opts.speculative_match)
-      run_device_stage(s, fs, PipeStage::kFeatureMatching, true);
+    run_device_stage(s, fs, PipeStage::kFeatureMatching, true);
     s.pending = std::move(fs);
     s.pending_ready = false;
   }
@@ -556,7 +570,6 @@ void TrackerScheduler::run_device_stage(SchedulerSession& s, FrameState& fs,
 #endif
   const int event = record(s, fs.index, PipeLane::kFpga, stage, t0, now_ms());
   if (speculative) {
-    s.pending_speculated = true;
     s.pending_spec_event = event;
     speculative_matches_total_->add();
     const std::lock_guard<std::mutex> lock(s.stats_mutex);
@@ -565,24 +578,21 @@ void TrackerScheduler::run_device_stage(SchedulerSession& s, FrameState& fs,
 }
 
 void TrackerScheduler::finalize_match(SchedulerSession& s, FrameState& fs) {
-  // The barrier is open: frame fs.index - 1 has retired.  A speculative
+  // The barrier is open: frame fs.index - 1 has retired.  The speculative
   // match is authoritative iff no structural map change intervened.
-  const bool speculation_holds =
-      s.pending_speculated && s.tracker->matches_current(fs);
-  if (!speculation_holds) {
-    if (s.pending_speculated) {
-      if (s.pending_spec_event >= 0) {
-        const std::lock_guard<std::mutex> lock(s.events_mutex);
-        s.events[static_cast<std::size_t>(s.pending_spec_event)].speculative =
-            true;
-      }
-      replayed_matches_total_->add();
+  if (!s.tracker->matches_current(fs)) {
+    if (s.pending_spec_event >= 0) {
+      const std::lock_guard<std::mutex> lock(s.events_mutex);
+      s.events[static_cast<std::size_t>(s.pending_spec_event)].speculative =
+          true;
+    }
+    replayed_matches_total_->add();
+    {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
       ++s.stats.replayed_matches;
     }
     run_device_stage(s, fs, PipeStage::kFeatureMatching, false);
   }
-  s.pending_speculated = false;
   s.pending_spec_event = -1;
 }
 

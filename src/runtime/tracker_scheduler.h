@@ -6,16 +6,16 @@
 // thread executes feature extraction + feature matching for every session
 // (the one fabric), and a fixed pool of *ARM worker* threads executes pose
 // estimation / pose optimization / map updating, at most one worker per
-// session at a time.  Per-session semantics are identical to the
-// single-stream PipelineExecutor:
+// session at a time.  With one session and one worker this is the
+// paper's original two-lane pipeline.  Per-session semantics:
 //
 //   * bounded SPSC input ring per session — a full ring is back-pressure
 //     for that session only;
 //   * the key-frame barrier is per-session: the authoritative FM of frame
 //     N+1 must see the session's map after MU of frame N.  While the
 //     barrier is closed the frame waits in a per-session pending slot
-//     (after an optional speculative FM, replayed if the epoch moved), and
-//     the device lane moves on to other sessions instead of blocking.
+//     (after a speculative FM, replayed if the epoch moved), and the
+//     device lane moves on to other sessions instead of blocking.
 //     FM itself is wait-free against every session's map writers: match()
 //     borrows the map's published MapReadView (slam/map_view.h) rather
 //     than locking, so a co-session's mid-flight update_map can never
@@ -54,6 +54,11 @@
 // When no session has runnable work the device lane parks on a condition
 // variable (kicked by feeds, retirements and session changes) — an idle
 // scheduler consumes no CPU.
+//
+// Frames are validated at the door: a frame whose gray image is not the
+// session camera's width x height is refused (feed/try_feed return false,
+// PipelineStats::malformed_feeds counts it) instead of reaching a stage
+// whose bounds assert would abort every session in the process.
 //
 // Threading contract: each session's feed/try_feed/poll/drain must be
 // driven by one thread at a time (different sessions may use different
@@ -122,17 +127,14 @@ struct SchedulerOptions {
   // tracker and re-offered at that session's next retirement, so overload
   // degrades to "backend laps less often", never to unbounded growth.
   int backend_queue_capacity = 16;
-  // Two-class priority discipline for the lane (loop verification pops
-  // before routine shard BA).  False = single FIFO; exists so the
-  // preemption benefit is measurable (bench_backend_ate A/Bs the two).
-  bool backend_priority = true;
 };
 
-// Per-session knobs (PipelineOptions is the single-stream alias of this).
+// Per-session knobs.
 struct SchedulerSessionOptions {
   int queue_capacity = 4;        // input + handoff ring depth
-  bool speculative_match = true; // FM before the barrier, replay on epoch
-  bool record_events = true;     // keep the per-stage event log
+  // Keep the per-stage event log (stage_events()).  Off by default: the
+  // log grows with stream length.
+  bool record_events = false;
   StagePacer pacer;              // optional platform-emulation padding
 };
 
@@ -163,12 +165,13 @@ class TrackerScheduler {
   void remove_session(const SessionRef& session);
 
   // Non-blocking feed; false when the session's input ring is full (that
-  // session's back-pressure).
+  // session's back-pressure) or the frame is malformed.
   bool try_feed(const SessionRef& session, FrameInput frame);
   // Blocking feed: waits for input-ring space.  Result delivery is
   // unbounded on the user side, so waiting here can never deadlock the
-  // lanes — back-pressure is governed by the input ring alone.
-  void feed(const SessionRef& session, FrameInput frame);
+  // lanes — back-pressure is governed by the input ring alone.  False,
+  // without waiting, for a malformed frame (or on teardown).
+  bool feed(const SessionRef& session, FrameInput frame);
 
   // Next result of this session in feed order, if one is ready.
   std::optional<TrackResult> poll(const SessionRef& session);
@@ -267,7 +270,7 @@ class TrackerScheduler {
   //
   // backend_q_ is the background-job lane: individual frozen backend jobs
   // awaiting a worker, two classes (loop verification pops before routine
-  // shard BA when backend_priority is set).  Workers always serve work_q_
+  // shard BA).  Workers always serve work_q_
   // (tracking stages) first — backend jobs have strictly lower priority,
   // so they only consume pool slack.  Unlike the old one-slot-per-session
   // lane, several jobs of one session may be queued and running at once:

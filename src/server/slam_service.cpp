@@ -53,9 +53,9 @@ bool SessionHandle::try_feed(FrameInput frame) {
   return service_->scheduler_.try_feed(session_->slot, std::move(frame));
 }
 
-void SessionHandle::feed(FrameInput frame) {
-  if (!service_) return;
-  service_->scheduler_.feed(session_->slot, std::move(frame));
+bool SessionHandle::feed(FrameInput frame) {
+  if (!service_) return false;
+  return service_->scheduler_.feed(session_->slot, std::move(frame));
 }
 
 std::optional<TrackResult> SessionHandle::poll() {
@@ -131,8 +131,7 @@ std::vector<TrackResult> SessionHandle::close() {
 SlamService::SlamService(const ServiceOptions& options)
     : options_(options),
       scheduler_(SchedulerOptions{std::max(1, options.arm_workers),
-                                  options.backend_queue_capacity,
-                                  options.backend_priority}) {
+                                  options.backend_queue_capacity}) {
   obs::MetricsRegistry& reg = obs::metrics();
   opened_mapping_total_ =
       &reg.counter("eslam_sessions_opened_total{kind=\"mapping\"}");
@@ -151,7 +150,6 @@ SessionHandle SlamService::open_session(const SessionConfig& config) {
 
   SchedulerSessionOptions scheduler_options;
   scheduler_options.queue_capacity = config.queue_capacity;
-  scheduler_options.speculative_match = config.speculative_match;
   scheduler_options.record_events = config.record_events;
   scheduler_options.pacer = config.pacer;
 

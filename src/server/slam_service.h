@@ -14,9 +14,10 @@
 // under round-robin fairness, while PE/PO/MU parallelize across sessions
 // up to the worker-pool width — at most one worker per session at a time,
 // so every session's results stay bit-identical to running that sequence
-// alone in ExecutionMode::kSequential.  Back-pressure is per session: one
+// alone through Tracker::process().  Back-pressure is per session: one
 // slow or stalled session fills only its own bounded input ring and never
-// blocks the lane for the others.
+// blocks the lane for the others.  A frame whose gray image is not the
+// session camera's size is refused at the door and counted, never run.
 //
 // Localization tier: a session opened with SessionKind::kLocalization
 // serves read-only against a FrozenMap loaded from a map snapshot instead
@@ -65,9 +66,6 @@ struct ServiceOptions {
   // loop-verification jobs awaiting pool slack); see
   // runtime/SchedulerOptions.
   int backend_queue_capacity = 16;
-  // Two-class priority discipline for the lane (loop verification pops
-  // before routine shard BA); see runtime/SchedulerOptions.
-  bool backend_priority = true;
 };
 
 // Everything one session needs: sensor, platform, tracker tuning, and its
@@ -89,7 +87,6 @@ struct SessionConfig {
   // (required — open_session asserts).
   std::shared_ptr<const FrozenMap> frozen_map;
   int queue_capacity = 4;         // this session's input/handoff ring depth
-  bool speculative_match = true;
   bool record_events = false;     // off by default: sessions are long-lived
   StagePacer pacer;               // platform-emulation padding (benches)
   // Overrides make_feature_backend(backend) when set — lets tests and
@@ -135,10 +132,13 @@ class SessionHandle {
   SessionKind kind() const;
 
   // Non-blocking feed; false on this session's back-pressure (input ring
-  // full) or on an invalid handle.
+  // full), on a malformed frame (gray image not the session camera's
+  // size; counted in PipelineStats::malformed_feeds) or on an invalid
+  // handle.
   bool try_feed(FrameInput frame);
   // Blocking feed (waits for ring space; other sessions are unaffected).
-  void feed(FrameInput frame);
+  // False, without waiting, on a malformed frame or an invalid handle.
+  bool feed(FrameInput frame);
   // Next result in feed order, if ready.
   std::optional<TrackResult> poll();
   // Blocks until every fed frame is delivered and this session's

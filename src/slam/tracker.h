@@ -160,6 +160,7 @@ class Tracker {
   const Map& map() const { return map_; }
   const std::vector<TrackResult>& trajectory() const { return trajectory_; }
   FeatureBackend& backend() { return *backend_; }
+  const PinholeCamera& camera() const { return camera_; }
   int frame_index() const { return frame_index_; }
 
   // --- local-mapping backend ---------------------------------------------

@@ -95,7 +95,6 @@ TEST(LoopReplay, PipelinedSpeculationAbsorbsLoopDeltas) {
   SessionConfig config;
   config.camera = seq.camera();
   config.tracker = loop_tracker_options();
-  config.speculative_match = true;
   config.backend_factory = [] {
     return std::make_unique<SoftwareBackend>(small_orb());
   };

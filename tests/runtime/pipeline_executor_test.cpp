@@ -1,17 +1,20 @@
-// Tests for the Figure-7 pipeline runtime: bounded SPSC queues, in-order
-// delivery, the keyframe barrier (no authoritative FM of frame N+1 before
-// map updating of frame N), end-to-end back-pressure, and bit-for-bit
-// equivalence of streaming vs synchronous execution.
-#include "runtime/pipeline_executor.h"
-
+// Tests for the single-stream Figure-7 pipeline — one session on a
+// one-worker TrackerScheduler, so FE+FM of frame N+1 run on the device
+// lane while PE/PO/MU of frame N run on the one ARM worker: bounded SPSC
+// queues, in-order delivery, the keyframe barrier (no authoritative FM of
+// frame N+1 before map updating of frame N), end-to-end back-pressure,
+// and bit-for-bit equivalence of streaming vs synchronous execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 
+#include "accel/backend_factory.h"
 #include "core/eslam.h"
 #include "dataset/sequence.h"
 #include "runtime/spsc_queue.h"
+#include "runtime/tracker_scheduler.h"
 
 namespace eslam {
 namespace {
@@ -60,23 +63,39 @@ TEST(SpscRing, TwoThreadStream) {
 
 // --- pipeline fixtures ----------------------------------------------------
 
-SystemConfig pipelined_config(Platform platform) {
-  SystemConfig cfg;
-  cfg.platform = platform;
-  cfg.execution = ExecutionMode::kPipelined;
-  return cfg;
+// The backend System builds for `platform` with default settings, so a
+// streamed tracker and a System reference see identical features.
+std::unique_ptr<Tracker> make_tracker(const SyntheticSequence& seq,
+                                      Platform platform,
+                                      const TrackerOptions& options = {}) {
+  BackendConfig backend;
+  backend.platform = platform;
+  backend.matcher = options.matcher;
+  return std::make_unique<Tracker>(seq.camera(), make_feature_backend(backend),
+                                   options);
 }
 
-std::vector<TrackResult> run_streaming(System& slam,
-                                       const SyntheticSequence& seq,
-                                       int frames) {
-  for (int i = 0; i < frames; ++i) slam.feed(seq.frame(i));
-  return slam.drain();
-}
+// One tracker streamed through a one-worker scheduler: the paper's
+// two-lane pipeline.
+struct SingleStream {
+  explicit SingleStream(Tracker& tracker,
+                        const SchedulerSessionOptions& options = {})
+      : session(scheduler.add_session(tracker, options)) {}
+
+  // Feeds frames [first, last) and drains them.
+  std::vector<TrackResult> run(const SyntheticSequence& seq, int first,
+                               int last) {
+    for (int i = first; i < last; ++i) scheduler.feed(session, seq.frame(i));
+    return scheduler.drain(session);
+  }
+
+  TrackerScheduler scheduler{SchedulerOptions{/*arm_workers=*/1}};
+  SessionRef session;
+};
 
 // --- equivalence ----------------------------------------------------------
 
-TEST(PipelineExecutor, StreamingMatchesSynchronousBitForBit) {
+TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
   SequenceOptions opts;
   opts.frames = 10;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
@@ -86,9 +105,9 @@ TEST(PipelineExecutor, StreamingMatchesSynchronousBitForBit) {
   System sync(seq.camera(), seq_cfg);
   for (int i = 0; i < opts.frames; ++i) sync.process(seq.frame(i));
 
-  System streamed(seq.camera(), pipelined_config(Platform::kAccelerated));
-  const std::vector<TrackResult> results =
-      run_streaming(streamed, seq, opts.frames);
+  const auto tracker = make_tracker(seq, Platform::kAccelerated);
+  SingleStream streamed(*tracker);
+  const std::vector<TrackResult> results = streamed.run(seq, 0, opts.frames);
 
   ASSERT_EQ(results.size(), sync.results().size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -106,32 +125,32 @@ TEST(PipelineExecutor, StreamingMatchesSynchronousBitForBit) {
     EXPECT_EQ(a.n_matches, b.n_matches) << "frame " << i;
     EXPECT_EQ(a.n_inliers, b.n_inliers) << "frame " << i;
   }
-  EXPECT_EQ(streamed.map().size(), sync.map().size());
+  EXPECT_EQ(tracker->map().size(), sync.map().size());
 }
 
 // --- in-order delivery & reuse -------------------------------------------
 
-TEST(PipelineExecutor, DeliversResultsInFeedOrderAndSurvivesDrain) {
+TEST(SingleStreamPipeline, DeliversResultsInFeedOrderAndSurvivesDrain) {
   SequenceOptions opts;
   opts.frames = 8;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  System slam(seq.camera(), pipelined_config(Platform::kSoftware));
+  const auto tracker = make_tracker(seq, Platform::kSoftware);
+  SingleStream pipe(*tracker);
 
-  const std::vector<TrackResult> first = run_streaming(slam, seq, 5);
+  const std::vector<TrackResult> first = pipe.run(seq, 0, 5);
   ASSERT_EQ(first.size(), 5u);
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(first[static_cast<std::size_t>(i)].timestamp, seq.timestamp(i));
 
   // The pipeline stays usable after a drain.
-  for (int i = 5; i < 8; ++i) slam.feed(seq.frame(i));
-  const std::vector<TrackResult> second = slam.drain();
+  const std::vector<TrackResult> second = pipe.run(seq, 5, 8);
   ASSERT_EQ(second.size(), 3u);
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(second[static_cast<std::size_t>(i)].timestamp,
               seq.timestamp(5 + i));
 
-  ASSERT_NE(slam.pipeline(), nullptr);
-  const PipelineStats stats = slam.pipeline()->stats();
+  ASSERT_EQ(pipe.scheduler.session_count(), 1);
+  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
   EXPECT_EQ(stats.frames_fed, 8);
   EXPECT_EQ(stats.frames_retired, 8);
   EXPECT_GT(stats.fpga_busy_ms, 0.0);
@@ -163,22 +182,24 @@ TrackerOptions slow_arm_options() {
   return opts;
 }
 
-TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
+TEST(SingleStreamPipeline, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   // Dense enough sampling that the room sweep stays trackable (see the
   // system_test note on kFr1Room) while still crossing the lowered
   // key-frame thresholds several times.
   SequenceOptions opts;
   opts.frames = 36;
   const SyntheticSequence seq(SequenceId::kFr1Room, opts);
-  SystemConfig cfg = pipelined_config(Platform::kSoftware);
-  cfg.tracker = slow_arm_options();
-  System slam(seq.camera(), cfg);
+  const auto tracker =
+      make_tracker(seq, Platform::kSoftware, slow_arm_options());
+  SchedulerSessionOptions session_opts;
+  session_opts.record_events = true;  // the barrier is read off the log
+  SingleStream pipe(*tracker, session_opts);
 
-  const std::vector<TrackResult> results =
-      run_streaming(slam, seq, opts.frames);
+  const std::vector<TrackResult> results = pipe.run(seq, 0, opts.frames);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(opts.frames));
 
-  const std::vector<StageEvent> events = slam.pipeline()->stage_events();
+  const std::vector<StageEvent> events =
+      pipe.scheduler.stage_events(pipe.session);
   auto find_event = [&](int frame, PipeStage stage) -> const StageEvent* {
     // The authoritative run is the last non-speculative event of a stage.
     const StageEvent* found = nullptr;
@@ -212,7 +233,7 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   // so the replay count is checked against the event log (each replay
   // marks exactly the FM run it superseded speculative), not against the
   // number of key frames.  The barrier check above holds either way.
-  const PipelineStats stats = slam.pipeline()->stats();
+  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
   int superseded_matches = 0;
   for (const StageEvent& e : events)
     if (e.stage == PipeStage::kFeatureMatching && e.speculative)
@@ -226,20 +247,20 @@ TEST(PipelineExecutor, KeyframeBarrierOrdersMatchAfterMapUpdate) {
 
 // --- back-pressure --------------------------------------------------------
 
-TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
+TEST(SingleStreamPipeline, BoundedQueuesRejectFeedsUnderBackPressure) {
   SequenceOptions opts;
   opts.frames = 12;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
-  cfg.orb.n_features = 400;
-  cfg.pipeline.queue_capacity = 1;
+  OrbConfig orb;
+  orb.n_features = 400;
+  const TrackerOptions tracker_opts{};
+  SchedulerSessionOptions session_opts;
+  session_opts.queue_capacity = 1;
 
   Tracker tracker(seq.camera(),
-                  std::make_unique<SoftwareBackend>(cfg.orb,
-                                                    cfg.tracker.matcher),
-                  cfg.tracker);
-  PipelineExecutor executor(tracker, cfg.pipeline);
+                  std::make_unique<SoftwareBackend>(orb, tracker_opts.matcher),
+                  tracker_opts);
+  SingleStream pipe(tracker, session_opts);
 
   // Feed without polling: the stages and 1-deep queues can hold only a
   // few frames, so immediate re-feeds must bounce.
@@ -247,7 +268,7 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   std::vector<int> accepted_frames;
   bool saw_rejection = false;
   for (int i = 0; i < opts.frames; ++i) {
-    if (executor.try_feed(seq.frame(i))) {
+    if (pipe.scheduler.try_feed(pipe.session, seq.frame(i))) {
       ++accepted;
       accepted_frames.push_back(i);
     } else {
@@ -257,19 +278,20 @@ TEST(PipelineExecutor, BoundedQueuesRejectFeedsUnderBackPressure) {
   EXPECT_TRUE(saw_rejection);
   EXPECT_LT(accepted, opts.frames);
 
-  const std::vector<TrackResult> results = executor.drain();
+  const std::vector<TrackResult> results =
+      pipe.scheduler.drain(pipe.session);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(accepted));
   // Accepted frames still come out in feed order.
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i].timestamp,
               seq.timestamp(accepted_frames[i]));
 
-  const PipelineStats stats = executor.stats();
+  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
   EXPECT_GT(stats.rejected_feeds, 0);
   EXPECT_EQ(stats.frames_fed, accepted);
   EXPECT_EQ(stats.frames_retired, accepted);
   // In-flight depth is bounded by the queues plus one frame per lane.
-  EXPECT_LE(stats.max_in_flight, 2 * cfg.pipeline.queue_capacity + 2);
+  EXPECT_LE(stats.max_in_flight, 2 * session_opts.queue_capacity + 2);
 }
 
 }  // namespace

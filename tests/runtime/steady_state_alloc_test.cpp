@@ -201,9 +201,7 @@ TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
   auto tracker = make_tracker(seq.camera());
 
   TrackerScheduler scheduler;
-  SchedulerSessionOptions session_opts;
-  session_opts.record_events = false;  // the event log grows per stage
-  const SessionRef session = scheduler.add_session(*tracker, session_opts);
+  const SessionRef session = scheduler.add_session(*tracker);
 
   // Warm-up in feed/poll lockstep (copies allocate here — that's fine).
   for (int i = 0; i < kWarmupFrames; ++i) {

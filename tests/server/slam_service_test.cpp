@@ -1,8 +1,9 @@
 // Tests for the multi-session serving layer: per-session results must be
 // bit-identical to a solo sequential run of the same stream, sessions must
-// be isolated (one stalled session's back-pressure never blocks another),
-// the device lane must dispatch fairly, and the open/close lifecycle must
-// leave the service reusable.
+// be isolated (one stalled session's back-pressure never blocks another,
+// one client's malformed frame never takes the process down), the device
+// lane must dispatch fairly, and the open/close lifecycle must leave the
+// service reusable.
 #include "server/slam_service.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "dataset/multi_sequence.h"
+#include "slam/map_snapshot.h"
 
 namespace eslam {
 namespace {
@@ -249,6 +251,65 @@ TEST(SlamService, StalledSessionDoesNotBlockOthers) {
   const std::vector<TrackResult> a_solo =
       solo_sequential(streams.stream(0), accepted_frames);
   expect_bit_identical(a_results, a_solo, "stalled session");
+}
+
+// --- malformed input -------------------------------------------------------
+
+TEST(SlamService, MalformedFramesAreRefusedAndSiblingsUnaffected) {
+  constexpr int kFrames = 6;
+  MultiSequenceOptions mopts;
+  mopts.streams = 2;
+  mopts.sequence.frames = kFrames;
+  const MultiSequenceSet streams(mopts);
+  const SyntheticSequence& healthy_seq = streams.stream(0);
+  const SyntheticSequence& target_seq = streams.stream(1);
+
+  // The localization session serves a map of the target stream itself.
+  BackendConfig backend;
+  backend.platform = Platform::kSoftware;
+  backend.orb = small_orb();
+  Tracker builder(target_seq.camera(), make_feature_backend(backend));
+  for (int f = 0; f < kFrames; ++f) builder.process(target_seq.frame(f));
+  SessionConfig loc_cfg = software_session(target_seq);
+  loc_cfg.kind = SessionKind::kLocalization;
+  loc_cfg.frozen_map = FrozenMap::from_snapshot(capture_snapshot(
+      builder.map(), builder.keyframe_graph(), target_seq.camera()));
+
+  SlamService service(ServiceOptions{/*arm_workers=*/2});
+  SessionHandle healthy = service.open_session(software_session(healthy_seq));
+  SessionHandle mapping = service.open_session(software_session(target_seq));
+  SessionHandle localization = service.open_session(loc_cfg);
+
+  // An empty frame, and a frame smaller than the session camera: both
+  // used to reach FE, whose row-bounds assert aborted every session.
+  FrameInput tiny;
+  tiny.gray = ImageU8(32, 24);
+  tiny.depth = ImageU16(32, 24);
+  for (int f = 0; f < kFrames; ++f) {
+    healthy.feed(healthy_seq.frame(f));
+    if (f != kFrames / 2) continue;
+    for (SessionHandle* target : {&mapping, &localization}) {
+      EXPECT_FALSE(target->try_feed(FrameInput{})) << "empty frame";
+      EXPECT_FALSE(target->feed(tiny)) << "32x24 frame";
+    }
+  }
+  // The refusals left both targets serving well-formed frames.
+  EXPECT_TRUE(mapping.feed(target_seq.frame(0)));
+  EXPECT_TRUE(localization.feed(target_seq.frame(0)));
+
+  expect_bit_identical(healthy.drain(),
+                       solo_sequential(healthy_seq, iota_frames(kFrames)),
+                       "healthy session");
+  expect_bit_identical(mapping.drain(), solo_sequential(target_seq, {0}),
+                       "mapping session after refusals");
+  EXPECT_EQ(localization.drain().size(), 1u);
+  for (const SessionHandle* target : {&mapping, &localization}) {
+    const PipelineStats stats = target->stats();
+    EXPECT_EQ(stats.malformed_feeds, 2);
+    EXPECT_EQ(stats.rejected_feeds, 0);  // refusals are not back-pressure
+    EXPECT_EQ(stats.frames_fed, 1);
+  }
+  EXPECT_EQ(healthy.stats().malformed_feeds, 0);
 }
 
 // --- fairness --------------------------------------------------------------
