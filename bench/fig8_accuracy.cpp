@@ -15,8 +15,8 @@ using namespace eslam;
 double run_mode(const SyntheticSequence& seq,
                 const std::vector<FrameInput>& frames, DescriptorMode mode) {
   SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
-  cfg.descriptor = mode;
+  cfg.backend.platform = Platform::kSoftware;
+  cfg.backend.descriptor = mode;
   System slam(seq.camera(), cfg);
   for (const FrameInput& f : frames) slam.process(f);
   std::vector<SE3> gt(seq.ground_truth().begin(),

@@ -15,8 +15,8 @@ std::vector<SE3> run_mode(const SyntheticSequence& seq,
                           const std::vector<FrameInput>& frames,
                           DescriptorMode mode, const char* tum_path) {
   SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
-  cfg.descriptor = mode;
+  cfg.backend.platform = Platform::kSoftware;
+  cfg.backend.descriptor = mode;
   System slam(seq.camera(), cfg);
   std::vector<TimedPose> tum;
   for (std::size_t i = 0; i < frames.size(); ++i) {

@@ -211,7 +211,8 @@ int main(int argc, char** argv) {
               loss_from + loss_count);
 
   // --- served run: loop jobs on the background lane -----------------------
-  int served_loops = 0, served_reloc = 0, served_jobs = 0;
+  RunOutcome served;
+  int served_jobs = 0;
   {
     SlamService service(ServiceOptions{/*arm_workers=*/2});
     SessionConfig config;
@@ -222,14 +223,14 @@ int main(int argc, char** argv) {
     };
     SessionHandle session = service.open_session(config);
     for (const FrameInput& f : frames) session.feed(f);
-    session.drain();
-    const PipelineStats stats = session.stats();
-    served_loops = stats.loops_closed;
-    served_reloc = stats.reloc_attempts;
-    served_jobs = stats.backend_jobs;
+    const std::vector<TrackResult> results = session.drain();
+    for (std::size_t i = 0; i < results.size(); ++i)
+      fold_result(served, results[i], static_cast<int>(i));
+    served_jobs = session.stats().backend_jobs;
     std::printf("served: %d backend jobs on the pool, %d loops closed, %d "
                 "reloc attempts (asynchronous timing — informational)\n\n",
-                served_jobs, served_loops, served_reloc);
+                served_jobs, served.loop_closed_frames,
+                served.reloc_attempts);
     session.close();
   }
 
@@ -255,7 +256,7 @@ int main(int argc, char** argv) {
   json.number("loss_reloc_index_recoveries", reloc.reloc_index_hits);
   json.number("loss_reloc_brute_fallbacks", reloc.reloc_fallbacks);
   json.number("loss_first_recovery_frame", reloc.first_recovered_frame);
-  json.number("served_loops_closed", served_loops);
+  json.number("served_loops_closed", served.loop_closed_frames);
   json.number("served_backend_jobs", served_jobs);
   json.write();
 

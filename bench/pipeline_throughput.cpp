@@ -157,7 +157,7 @@ int main() {
     return std::make_unique<Tracker>(
         seq.camera(),
         std::make_unique<bench::DeviceEmulationBackend>(
-            precomputed, topts.matcher, kDeviceFeMs, kDeviceFmFloorMs),
+            precomputed, MatcherOptions{}, kDeviceFeMs, kDeviceFmFloorMs),
         topts);
   };
 

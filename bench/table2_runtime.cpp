@@ -23,14 +23,14 @@ int main() {
 
   // Software pipeline, measured on the host.
   SystemConfig sw_cfg;
-  sw_cfg.platform = Platform::kSoftware;
+  sw_cfg.backend.platform = Platform::kSoftware;
   System sw(seq.camera(), sw_cfg);
   run_system(sw, frames);
   const StageDurations host = sw.stats().mean_times;
 
   // Accelerated pipeline: FE/FM are simulated cycles.
   SystemConfig hw_cfg;
-  hw_cfg.platform = Platform::kAccelerated;
+  hw_cfg.backend.platform = Platform::kAccelerated;
   System hw(seq.camera(), hw_cfg);
   run_system(hw, frames);
   const StageDurations accel = hw.stats().mean_times;

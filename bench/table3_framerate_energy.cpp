@@ -15,13 +15,13 @@ int main() {
   const auto frames = render_all(seq);
 
   SystemConfig sw_cfg;
-  sw_cfg.platform = Platform::kSoftware;
+  sw_cfg.backend.platform = Platform::kSoftware;
   System sw(seq.camera(), sw_cfg);
   run_system(sw, frames);
   const StageDurations host = sw.stats().mean_times;
 
   SystemConfig hw_cfg;
-  hw_cfg.platform = Platform::kAccelerated;
+  hw_cfg.backend.platform = Platform::kAccelerated;
   System hw(seq.camera(), hw_cfg);
   run_system(hw, frames);
   // eSLAM hybrid: FE/FM simulated on fabric, PE/PO/MU on the ARM -> model

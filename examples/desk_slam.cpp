@@ -26,8 +26,8 @@ eslam::AteResult run(const eslam::SyntheticSequence& sequence,
                      eslam::MapViewStats* view_stats) {
   using namespace eslam;
   SystemConfig config;
-  config.platform = Platform::kSoftware;
-  config.descriptor = mode;
+  config.backend.platform = Platform::kSoftware;
+  config.backend.descriptor = mode;
   System slam(sequence.camera(), config);
 
   std::vector<TimedPose> trajectory;

@@ -17,7 +17,7 @@ int main() {
   SyntheticSequence sequence(SequenceId::kFr1Xyz, seq_opts);
 
   SystemConfig config;
-  config.platform = Platform::kAccelerated;
+  config.backend.platform = Platform::kAccelerated;
   System slam(sequence.camera(), config);
 
   std::printf("eSLAM quickstart: %d frames of %s (synthetic)\n",

@@ -2,27 +2,10 @@
 
 namespace eslam {
 
-namespace {
-
-// Maps the facade config onto the shared per-session backend factory (the
-// same one server/SlamService uses to build each session's backend).
-std::unique_ptr<FeatureBackend> make_backend(const SystemConfig& config) {
-  BackendConfig backend;
-  backend.platform = config.platform;
-  backend.descriptor = config.descriptor;
-  backend.orb = config.orb;
-  backend.hw_extractor = config.hw_extractor;
-  backend.hw_matcher = config.hw_matcher;
-  backend.matcher = config.tracker.matcher;
-  return make_feature_backend(backend);
-}
-
-}  // namespace
-
 System::System(const PinholeCamera& camera, const SystemConfig& config)
     : config_(config),
-      tracker_(std::make_unique<Tracker>(camera, make_backend(config),
-                                         config.tracker)) {}
+      tracker_(std::make_unique<Tracker>(
+          camera, make_feature_backend(config.backend), config.tracker)) {}
 
 TrackResult System::process(const FrameInput& frame) {
   return tracker_->process(frame);

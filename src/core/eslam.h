@@ -4,7 +4,7 @@
 // sequential facade:
 //
 //   eslam::SystemConfig cfg;
-//   cfg.platform = eslam::Platform::kAccelerated;   // FPGA simulation
+//   cfg.backend.platform = eslam::Platform::kAccelerated;  // FPGA simulation
 //   eslam::System slam(eslam::PinholeCamera::tum_freiburg1(), cfg);
 //   for (auto& frame : frames) eslam::TrackResult r = slam.process(frame);
 //   auto ate = eslam::absolute_trajectory_error(slam.poses(), ground_truth);
@@ -32,17 +32,11 @@
 
 namespace eslam {
 
-// Platform (software vs simulated-FPGA backend) is defined in
-// accel/backend_factory.h, shared with the multi-session server layer.
-
+// The same backend + tracker pair as server/SessionConfig: the backend
+// half (platform, descriptor, extractor and matcher settings) goes to
+// make_feature_backend() in accel/backend_factory.h.
 struct SystemConfig {
-  Platform platform = Platform::kAccelerated;
-  // Descriptor for the software platform (the accelerator is RS-BRIEF by
-  // construction — that is the paper's point).
-  DescriptorMode descriptor = DescriptorMode::kRsBrief;
-  OrbConfig orb;                  // software extractor settings
-  HwExtractorConfig hw_extractor; // accelerated extractor settings
-  HwMatcherConfig hw_matcher;
+  BackendConfig backend;
   TrackerOptions tracker;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/hot_align.h"
 #include "features/simd_kernels.h"
 #include "geometry/assert.h"
 
@@ -30,9 +31,9 @@ inline void keep_best_candidate(int d, std::int32_t idx, Match& m) {
 
 // The brute-force/verification tier over query rows (features read in
 // place, or packed descriptors).
-void match_rows_into(DescriptorRows queries, const TrainView& train,
-                     const MatcherOptions& options, Arena* scratch,
-                     std::vector<Match>& out) {
+ESLAM_HOT_ALIGN void match_rows_into(
+    DescriptorRows queries, const TrainView& train,
+    const MatcherOptions& options, Arena* scratch, std::vector<Match>& out) {
   out.clear();
   if (train.empty()) return;
   Arena& arena = scratch != nullptr ? *scratch : fallback_arena();
@@ -200,11 +201,10 @@ void match_descriptors_into(std::span<const Descriptor256> queries,
   match_rows_into(descriptor_rows(queries), train, options, scratch, out);
 }
 
-void match_candidates_into(std::span<const Feature> queries,
-                           const TrainView& train,
-                           const CandidateSet& candidates,
-                           const MatcherOptions& options, Arena* scratch,
-                           std::vector<Match>& out) {
+ESLAM_HOT_ALIGN void match_candidates_into(
+    std::span<const Feature> queries, const TrainView& train,
+    const CandidateSet& candidates, const MatcherOptions& options,
+    Arena* scratch, std::vector<Match>& out) {
   ESLAM_ASSERT(candidates.num_queries() == queries.size(),
                "candidate set does not cover the query set");
   out.clear();

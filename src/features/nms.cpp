@@ -1,46 +1,14 @@
 #include "features/nms.h"
 
-#include <unordered_map>
-
 #include "geometry/assert.h"
 
 namespace eslam {
 
 std::vector<Keypoint> nms_3x3(const std::vector<Keypoint>& keypoints,
                               int width, int height) {
-  // Sparse score grid: keypoint density after FAST is typically << 1%, so a
-  // hash map beats a dense score image.
-  std::unordered_map<std::int64_t, std::size_t> grid;
-  grid.reserve(keypoints.size() * 2);
-  auto key = [width](int x, int y) {
-    return static_cast<std::int64_t>(y) * width + x;
-  };
-  for (std::size_t i = 0; i < keypoints.size(); ++i) {
-    const Keypoint& kp = keypoints[i];
-    ESLAM_ASSERT(kp.x >= 0 && kp.x < width && kp.y >= 0 && kp.y < height,
-                 "keypoint outside grid");
-    grid.emplace(key(kp.x, kp.y), i);
-  }
-
+  NmsScratch scratch;
   std::vector<Keypoint> out;
-  out.reserve(keypoints.size());
-  for (std::size_t i = 0; i < keypoints.size(); ++i) {
-    const Keypoint& kp = keypoints[i];
-    bool is_max = true;
-    for (int dy = -1; dy <= 1 && is_max; ++dy)
-      for (int dx = -1; dx <= 1 && is_max; ++dx) {
-        if (dx == 0 && dy == 0) continue;
-        const auto it = grid.find(key(kp.x + dx, kp.y + dy));
-        if (it == grid.end()) continue;
-        const Keypoint& other = keypoints[it->second];
-        // Strictly greater neighbour wins; equal score resolves by raster
-        // order (earlier keypoint survives).
-        if (other.score > kp.score ||
-            (other.score == kp.score && it->second < i))
-          is_max = false;
-      }
-    if (is_max) out.push_back(kp);
-  }
+  nms_3x3_into(keypoints, width, height, scratch, out);
   return out;
 }
 
@@ -54,14 +22,14 @@ void nms_3x3_into(const std::vector<Keypoint>& keypoints, int width,
     scratch.grid.assign(static_cast<std::size_t>(cells), -1);
   std::vector<std::int32_t>& grid = scratch.grid;
   auto key = [width](int x, int y) {
-    return static_cast<std::int64_t>(y) * width + x;
+    return static_cast<std::size_t>(static_cast<std::int64_t>(y) * width + x);
   };
-  // First keypoint at a pixel wins, matching the hash map's emplace.
+  // First keypoint at a pixel wins.
   for (std::size_t i = 0; i < keypoints.size(); ++i) {
     const Keypoint& kp = keypoints[i];
     ESLAM_ASSERT(kp.x >= 0 && kp.x < width && kp.y >= 0 && kp.y < height,
                  "keypoint outside grid");
-    std::int32_t& cell = grid[static_cast<std::size_t>(key(kp.x, kp.y))];
+    std::int32_t& cell = grid[key(kp.x, kp.y)];
     if (cell < 0) cell = static_cast<std::int32_t>(i);
   }
 
@@ -72,14 +40,13 @@ void nms_3x3_into(const std::vector<Keypoint>& keypoints, int width,
     for (int dy = -1; dy <= 1 && is_max; ++dy)
       for (int dx = -1; dx <= 1 && is_max; ++dx) {
         if (dx == 0 && dy == 0) continue;
-        // Same linear-key arithmetic as the hash-map path (including its
-        // row-wrap aliasing at x = 0 / x = width-1); keys outside [0,
-        // cells) were never inserted there, so they are skipped here.
-        const std::int64_t k = key(kp.x + dx, kp.y + dy);
-        if (k < 0 || k >= cells) continue;
-        const std::int32_t j = grid[static_cast<std::size_t>(k)];
+        const int nx = kp.x + dx, ny = kp.y + dy;
+        if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
+        const std::int32_t j = grid[key(nx, ny)];
         if (j < 0) continue;
         const Keypoint& other = keypoints[static_cast<std::size_t>(j)];
+        // Strictly greater neighbour wins; equal score resolves by raster
+        // order (earlier keypoint survives).
         if (other.score > kp.score ||
             (other.score == kp.score &&
              static_cast<std::size_t>(j) < i))
@@ -89,8 +56,7 @@ void nms_3x3_into(const std::vector<Keypoint>& keypoints, int width,
   }
 
   // Restore the touched cells so the next call starts empty.
-  for (const Keypoint& kp : keypoints)
-    grid[static_cast<std::size_t>(key(kp.x, kp.y))] = -1;
+  for (const Keypoint& kp : keypoints) grid[key(kp.x, kp.y)] = -1;
 }
 
 }  // namespace eslam

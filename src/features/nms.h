@@ -10,9 +10,10 @@
 namespace eslam {
 
 // Suppresses keypoints that are not the local score maximum.  `width` and
-// `height` bound the coordinate grid.  Ties are broken toward the earlier
-// (raster-order) keypoint, matching the streaming hardware which emits the
-// first maximal candidate it sees.
+// `height` bound the grid; neighbours outside it are skipped, never wrapped
+// to the adjacent row.  Ties are broken toward the earlier (raster-order)
+// keypoint, matching the streaming hardware which emits the first maximal
+// candidate it sees.
 std::vector<Keypoint> nms_3x3(const std::vector<Keypoint>& keypoints,
                               int width, int height);
 
@@ -23,7 +24,7 @@ struct NmsScratch {
   std::vector<std::int32_t> grid;
 };
 
-// Same suppression into recycled buffers, identical output to nms_3x3().
+// Same suppression into recycled buffers; nms_3x3() wraps it.
 void nms_3x3_into(const std::vector<Keypoint>& keypoints, int width,
                   int height, NmsScratch& scratch, std::vector<Keypoint>& out);
 

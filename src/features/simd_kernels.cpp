@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/hot_align.h"
 #include "geometry/assert.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -57,8 +58,9 @@ struct Projector {
 
 }  // namespace
 
-void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
-                           DescriptorRows queries, Match* out) {
+ESLAM_HOT_ALIGN void best_two_block_scalar(const DescriptorSoA& train,
+                                           std::size_t count,
+                                           DescriptorRows queries, Match* out) {
   const std::uint64_t* p0 = train.plane(0);
   const std::uint64_t* p1 = train.plane(1);
   const std::uint64_t* p2 = train.plane(2);
@@ -78,28 +80,26 @@ void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
   }
 }
 
-void hamming_gather_scalar(std::span<const Descriptor256> train,
-                           const Descriptor256& query,
-                           std::span<const std::int32_t> candidates,
-                           std::uint16_t* out_dist) {
+ESLAM_HOT_ALIGN void hamming_gather_scalar(
+    std::span<const Descriptor256> train, const Descriptor256& query,
+    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
   for (std::size_t j = 0; j < candidates.size(); ++j)
     out_dist[j] = static_cast<std::uint16_t>(hamming_distance(
         query, train[static_cast<std::size_t>(candidates[j])]));
 }
 
-Match best_two_rows_scalar(const Descriptor256& query, DescriptorRows rows) {
+ESLAM_HOT_ALIGN Match best_two_rows_scalar(const Descriptor256& query,
+                                           DescriptorRows rows) {
   Match m;
   for (std::size_t j = 0; j < rows.size(); ++j)
     keep_best_two(hamming_distance(query, rows[j]), static_cast<int>(j), m);
   return m;
 }
 
-void project_batch_scalar(std::span<const double> xs,
-                          std::span<const double> ys,
-                          std::span<const double> zs, const SE3& pose_cw,
-                          const PinholeCamera& camera, double margin,
-                          double* out_u, double* out_v,
-                          std::uint8_t* out_keep) {
+ESLAM_HOT_ALIGN void project_batch_scalar(
+    std::span<const double> xs, std::span<const double> ys,
+    std::span<const double> zs, const SE3& pose_cw, const PinholeCamera& camera,
+    double margin, double* out_u, double* out_v, std::uint8_t* out_keep) {
   const Projector projector(pose_cw, camera);
   const double u_min = -margin, u_max = camera.width() + margin;
   const double v_min = -margin, v_max = camera.height() + margin;
@@ -119,10 +119,9 @@ namespace {
 // reprojection_inliers() over [begin, columns.size()), writing absolute
 // indices.  The residual is squared and summed from zero like
 // Vec2::squared_norm, as in reprojection_error_sq().
-std::size_t reprojection_inliers_from(const ReprojectionColumns& columns,
-                                      std::size_t begin, const SE3& pose_cw,
-                                      const PinholeCamera& camera,
-                                      double thresh_sq, int* out_inliers) {
+ESLAM_HOT_ALIGN std::size_t reprojection_inliers_from(
+    const ReprojectionColumns& columns, std::size_t begin, const SE3& pose_cw,
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
   const Projector projector(pose_cw, camera);
   // reprojection_error_sq() scores a point behind the camera 1e12.
   const bool behind_is_inlier = 1e12 < thresh_sq;
@@ -144,10 +143,9 @@ std::size_t reprojection_inliers_from(const ReprojectionColumns& columns,
 
 }  // namespace
 
-std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
-                                        const SE3& pose_cw,
-                                        const PinholeCamera& camera,
-                                        double thresh_sq, int* out_inliers) {
+ESLAM_HOT_ALIGN std::size_t reprojection_inliers_scalar(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
   return reprojection_inliers_from(columns, 0, pose_cw, camera, thresh_sq,
                                    out_inliers);
 }
@@ -247,9 +245,9 @@ __attribute__((target("avx2,popcnt"))) inline int popcnt_distance(
 // every query's per-lane best/second registers.  The four lanes are merged
 // once at the end, then the count % 4 tail is folded in scalar.
 template <int Q>
-__attribute__((target("avx2,popcnt"))) void best_two_block_avx2_q(
-    const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
-    std::size_t first, Match* out) {
+ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void
+best_two_block_avx2_q(const DescriptorSoA& train, std::size_t count,
+                      DescriptorRows queries, std::size_t first, Match* out) {
   const std::uint64_t* plane[4] = {train.plane(0), train.plane(1),
                                    train.plane(2), train.plane(3)};
   const Descriptor256* q[Q];
@@ -295,7 +293,7 @@ __attribute__((target("avx2,popcnt"))) void best_two_block_avx2_q(
   }
 }
 
-__attribute__((target("avx2,popcnt"))) void best_two_block_avx2(
+ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void best_two_block_avx2(
     const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
     Match* out) {
   std::size_t i = 0;
@@ -305,7 +303,7 @@ __attribute__((target("avx2,popcnt"))) void best_two_block_avx2(
     best_two_block_avx2_q<1>(train, count, queries, i, out);
 }
 
-__attribute__((target("avx2,popcnt"))) void hamming_gather_avx2(
+ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void hamming_gather_avx2(
     std::span<const Descriptor256> train, const Descriptor256& query,
     std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
   for (std::size_t j = 0; j < candidates.size(); ++j)
@@ -313,7 +311,7 @@ __attribute__((target("avx2,popcnt"))) void hamming_gather_avx2(
         query, train[static_cast<std::size_t>(candidates[j])]));
 }
 
-__attribute__((target("avx2,popcnt"))) Match best_two_rows_avx2(
+ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) Match best_two_rows_avx2(
     const Descriptor256& query, DescriptorRows rows) {
   Match m;
   for (std::size_t j = 0; j < rows.size(); ++j)
@@ -370,11 +368,10 @@ struct LaneProjector {
   }
 };
 
-__attribute__((target("avx2"))) void project_batch_avx2(
+ESLAM_HOT_ALIGN __attribute__((target("avx2"))) void project_batch_avx2(
     std::span<const double> xs, std::span<const double> ys,
-    std::span<const double> zs, const SE3& pose_cw,
-    const PinholeCamera& camera, double margin, double* out_u, double* out_v,
-    std::uint8_t* out_keep) {
+    std::span<const double> zs, const SE3& pose_cw, const PinholeCamera& camera,
+    double margin, double* out_u, double* out_v, std::uint8_t* out_keep) {
   const LaneProjector projector(pose_cw, camera);
   const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
   const __m256d u_min = _mm256_set1_pd(-margin);
@@ -408,9 +405,10 @@ __attribute__((target("avx2"))) void project_batch_avx2(
 
 // Four correspondences per step; the residual is squared and summed from
 // zero like Vec2::squared_norm.
-__attribute__((target("avx2"))) std::size_t reprojection_inliers_avx2(
-    const ReprojectionColumns& columns, const SE3& pose_cw,
-    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
+ESLAM_HOT_ALIGN __attribute__((target("avx2"))) std::size_t
+reprojection_inliers_avx2(const ReprojectionColumns& columns,
+                          const SE3& pose_cw, const PinholeCamera& camera,
+                          double thresh_sq, int* out_inliers) {
   const LaneProjector projector(pose_cw, camera);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
@@ -514,11 +512,9 @@ ESLAM_TARGET_AVX512 inline void fold_block8(
 // Fused brute force for Q queries at once; the count % 8 tail is one
 // masked step, and the eight lanes merge once per query at the end.
 template <int Q>
-ESLAM_TARGET_AVX512 void best_two_block_avx512_q(const DescriptorSoA& train,
-                                                 std::size_t count,
-                                                 DescriptorRows queries,
-                                                 std::size_t first,
-                                                 Match* out) {
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 void best_two_block_avx512_q(
+    const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
+    std::size_t first, Match* out) {
   const std::uint64_t* plane[4] = {train.plane(0), train.plane(1),
                                    train.plane(2), train.plane(3)};
   __m512i qw[Q][4];
@@ -544,10 +540,9 @@ ESLAM_TARGET_AVX512 void best_two_block_avx512_q(const DescriptorSoA& train,
         match_from_lanes8(best[k], second[k]);
 }
 
-ESLAM_TARGET_AVX512 void best_two_block_avx512(const DescriptorSoA& train,
-                                               std::size_t count,
-                                               DescriptorRows queries,
-                                               Match* out) {
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 void best_two_block_avx512(
+    const DescriptorSoA& train, std::size_t count, DescriptorRows queries,
+    Match* out) {
   std::size_t i = 0;
   for (; i + 4 <= queries.size(); i += 4)
     best_two_block_avx512_q<4>(train, count, queries, i, out);
@@ -603,7 +598,7 @@ inline __mmask8 rows8(std::size_t j, std::size_t n, const Descriptor256& query,
   return first_lanes(n - j);
 }
 
-ESLAM_TARGET_AVX512 void hamming_gather_avx512(
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 void hamming_gather_avx512(
     std::span<const Descriptor256> train, const Descriptor256& query,
     std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
   const __m512i q = broadcast_rows(query);
@@ -625,8 +620,8 @@ ESLAM_TARGET_AVX512 void hamming_gather_avx512(
   }
 }
 
-ESLAM_TARGET_AVX512 Match best_two_rows_avx512(const Descriptor256& query,
-                                               DescriptorRows rows) {
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 Match best_two_rows_avx512(
+    const Descriptor256& query, DescriptorRows rows) {
   const __m512i q = broadcast_rows(query);
   __m512i best = _mm512_set1_epi64(static_cast<long long>(kNoKey));
   __m512i second = best;
@@ -691,34 +686,34 @@ const KernelTable& kernels(IsaLevel level) {
   return table_of(level);
 }
 
-void best_two_block(const DescriptorSoA& train, std::size_t count,
-                    DescriptorRows queries, Match* out) {
+ESLAM_HOT_ALIGN void best_two_block(const DescriptorSoA& train,
+                                    std::size_t count, DescriptorRows queries,
+                                    Match* out) {
   active_kernels().best_two_block(train, count, queries, out);
 }
 
-void hamming_gather(std::span<const Descriptor256> train,
-                    const Descriptor256& query,
-                    std::span<const std::int32_t> candidates,
-                    std::uint16_t* out_dist) {
+ESLAM_HOT_ALIGN void hamming_gather(
+    std::span<const Descriptor256> train, const Descriptor256& query,
+    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
   active_kernels().hamming_gather(train, query, candidates, out_dist);
 }
 
-Match best_two_rows(const Descriptor256& query, DescriptorRows rows) {
+ESLAM_HOT_ALIGN Match best_two_rows(const Descriptor256& query,
+                                    DescriptorRows rows) {
   return active_kernels().best_two_rows(query, rows);
 }
 
-void project_batch(std::span<const double> xs, std::span<const double> ys,
-                   std::span<const double> zs, const SE3& pose_cw,
-                   const PinholeCamera& camera, double margin, double* out_u,
-                   double* out_v, std::uint8_t* out_keep) {
+ESLAM_HOT_ALIGN void project_batch(
+    std::span<const double> xs, std::span<const double> ys,
+    std::span<const double> zs, const SE3& pose_cw, const PinholeCamera& camera,
+    double margin, double* out_u, double* out_v, std::uint8_t* out_keep) {
   active_kernels().project_batch(xs, ys, zs, pose_cw, camera, margin, out_u,
                                  out_v, out_keep);
 }
 
-std::size_t reprojection_inliers(const ReprojectionColumns& columns,
-                                 const SE3& pose_cw,
-                                 const PinholeCamera& camera,
-                                 double thresh_sq, int* out_inliers) {
+ESLAM_HOT_ALIGN std::size_t reprojection_inliers(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
   return active_kernels().reprojection_inliers(columns, pose_cw, camera,
                                                thresh_sq, out_inliers);
 }

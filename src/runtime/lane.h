@@ -47,35 +47,17 @@ struct PipelineStats {
   double arm_busy_ms = 0;       // summed PE+PO+MU wall time
   double wall_ms = 0;           // runtime lifetime so far
 
-  // Local-mapping backend (the background-job lane), per session:
+  // Local-mapping backend (the background-job lane), per session.  What
+  // the jobs did (BA vs loop jobs, loops applied, points culled) is the
+  // tracker's BackendStats; these count what only the scheduler sees.
   int backend_jobs = 0;           // backend jobs executed on the ARM pool
-  int backend_ba_jobs = 0;        // ...of those, routine shard-BA jobs
-  int backend_loop_jobs = 0;      // ...of those, loop-verification jobs
   int backend_jobs_rejected = 0;  // bounded background-queue overflow skips
   int backend_deltas_applied = 0; // deltas folded into the map at keyframes
   double backend_busy_ms = 0;     // summed job wall time (pool occupancy)
   // Queue latency per class: time from freeze-enqueue to a worker pop.
-  // Averages are <sum>/<class job count>; the max shows the worst stall a
-  // loop verification ate behind tracking work + queued BA.
+  // Averages divide by BackendStats' ba_jobs_run / loop_jobs_run.
   double backend_ba_queue_ms = 0;
   double backend_loop_queue_ms = 0;
-  double backend_loop_queue_max_ms = 0;
-  // Most backend jobs simultaneously running on the pool — scheduler-wide
-  // (not per session): the witness that disjoint shards overlap in time.
-  int backend_concurrent_hwm = 0;
-  // Map maintenance visibility, accumulated from retired TrackResults:
-  long long points_pruned = 0;        // age-pruned by map updating
-  long long backend_points_culled = 0;  // removed by BA (bad geometry)
-  long long backend_points_fused = 0;   // removed by BA (duplicates)
-
-  // Recovery/correction visibility, accumulated from retired TrackResults
-  // (a lost tracker used to burn full-map matches with no signal here):
-  int reloc_attempts = 0;   // post-loss frames that engaged the index tier
-  int reloc_succeeded = 0;  // ...that recovered a pose
-  int reloc_fallbacks = 0;  // ...where the index came up empty and the
-                            //    map-wide brute force ran instead
-  int loops_closed = 0;     // frames whose map update applied a verified
-                            //    loop-closure correction
 };
 
 }  // namespace eslam

@@ -22,27 +22,6 @@ const char* to_string(PipeStage stage) {
   return "?";
 }
 
-namespace {
-
-// Folds a retired frame's counters into its session's stats (caller holds
-// stats_mutex), so long-lived services see them without keeping every
-// TrackResult around.  A localization frame carries no map-maintenance,
-// backend or loop counters; only its relocalization outcome counts.
-void fold_result(PipelineStats& stats, const TrackResult& result) {
-  stats.points_pruned += result.n_points_pruned;
-  stats.backend_points_culled += result.n_points_culled;
-  stats.backend_points_fused += result.n_points_fused;
-  if (result.backend_applied) ++stats.backend_deltas_applied;
-  if (result.reloc_attempted) {
-    ++stats.reloc_attempts;
-    if (result.relocalized) ++stats.reloc_succeeded;
-    if (result.match_tier == MatchTier::kBruteForce) ++stats.reloc_fallbacks;
-  }
-  if (result.loop_closed) ++stats.loops_closed;
-}
-
-}  // namespace
-
 struct SchedulerSession {
   SchedulerSession(Tracker& tracker_, const SchedulerSessionOptions& opts_)
       : tracker(&tracker_),
@@ -156,7 +135,7 @@ bool refuse_malformed(SchedulerSession& s, const FrameInput& frame) {
 TrackerScheduler::TrackerScheduler(const SchedulerOptions& options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      backend_q_(std::max(1, options.backend_queue_capacity)) {
+      backend_q_(kBackendQueueCapacity) {
   const int workers = std::max(1, options_.arm_workers);
   // Resource-row trace tracks (one "scheduler" process: the shared device
   // lane plus each pool worker) and the scheduler-wide metrics.  All cold:
@@ -436,7 +415,6 @@ PipelineStats TrackerScheduler::stats(const SessionRef& session) const {
   out.frames_retired = session->frames_retired.load();
   out.malformed_feeds = session->malformed_feeds.load();
   out.wall_ms = now_ms();
-  out.backend_concurrent_hwm = backend_concurrent_high_water();
   return out;
 }
 
@@ -651,10 +629,6 @@ void TrackerScheduler::run_session_backend(const SessionRef& session,
   {
     const std::lock_guard<std::mutex> lock(s.stats_mutex);
     ++s.stats.backend_jobs;
-    if (entry.cls == BackendJobClass::kLoopVerify)
-      ++s.stats.backend_loop_jobs;
-    else
-      ++s.stats.backend_ba_jobs;
     s.stats.backend_busy_ms += elapsed;
   }
   {
@@ -703,13 +677,10 @@ void TrackerScheduler::arm_worker(int worker_index) {
         // pop() above.)
         const double waited = now_ms() - entry.enqueue_ms;
         const std::lock_guard<std::mutex> stats_lock(s.stats_mutex);
-        if (entry.cls == BackendJobClass::kLoopVerify) {
+        if (entry.cls == BackendJobClass::kLoopVerify)
           s.stats.backend_loop_queue_ms += waited;
-          s.stats.backend_loop_queue_max_ms =
-              std::max(s.stats.backend_loop_queue_max_ms, waited);
-        } else {
+        else
           s.stats.backend_ba_queue_ms += waited;
-        }
       }
     }
     if (backend_job) {
@@ -756,7 +727,6 @@ void TrackerScheduler::run_session_localization(const SessionRef& session) {
     {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
       s.stats.arm_busy_ms += end - t0;
-      fold_result(s.stats, result);
     }
     // Tier-wide lifetime counters (survive session close).
     if (result.reloc_attempted) {
@@ -818,9 +788,9 @@ void TrackerScheduler::run_session_arm(const SessionRef& session) {
     // tracker so begin_frame() on the device lane reuses the memory.
     s.tracker->recycle_frame(std::move(fs));
 
-    {
+    if (result.backend_applied) {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
-      fold_result(s.stats, result);
+      ++s.stats.backend_deltas_applied;
     }
 
     // A keyframe may have frozen backend jobs (shard BAs and/or a loop

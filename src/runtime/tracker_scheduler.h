@@ -118,15 +118,16 @@ using SessionRef = std::shared_ptr<SchedulerSession>;
 // as the slower platform's unit would be.  Return <= 0 for "no pacing".
 using StagePacer = std::function<double(PipeStage)>;
 
+// Bound on the background-job lane (frozen backend jobs awaiting a
+// worker, across all sessions and both classes).  An overflowing enqueue
+// is skipped and counted — the job is un-offered back to its tracker and
+// re-offered at that session's next retirement, so overload degrades to
+// "backend laps less often", never to unbounded growth.
+inline constexpr int kBackendQueueCapacity = 16;
+
 struct SchedulerOptions {
   // ARM worker pool size (the "ARM cores" serving all sessions).
   int arm_workers = 1;
-  // Bound on the background-job lane (frozen backend jobs awaiting a
-  // worker, across all sessions and both classes).  An overflowing
-  // enqueue is skipped and counted — the job is un-offered back to its
-  // tracker and re-offered at that session's next retirement, so overload
-  // degrades to "backend laps less often", never to unbounded growth.
-  int backend_queue_capacity = 16;
 };
 
 // Per-session knobs.
@@ -228,7 +229,7 @@ class TrackerScheduler {
   };
   // Takes every newly-frozen job ticket from the session's tracker and
   // queues each on the background lane (bounded by
-  // backend_queue_capacity; overflowing tickets are un-offered back).
+  // kBackendQueueCapacity; overflowing tickets are un-offered back).
   void enqueue_backend(const SessionRef& session);
   // Executes one background backend job (ARM worker context).
   void run_session_backend(const SessionRef& session,

@@ -130,8 +130,7 @@ std::vector<TrackResult> SessionHandle::close() {
 
 SlamService::SlamService(const ServiceOptions& options)
     : options_(options),
-      scheduler_(SchedulerOptions{std::max(1, options.arm_workers),
-                                  options.backend_queue_capacity}) {
+      scheduler_(SchedulerOptions{std::max(1, options.arm_workers)}) {
   obs::MetricsRegistry& reg = obs::metrics();
   opened_mapping_total_ =
       &reg.counter("eslam_sessions_opened_total{kind=\"mapping\"}");
@@ -198,7 +197,6 @@ ServiceStats SlamService::stats() const {
   s.sessions_open = scheduler_.session_count();
   s.localization_sessions_open = scheduler_.localization_session_count();
   s.mapping_sessions_open = s.sessions_open - s.localization_sessions_open;
-  s.arm_workers = std::max(1, options_.arm_workers);
   s.device_dispatches = scheduler_.total_dispatches();
   s.backend_concurrent_hwm = scheduler_.backend_concurrent_high_water();
   s.localization_coldstart_attempts =

@@ -62,10 +62,6 @@ enum class SessionKind { kMapping, kLocalization };
 struct ServiceOptions {
   // ARM worker pool width (how many sessions can be in PE/PO/MU at once).
   int arm_workers = 2;
-  // Bound on the shared background-job lane (frozen shard-BA and
-  // loop-verification jobs awaiting pool slack); see
-  // runtime/SchedulerOptions.
-  int backend_queue_capacity = 16;
 };
 
 // Everything one session needs: sensor, platform, tracker tuning, and its
@@ -102,7 +98,6 @@ struct ServiceStats {
   int localization_sessions_open = 0;
   int mapping_sessions_opened_total = 0;
   int localization_sessions_opened_total = 0;
-  int arm_workers = 0;
   std::int64_t device_dispatches = 0;  // across live sessions (fairness)
   // Most backend jobs ever simultaneously running on the pool, across all
   // sessions (shard-BA concurrency witness).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/hot_align.h"
 #include "features/grid_index.h"
 #include "features/simd_kernels.h"
 
@@ -83,14 +84,11 @@ GateResult build_candidate_set(std::span<const Vec3> map_positions,
   return out;
 }
 
-void build_candidate_set_into(std::span<const double> xs,
-                              std::span<const double> ys,
-                              std::span<const double> zs,
-                              const SE3& prior_pose_cw,
-                              const PinholeCamera& camera,
-                              const FeatureList& features,
-                              const MatchPolicy& policy, Arena* scratch,
-                              GateResult& out) {
+ESLAM_HOT_ALIGN void build_candidate_set_into(
+    std::span<const double> xs, std::span<const double> ys,
+    std::span<const double> zs, const SE3& prior_pose_cw,
+    const PinholeCamera& camera, const FeatureList& features,
+    const MatchPolicy& policy, Arena* scratch, GateResult& out) {
   const auto start = std::chrono::steady_clock::now();
   out.candidates.indices.clear();
   out.candidates.offsets.clear();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/hot_align.h"
 #include "geometry/umeyama.h"
 
 namespace eslam {
@@ -137,8 +138,8 @@ std::vector<double> solve_quartic(double a4, double a3, double a2, double a1,
   return roots;
 }
 
-std::vector<SE3> solve_p3p(const std::array<Vec3, 3>& world,
-                           const std::array<Vec3, 3>& rays) {
+ESLAM_HOT_ALIGN std::vector<SE3> solve_p3p(const std::array<Vec3, 3>& world,
+                                           const std::array<Vec3, 3>& rays) {
   const double a = (world[1] - world[2]).norm();
   const double b = (world[0] - world[2]).norm();
   const double c = (world[0] - world[1]).norm();
@@ -207,7 +208,7 @@ std::vector<SE3> solve_p3p(const std::array<Vec3, 3>& world,
   return poses;
 }
 
-std::optional<SE3> solve_p3p_with_check(
+ESLAM_HOT_ALIGN std::optional<SE3> solve_p3p_with_check(
     const std::array<Vec3, 4>& world, const std::array<Vec2, 4>& pixels,
     const PinholeCamera& camera) {
   const std::array<Vec3, 3> w3 = {world[0], world[1], world[2]};

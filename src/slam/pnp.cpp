@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/hot_align.h"
+
 namespace eslam {
 
 namespace {
@@ -18,7 +20,7 @@ struct NormalEquations {
 
 // One pass over the correspondences at `pose`.  Each entry is summed over
 // the points in order with the reference's operation order (see pnp.h).
-NormalEquations normal_equations(
+ESLAM_HOT_ALIGN NormalEquations normal_equations(
     std::span<const Correspondence> correspondences,
     const PinholeCamera& camera, const SE3& pose, double huber_delta) {
   const Mat3& rot = pose.rotation();
@@ -162,9 +164,10 @@ double reprojection_error_sq(const Correspondence& c,
   return (*proj - c.pixel).squared_norm();
 }
 
-PnpResult solve_pnp(std::span<const Correspondence> correspondences,
-                    const PinholeCamera& camera, const SE3& initial_pose,
-                    const PnpOptions& options) {
+ESLAM_HOT_ALIGN PnpResult solve_pnp(
+    std::span<const Correspondence> correspondences,
+    const PinholeCamera& camera, const SE3& initial_pose,
+    const PnpOptions& options) {
   ESLAM_ASSERT(correspondences.size() >= 3, "PnP needs >= 3 correspondences");
   PnpResult result;
   result.pose = initial_pose;

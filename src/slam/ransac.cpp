@@ -5,6 +5,7 @@
 #include <cmath>
 #include <random>
 
+#include "core/hot_align.h"
 #include "features/simd_kernels.h"
 #include "obs/metrics.h"
 #include "slam/sampling.h"
@@ -30,10 +31,10 @@ RansacResult ransac_pnp(std::span<const Correspondence> correspondences,
   return best;
 }
 
-void ransac_pnp_into(std::span<const Correspondence> correspondences,
-                     const PinholeCamera& camera, const SE3& prior_pose,
-                     const RansacOptions& options, Arena* scratch,
-                     RansacResult& out) {
+ESLAM_HOT_ALIGN void ransac_pnp_into(
+    std::span<const Correspondence> correspondences,
+    const PinholeCamera& camera, const SE3& prior_pose,
+    const RansacOptions& options, Arena* scratch, RansacResult& out) {
   RansacResult& best = out;
   best.pose = prior_pose;
   best.inliers.clear();

@@ -80,7 +80,6 @@ class SoftwareBackend final : public FeatureBackend {
 // Tracking tuning (TrackingOptions, shared with the Localizer) plus the
 // fields only map updating reads.
 struct TrackerOptions : TrackingOptions {
-  MatcherOptions matcher;
   KeyframeOptions keyframe;
   // Asynchronous local-mapping backend (keyframe graph + windowed BA);
   // disabled by default — the frontend is then bit-identical to a

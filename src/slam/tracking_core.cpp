@@ -52,8 +52,7 @@ void TrackingCore::extract(FrameState& fs, const ImageU8& gray) const {
 }
 
 bool TrackingCore::can_relocalize(const FrameState& fs) const {
-  return options_.reloc.use_index &&
-         static_cast<int>(fs.features.size()) >= options_.reloc.min_matches;
+  return static_cast<int>(fs.features.size()) >= options_.reloc.min_matches;
 }
 
 void TrackingCore::match(FrameState& fs, const MapReadView& view,
@@ -212,16 +211,15 @@ void TrackingCore::estimate_pose(FrameState& fs,
     // itself can be the problem after an abrupt motion change, and a
     // low-consensus "success" is often a degenerate pose on repetitive
     // texture rather than the true one.
-    if (options_.use_motion_model && motion_.have_velocity) {
+    if (motion_.have_velocity) {
       ransac_pnp_into(fs.correspondences, camera_, motion_.last_pose_cw,
                       options_.ransac, fs.arena.get(), fs.ransac_retry);
       if (fs.ransac_retry.inliers.size() > fs.ransac.inliers.size())
         std::swap(fs.ransac, fs.ransac_retry);
     }
   }
-  if (options_.relocalize_with_p3p &&
-      (!fs.ransac.success ||
-       static_cast<int>(fs.ransac.inliers.size()) < required_inliers)) {
+  if (!fs.ransac.success ||
+      static_cast<int>(fs.ransac.inliers.size()) < required_inliers) {
     // Relocalization: closed-form P3P hypotheses need no pose prior (a
     // cold localizer has none at all).
     RansacOptions reloc_opts = options_.ransac;
@@ -275,8 +273,7 @@ void TrackingCore::optimize_pose(FrameState& fs) const {
 }
 
 SE3 TrackingCore::predicted_pose_cw(int frames_ahead) const {
-  if (!options_.use_motion_model || !motion_.have_velocity)
-    return motion_.last_pose_cw;
+  if (!motion_.have_velocity) return motion_.last_pose_cw;
   // Constant velocity: T(t+1) ~ [T(t) T(t-1)^-1] T(t).
   const SE3 step = motion_.last_pose_cw * motion_.prev_pose_cw.inverse();
   SE3 pose = motion_.last_pose_cw;

@@ -155,11 +155,9 @@ struct TrackResult {
 // mapping Tracker engages it after persistent loss with the local-mapping
 // backend on (the keyframe graph + recognition index are its data); a
 // Localizer engages it whenever it has no pose, against the graph and index
-// its frozen map carries.  Without it — or before the graph holds
-// min_keyframes — a lost frame falls back to the map-wide brute-force scan.
+// its frozen map carries.  Before the graph holds min_keyframes, a lost
+// frame falls back to the map-wide brute-force scan.
 struct RelocOptions {
-  // Master switch for the indexed tier.
-  bool use_index = true;
   // Consecutive lost retirements before a mapping Tracker engages
   // recognition.  A momentary flake (a 1-2 frame RANSAC dropout) recovers
   // best through the existing motion-model path — its prior is still
@@ -247,13 +245,6 @@ struct TrackingOptions {
   // silently poisons the map (observed at 60; 400 keeps the gate honest
   // while still accepting overwhelming consensus on sparse match sets).
   int strong_consensus_inliers = 400;
-  // Constant-velocity motion model: seed RANSAC/PnP with the previous pose
-  // advanced by the last inter-frame motion instead of the raw previous
-  // pose.  Essential when inter-frame motion is large.
-  bool use_motion_model = true;
-  // When both prior-seeded RANSAC attempts fail, run a prior-free P3P
-  // RANSAC against the map (relocalization after tracking loss).
-  bool relocalize_with_p3p = true;
 };
 
 // Everything one frame carries between pipeline stages.  A mapping

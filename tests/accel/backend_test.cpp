@@ -4,7 +4,6 @@
 
 #include "../test_util.h"
 #include "accel/eslam_accel.h"
-#include "accel/resize_hw.h"
 #include "dataset/scene.h"
 
 namespace eslam {
@@ -55,25 +54,6 @@ TEST(AcceleratedBackend, MatchTimeScalesWithMap) {
   backend.match(queries, large);
   const double t_large = backend.last_match_time_ms();
   EXPECT_GT(t_large, t_small * 4);
-}
-
-TEST(ResizeHw, MatchesSoftwareNearestNeighbour) {
-  const ImageU8 img = rendered_frame();
-  ImageResizerHw hw;
-  const ImageU8 out = hw.resize(img, 266, 200);
-  EXPECT_EQ(out, resize_nearest(img, 266, 200));
-  EXPECT_EQ(hw.report().cycles, out.pixel_count());
-  EXPECT_EQ(hw.report().out_width, 266);
-}
-
-TEST(ResizeHw, NextLayerHidesUnderCurrentExtraction) {
-  // The Fig. 3 concurrency argument: resizing layer k+1 (output pixels)
-  // always fits inside streaming layer k (input pixels) for scale > 1.
-  const ImageU8 img(640, 480, 7);
-  ImageResizerHw hw;
-  hw.resize(img, 533, 400);
-  EXPECT_TRUE(ImageResizerHw::hidden_under_extraction(
-      hw.report().cycles, img.pixel_count()));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include "../test_util.h"
 #include "eval/ate.h"
 #include "eval/report.h"
-#include "eval/stats.h"
 
 namespace eslam {
 namespace {
@@ -78,24 +77,6 @@ TEST(Ate, VectorOverloadMatchesPoseOverload) {
       std::span<const Vec3>(est_t), std::span<const Vec3>(gt_t));
   EXPECT_DOUBLE_EQ(a.rmse, b.rmse);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
-}
-
-TEST(Stats, MeanMedianStddev) {
-  const std::vector<double> xs = {1, 2, 3, 4, 100};
-  EXPECT_DOUBLE_EQ(mean(xs), 22.0);
-  EXPECT_DOUBLE_EQ(median(xs), 3.0);
-  EXPECT_NEAR(stddev(xs), 43.62, 0.01);
-  const std::vector<double> even = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(median(even), 2.5);
-}
-
-TEST(Stats, Percentile) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  EXPECT_NEAR(percentile(xs, 50), 50.0, 1.0);
-  EXPECT_NEAR(percentile(xs, 95), 95.0, 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 100.0);
 }
 
 TEST(Report, TableFormatsAllRows) {

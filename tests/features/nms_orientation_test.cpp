@@ -56,6 +56,13 @@ TEST(Nms, ChainSuppression) {
   EXPECT_EQ(out[0].x, 12);
 }
 
+TEST(Nms, ImageEdgesDoNotWrapAcrossRows) {
+  // (0, 5) and (39, 4) are 39 pixels apart; a linear y * width + x key
+  // would read (39, 4) as the left neighbour of (0, 5).
+  const std::vector<Keypoint> in = {kp(39, 4, 100), kp(0, 5, 10)};
+  EXPECT_EQ(nms_3x3(in, 40, 40).size(), 2u);
+}
+
 TEST(Nms, MatchesBruteForceOracle) {
   eslam::testing::rng(17);
   std::vector<Keypoint> in;

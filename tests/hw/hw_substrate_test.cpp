@@ -3,38 +3,10 @@
 #include "hw/axi.h"
 #include "hw/clock.h"
 #include "hw/energy_model.h"
-#include "hw/fifo.h"
-#include "hw/fixed_point.h"
 #include "hw/resource_model.h"
 
 namespace eslam {
 namespace {
-
-TEST(FixedPoint, ConversionRoundTrips) {
-  const Q16 a = Q16::from_double(3.25);
-  EXPECT_DOUBLE_EQ(a.to_double(), 3.25);
-  EXPECT_EQ(a.to_int(), 3);
-  EXPECT_EQ(Q16::from_int(-7).to_int(), -7);
-  EXPECT_EQ(Q16::from_double(-1.5).to_double(), -1.5);
-}
-
-TEST(FixedPoint, Arithmetic) {
-  const Q16 a = Q16::from_double(1.5);
-  const Q16 b = Q16::from_double(2.25);
-  EXPECT_DOUBLE_EQ((a + b).to_double(), 3.75);
-  EXPECT_DOUBLE_EQ((b - a).to_double(), 0.75);
-  EXPECT_DOUBLE_EQ((a * 4).to_double(), 6.0);
-  EXPECT_DOUBLE_EQ(mul(a, b).to_double(), 3.375);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(a, Q16::from_double(1.5));
-}
-
-TEST(FixedPoint, RoundingOnConstruction) {
-  // from_double rounds to nearest raw LSB.
-  const double tiny = 1.0 / (1 << 20);  // below Q16 resolution / 2
-  EXPECT_EQ(Q16::from_double(tiny).raw(), 0);
-  EXPECT_EQ(Q16::from_double(1.0 / (1 << 17)).raw(), 1);  // rounds up to 0.5 LSB? exactly 0.5 -> 1
-}
 
 TEST(Clock, CycleMsConversions) {
   EXPECT_DOUBLE_EQ(cycles_to_ms(100000), 1.0);  // 100k cycles @ 100 MHz
@@ -46,23 +18,6 @@ TEST(Clock, CycleMsConversions) {
   EXPECT_DOUBLE_EQ(c.total_ms(), 1.0);
   c.reset();
   EXPECT_EQ(c.total(), 0u);
-}
-
-TEST(Fifo, PushPopOrder) {
-  BoundedFifo<int> fifo(4);
-  EXPECT_TRUE(fifo.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(fifo.push(i));
-  EXPECT_TRUE(fifo.full());
-  EXPECT_FALSE(fifo.push(99));
-  EXPECT_EQ(fifo.overflow_count(), 1u);
-  int v;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(fifo.pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(fifo.pop(v));
-  EXPECT_EQ(fifo.high_water(), 4u);
-  EXPECT_EQ(fifo.total_pushed(), 4u);
 }
 
 TEST(Axi, BurstCycleModel) {

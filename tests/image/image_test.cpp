@@ -6,7 +6,6 @@
 
 #include "../test_util.h"
 #include "image/draw.h"
-#include "image/integral.h"
 #include "image/pnm_io.h"
 
 namespace eslam {
@@ -97,31 +96,6 @@ TEST(PnmIo, RejectsWrongMagic) {
   }
   EXPECT_TRUE(read_pgm(path).empty());
   std::remove(path.c_str());
-}
-
-TEST(Integral, MatchesBruteForce) {
-  const ImageU8 img = eslam::testing::structured_test_image(31, 23, 3);
-  const IntegralImage integral(img);
-  eslam::testing::rng(9);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int x0 = static_cast<int>(eslam::testing::uniform(0, 30));
-    const int y0 = static_cast<int>(eslam::testing::uniform(0, 22));
-    const int x1 = x0 + static_cast<int>(eslam::testing::uniform(0, 30 - x0));
-    const int y1 = y0 + static_cast<int>(eslam::testing::uniform(0, 22 - y0));
-    std::int64_t expect = 0;
-    for (int y = y0; y <= y1; ++y)
-      for (int x = x0; x <= x1; ++x) expect += img.at(x, y);
-    EXPECT_EQ(integral.rect_sum(x0, y0, x1, y1), expect);
-  }
-}
-
-TEST(Integral, FullImageAndClamping) {
-  const ImageU8 img(8, 8, 3);
-  const IntegralImage integral(img);
-  EXPECT_EQ(integral.rect_sum(0, 0, 7, 7), 8 * 8 * 3);
-  // Out-of-range rectangles clamp to the image.
-  EXPECT_EQ(integral.rect_sum(-10, -10, 100, 100), 8 * 8 * 3);
-  EXPECT_EQ(integral.rect_sum(5, 5, 2, 2), 0);  // inverted
 }
 
 TEST(Draw, StaysInBounds) {

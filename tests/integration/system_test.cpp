@@ -28,7 +28,7 @@ SequenceOptions short_seq() {
 TEST(System, SoftwarePlatformTracksAccurately) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
   SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
+  cfg.backend.platform = Platform::kSoftware;
   System slam(seq.camera(), cfg);
   const AteResult ate = track_sequence(slam, seq, seq.size());
   EXPECT_LT(ate.rmse, 0.05);  // centimetre-level on clean synthetic data
@@ -38,7 +38,7 @@ TEST(System, SoftwarePlatformTracksAccurately) {
 TEST(System, AcceleratedPlatformTracksAccurately) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
   SystemConfig cfg;
-  cfg.platform = Platform::kAccelerated;
+  cfg.backend.platform = Platform::kAccelerated;
   System slam(seq.camera(), cfg);
   const AteResult ate = track_sequence(slam, seq, seq.size());
   EXPECT_LT(ate.rmse, 0.05);
@@ -47,7 +47,7 @@ TEST(System, AcceleratedPlatformTracksAccurately) {
 TEST(System, AcceleratedTimesAreSimulatedNotWallClock) {
   const SyntheticSequence seq(SequenceId::kFr1Desk, short_seq());
   SystemConfig cfg;
-  cfg.platform = Platform::kAccelerated;
+  cfg.backend.platform = Platform::kAccelerated;
   System slam(seq.camera(), cfg);
   for (int i = 0; i < 4; ++i) slam.process(seq.frame(i));
   const SystemStats stats = slam.stats();
@@ -67,8 +67,8 @@ TEST(System, BothDescriptorModesWork) {
   for (DescriptorMode mode :
        {DescriptorMode::kRsBrief, DescriptorMode::kOrbLut}) {
     SystemConfig cfg;
-    cfg.platform = Platform::kSoftware;
-    cfg.descriptor = mode;
+    cfg.backend.platform = Platform::kSoftware;
+    cfg.backend.descriptor = mode;
     System slam(seq.camera(), cfg);
     const AteResult ate = track_sequence(slam, seq, 12);
     EXPECT_LT(ate.rmse, 0.08) << "mode " << static_cast<int>(mode);
@@ -78,7 +78,7 @@ TEST(System, BothDescriptorModesWork) {
 TEST(System, StatsAggregateSensibly) {
   const SyntheticSequence seq(SequenceId::kFr2Xyz, short_seq());
   SystemConfig cfg;
-  cfg.platform = Platform::kAccelerated;
+  cfg.backend.platform = Platform::kAccelerated;
   System slam(seq.camera(), cfg);
   for (int i = 0; i < 10; ++i) slam.process(seq.frame(i));
   const SystemStats stats = slam.stats();
@@ -98,7 +98,7 @@ TEST(System, KeyframesUpdateMap) {
   opts.frames = 36;
   const SyntheticSequence seq(SequenceId::kFr1Room, opts);
   SystemConfig cfg;
-  cfg.platform = Platform::kSoftware;
+  cfg.backend.platform = Platform::kSoftware;
   System slam(seq.camera(), cfg);
   const std::size_t after_bootstrap = [&] {
     slam.process(seq.frame(0));
@@ -125,8 +125,8 @@ TEST(System, PosesMatchResultsTrajectory) {
 TEST(System, BackendNamesReflectPlatform) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
   SystemConfig sw_cfg, hw_cfg;
-  sw_cfg.platform = Platform::kSoftware;
-  hw_cfg.platform = Platform::kAccelerated;
+  sw_cfg.backend.platform = Platform::kSoftware;
+  hw_cfg.backend.platform = Platform::kAccelerated;
   System sw(seq.camera(), sw_cfg), hw(seq.camera(), hw_cfg);
   EXPECT_STREQ(sw.backend().name(), "software");
   EXPECT_STREQ(hw.backend().name(), "eslam-accel");

@@ -111,18 +111,21 @@ TEST(LoopReplay, PipelinedSpeculationAbsorbsLoopDeltas) {
   const PipelineStats stats = session.stats();
   const backend::BackendStats backend = session.backend_stats();
   EXPECT_GE(backend.loops_detected, 1);
-  EXPECT_GE(stats.loops_closed, 1);
-  EXPECT_EQ(stats.loops_closed, backend.loops_applied);
+  EXPECT_GE(backend.loops_applied, 1);
 
   // Tracking survived: the epoch rule replayed every speculative match
   // that a correction (or keyframe) invalidated — a missed replay would
   // have tripped the tracker's stale-match assertion and aborted.
-  int lost = 0;
-  for (const TrackResult& r : results) lost += r.lost;
+  int lost = 0, reloc_fallbacks = 0;
+  for (const TrackResult& r : results) {
+    lost += r.lost;
+    if (r.reloc_attempted && r.match_tier == MatchTier::kBruteForce)
+      ++reloc_fallbacks;
+  }
   EXPECT_LT(lost, kFrames / 5);
   EXPECT_GE(stats.speculative_matches, stats.replayed_matches);
   // Recovery never degraded to the map-wide brute-force fallback.
-  EXPECT_EQ(stats.reloc_fallbacks, 0);
+  EXPECT_EQ(reloc_fallbacks, 0);
   session.close();
 }
 

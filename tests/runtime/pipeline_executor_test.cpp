@@ -70,7 +70,6 @@ std::unique_ptr<Tracker> make_tracker(const SyntheticSequence& seq,
                                       const TrackerOptions& options = {}) {
   BackendConfig backend;
   backend.platform = platform;
-  backend.matcher = options.matcher;
   return std::make_unique<Tracker>(seq.camera(), make_feature_backend(backend),
                                    options);
 }
@@ -101,7 +100,7 @@ TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
 
   SystemConfig seq_cfg;
-  seq_cfg.platform = Platform::kAccelerated;
+  seq_cfg.backend.platform = Platform::kAccelerated;
   System sync(seq.camera(), seq_cfg);
   for (int i = 0; i < opts.frames; ++i) sync.process(seq.frame(i));
 
@@ -257,8 +256,7 @@ TEST(SingleStreamPipeline, BoundedQueuesRejectFeedsUnderBackPressure) {
   SchedulerSessionOptions session_opts;
   session_opts.queue_capacity = 1;
 
-  Tracker tracker(seq.camera(),
-                  std::make_unique<SoftwareBackend>(orb, tracker_opts.matcher),
+  Tracker tracker(seq.camera(), std::make_unique<SoftwareBackend>(orb),
                   tracker_opts);
   SingleStream pipe(tracker, session_opts);
 

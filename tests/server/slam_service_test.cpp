@@ -61,7 +61,6 @@ SessionConfig software_session(const SyntheticSequence& seq,
   config.camera = seq.camera();
   config.backend.platform = Platform::kSoftware;
   config.backend.orb = small_orb();
-  config.backend.matcher = tracker.matcher;
   config.tracker = tracker;
   return config;
 }
@@ -72,7 +71,6 @@ std::vector<TrackResult> solo_sequential(const SyntheticSequence& seq,
   BackendConfig backend;
   backend.platform = Platform::kSoftware;
   backend.orb = small_orb();
-  backend.matcher = tracker.matcher;
   Tracker solo(seq.camera(), make_feature_backend(backend), tracker);
   std::vector<TrackResult> results;
   for (int i : frames) results.push_back(solo.process(seq.frame(i)));
