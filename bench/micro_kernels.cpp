@@ -2,18 +2,18 @@
 // BENCH_micro_kernels.json (uploaded by CI's bench-smoke job) so the
 // matching tiers' cost is tracked per run:
 //
-//   * gate build: the projection gate's candidate lists at ~3k and ~6k
+//   * gate build: the projection gate's candidate windows at ~3k and ~6k
 //     projected points x 1024 features, hot-path builder vs the GridIndex2d
-//     reference, plus the gated Hamming work on the lists it built;
+//     reference, plus the gated matching over the windows it built;
 //   * brute force at 1024 x 6140: the dispatched fused kernel (SoA) vs the
 //     AoS reference;
 //   * verification matching at 1024 x 1881 (cross-checked, no SoA planes —
 //     the relocalization and loop-closure shape): dispatched vs the AoS
 //     reference;
 //   * the three Hamming kernels on every tier the host supports (the
-//     tier_<isa>_* keys): brute force, the gated lists of both gate sizes
-//     and the verification shape, each checked against the scalar tier
-//     first.  The other keys describe the dispatched tier (`isa`);
+//     tier_<isa>_* keys): brute force, the window scan over both gate
+//     sizes and the verification shape, each checked against the scalar
+//     tier first.  The other keys describe the dispatched tier (`isa`);
 //   * batched map-point projection, scalar vs dispatched;
 //   * pose estimation at 1000 correspondences: the 4-point RANSAC
 //     hypothesis solve, the 10-iteration refit on the inliers and the
@@ -227,13 +227,12 @@ int main() {
       const GateResult reference =
           build_candidate_set(positions, pose, cam, features, policy);
       require(out.projected == reference.projected, "gate projected count");
+      std::vector<std::int32_t> list, ref;
       for (std::size_t q = 0; q < features.size(); ++q) {
-        const auto list = out.candidates.candidates(q);
-        std::vector<std::int32_t> sorted(list.begin(), list.end());
-        std::sort(sorted.begin(), sorted.end());
-        const auto ref = reference.candidates.candidates(q);
-        require(sorted == std::vector<std::int32_t>(ref.begin(), ref.end()),
-                "gate candidate set vs reference");
+        out.candidates.expand(q, list);
+        reference.candidates.expand(q, ref);
+        std::sort(list.begin(), list.end());
+        require(list == ref, "gate candidate set vs reference");
       }
       const MatcherOptions options;
       std::vector<Match> gated, gated_ref;
@@ -258,32 +257,33 @@ int main() {
       const double per_feature =
           static_cast<double>(out.candidates.total_candidates()) / kFeatures;
       std::printf("gate_build     projected=%5d x %d features  build %6.3f ms"
-                  "  reference %6.3f ms  gated hamming %6.3f ms  "
+                  "  reference %6.3f ms  gated matching %6.3f ms  "
                   "(%.1f candidates/feature)\n",
                   out.projected, kFeatures, build_ms, reference_ms,
                   hamming_ms, per_feature);
 
-      // The gather kernel alone over every feature's list, per tier.
-      const CandidateSet& lists = out.candidates;
-      std::vector<std::uint16_t> dist(lists.total_candidates());
-      std::vector<std::uint16_t> dist_scalar(dist.size());
-      const auto gather_all = [&](const simd::KernelTable& tier,
-                                  std::vector<std::uint16_t>& d) {
-        for (std::size_t q = 0; q < features.size(); ++q)
-          tier.hamming_gather(
-              train, features[q].descriptor, lists.candidates(q),
-              d.data() + static_cast<std::size_t>(lists.offsets[q]));
-      };
-      gather_all(simd::kernels(simd::IsaLevel::kScalar), dist_scalar);
+      // The window scan alone over every feature's window, per tier.
+      const CandidateSet& set = out.candidates;
+      std::vector<Descriptor256> rows(set.num_slots() + simd::kSlotRowPad);
+      for (std::size_t s = 0; s < set.num_slots(); ++s)
+        rows[s] = train[static_cast<std::size_t>(set.slot_train[s])];
+      std::vector<Match> best(features.size()), best_scalar(features.size());
+      simd::best_two_windows_scalar(set, rows.data(),
+                                    descriptor_rows(features),
+                                    best_scalar.data());
       const std::string size_tag = target == 3000 ? "3k" : "6k";
-      std::printf("  gather kernel, %s projected:", size_tag.c_str());
+      std::printf("  window scan, %s projected:", size_tag.c_str());
       for (const simd::IsaLevel level : tiers) {
         const simd::KernelTable& tier = simd::kernels(level);
-        gather_all(tier, dist);
-        require(dist == dist_scalar, "hamming_gather tier vs scalar");
-        const double ms = time_ms(reps, [&] { gather_all(tier, dist); });
+        tier.best_two_windows(set, rows.data(), descriptor_rows(features),
+                              best.data());
+        require_same_matches(best, best_scalar, "window scan tier vs scalar");
+        const double ms = time_ms(reps, [&] {
+          tier.best_two_windows(set, rows.data(), descriptor_rows(features),
+                                best.data());
+        });
         std::printf("  %s %6.3f ms", simd::isa_name(level), ms);
-        json.number(tier_key(level, "gather_" + size_tag + "_ms"), ms);
+        json.number(tier_key(level, "windows_" + size_tag + "_ms"), ms);
       }
       std::printf("\n");
       gate_rows.push_back({static_cast<double>(out.projected), build_ms,

@@ -64,13 +64,14 @@ std::vector<Match> BriefMatcherHw::match_candidates(
   out.reserve(queries.size());
   if (map_descriptors.empty()) return out;
 
-  // Functional result: running minimum over each candidate list; the list
-  // arrives in ascending map order, so ties resolve exactly as the full
+  // Functional result: running minimum over each query's candidate list,
+  // whose tie rule (lower map index wins) resolves ties exactly as the full
   // scan's lowest-index rule.
   const std::uint64_t p = static_cast<std::uint64_t>(config_.parallelism);
   std::uint64_t compute = 0;
+  std::vector<std::int32_t> list;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::span<const std::int32_t> list = candidates.candidates(i);
+    candidates.expand(i, list);
     Match m = match_one_candidates(queries[i], map_descriptors, list);
     m.query = static_cast<int>(i);
     out.push_back(m);

@@ -9,11 +9,11 @@
 // Two modes share the datapath:
 //   * full scan (match): every query against every map descriptor — the
 //     load streams the whole map once, compute is |q| * ceil(m/P) cycles;
-//   * gated (match_candidates): the host's projection gate uploads
-//     per-query candidate index lists, and the fabric gathers only those
-//     descriptors — compute is sum_q max(1, ceil(|cand_q|/P)) cycles and
-//     the SDRAM load shrinks to the candidate descriptors plus the index
-//     lists themselves, so simulated FPGA time reflects the reduced
+//   * gated (match_candidates): the host uploads each query's candidate
+//     index list (its gate window, expanded), and the fabric gathers only
+//     those descriptors — compute is sum_q max(1, ceil(|cand_q|/P)) cycles
+//     and the SDRAM load shrinks to the candidate descriptors plus the
+//     index lists themselves, so simulated FPGA time reflects the reduced
 //     workload.
 #pragma once
 
@@ -55,9 +55,10 @@ class BriefMatcherHw {
   std::vector<Match> match(std::span<const Descriptor256> queries,
                            std::span<const Descriptor256> map_descriptors);
 
-  // Gated mode: each query scans only its candidate list (ascending map
-  // indices).  Functionally identical to match_one_candidates() for every
-  // query; a query with an empty list reports train == -1.
+  // Gated mode: each query scans only its candidate list
+  // (CandidateSet::expand()).  Functionally identical to
+  // match_one_candidates() for every query; a query with an empty list
+  // reports train == -1.
   std::vector<Match> match_candidates(
       std::span<const Descriptor256> queries,
       std::span<const Descriptor256> map_descriptors,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geometry/assert.h"
 
@@ -64,30 +65,49 @@ std::vector<KeyframeScore> KeyframeIndex::query(
   if (descriptors.empty() || words_by_kf_.empty() || max_results <= 0)
     return ranked;
 
-  const double n_keyframes = static_cast<double>(words_by_kf_.size());
-  std::unordered_map<int, double> votes;
-  votes.reserve(words_by_kf_.size());
+  // Votes go to a dense array over the live id range, each keyframe's in
+  // the order the scan meets them (descriptor, chunk, posting); `touched`
+  // lists the keyframes voted for.  Every idf is positive, so a zero vote
+  // is a keyframe not yet touched.
+  int first_id = std::numeric_limits<int>::max(), last_id = 0;
+  for (const auto& [id, words] : words_by_kf_) {
+    first_id = std::min(first_id, id);
+    last_id = std::max(last_id, id);
+  }
+  std::vector<double> votes(static_cast<std::size_t>(last_id - first_id) + 1,
+                            0.0);
+  std::vector<int> touched;
+  // Rare words are discriminative; a word present in every keyframe
+  // carries no recognition signal (the textbook idf weighting).  A
+  // posting lists each live keyframe at most once, so its length indexes
+  // this table.
+  const std::size_t n_keyframes = words_by_kf_.size();
+  std::vector<double> idf_of_length(n_keyframes + 1);
+  for (std::size_t len = 1; len <= n_keyframes; ++len)
+    idf_of_length[len] = std::log(1.0 + static_cast<double>(n_keyframes) /
+                                            static_cast<double>(len));
   std::uint32_t w[kChunksPerDescriptor];
   for (const Descriptor256& d : descriptors) {
     words_of(d, w);
     for (int c = 0; c < kChunksPerDescriptor; ++c) {
       const auto posting = postings_.find(w[c]);
       if (posting == postings_.end()) continue;
-      // Rare words are discriminative; a word present in every keyframe
-      // carries no recognition signal (the textbook idf weighting).
-      const double idf = std::log(
-          1.0 + n_keyframes / static_cast<double>(posting->second.size()));
-      for (const int kf : posting->second)
-        votes[kf] += idf;
+      const double idf = idf_of_length[posting->second.size()];
+      for (const int kf : posting->second) {
+        double& vote = votes[static_cast<std::size_t>(kf - first_id)];
+        if (vote == 0.0) touched.push_back(kf);
+        vote += idf;
+      }
     }
   }
 
-  ranked.reserve(votes.size());
-  for (const auto& [kf, mass] : votes) {
+  ranked.reserve(touched.size());
+  for (const int kf : touched) {
     const auto words = words_by_kf_.find(kf);
     const double norm =
         1.0 + static_cast<double>(words->second.size());
-    ranked.push_back({kf, mass / norm});
+    ranked.push_back(
+        {kf, votes[static_cast<std::size_t>(kf - first_id)] / norm});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const KeyframeScore& a, const KeyframeScore& b) {

@@ -29,6 +29,47 @@ inline void keep_best_candidate(int d, std::int32_t idx, Match& m) {
   }
 }
 
+// Cross-check's back side over the candidate graph: each train point's
+// best query and runner-up distance.  Fed in ascending query order, the
+// order match_one() scans the queries in for the back match, so the lower
+// query wins a tie.
+struct BackMatches {
+  std::span<int> best_d, second_d;
+  std::span<std::int32_t> best_q;
+
+  void add(int d, std::size_t t, std::size_t q) {
+    if (d < best_d[t]) {
+      second_d[t] = best_d[t];
+      best_d[t] = d;
+      best_q[t] = static_cast<std::int32_t>(q);
+    } else if (d < second_d[t]) {
+      second_d[t] = d;
+    }
+  }
+};
+
+// The gated tier's acceptance of each query's best candidate forward[q];
+// `back` is null unless cross-checking.
+void accept_candidates(std::span<const Match> forward, const BackMatches* back,
+                       const MatcherOptions& options, std::vector<Match>& out) {
+  out.reserve(forward.size());
+  for (std::size_t q = 0; q < forward.size(); ++q) {
+    Match m = forward[q];
+    m.query = static_cast<int>(q);
+    if (m.train < 0 || m.distance > options.max_distance) continue;
+    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
+      continue;
+    if (back != nullptr) {
+      const std::size_t t = static_cast<std::size_t>(m.train);
+      if (back->best_q[t] != static_cast<std::int32_t>(q)) continue;
+      if (options.ratio < 1.0 &&
+          !(back->best_d[t] < options.ratio * back->second_d[t]))
+        continue;
+    }
+    out.push_back(m);
+  }
+}
+
 // The brute-force/verification tier over query rows (features read in
 // place, or packed descriptors).
 ESLAM_HOT_ALIGN void match_rows_into(
@@ -67,6 +108,46 @@ ESLAM_HOT_ALIGN void match_rows_into(
 }
 
 }  // namespace
+
+void CandidateSet::expand(std::size_t q, std::vector<std::int32_t>& out) const {
+  out.clear();
+  for (const SlotRun& run : runs_of(q))
+    for (std::int32_t s = run.begin; s < run.end; ++s)
+      if (in_window(q, static_cast<std::size_t>(s)))
+        out.push_back(slot_train[static_cast<std::size_t>(s)]);
+}
+
+std::size_t CandidateSet::total_candidates() const {
+  std::size_t total = 0;
+  for (std::size_t q = 0; q < num_queries(); ++q)
+    for (const SlotRun& run : runs_of(q))
+      for (std::int32_t s = run.begin; s < run.end; ++s)
+        total += in_window(q, static_cast<std::size_t>(s)) ? 1 : 0;
+  return total;
+}
+
+void CandidateSet::clear() {
+  slot_train.clear();
+  slot_u.clear();
+  slot_v.clear();
+  query_u.clear();
+  query_v.clear();
+  run_offsets.clear();
+  runs.clear();
+  radius = 0;
+}
+
+void CandidateSet::add_list(std::span<const std::int32_t> train) {
+  if (run_offsets.empty()) run_offsets.push_back(0);
+  const auto begin = static_cast<std::int32_t>(slot_train.size());
+  slot_train.insert(slot_train.end(), train.begin(), train.end());
+  slot_u.resize(slot_train.size(), 0.0);
+  slot_v.resize(slot_train.size(), 0.0);
+  query_u.push_back(0.0);
+  query_v.push_back(0.0);
+  runs.push_back({begin, static_cast<std::int32_t>(slot_train.size())});
+  run_offsets.push_back(static_cast<std::int32_t>(runs.size()));
+}
 
 Match match_one(const Descriptor256& query,
                 std::span<const Descriptor256> train) {
@@ -137,53 +218,29 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
   std::vector<Match> out;
   if (train.empty() || queries.empty()) return out;
 
-  // Forward pass: per-query best/second over its candidate list.  When
-  // cross-checking, track each train point's best/second query over the
-  // same candidate graph in the same pass — queries arrive in ascending
-  // order, which is the scan order match_one() would use for the back
-  // match, whatever the order inside each list.
+  // Forward pass: per-query best/second over its candidate list, and the
+  // back side over the same candidate graph when cross-checking.
   std::vector<Match> forward(queries.size());
-  std::vector<int> train_best_d, train_second_d;
-  std::vector<std::int32_t> train_best_q;
+  std::vector<int> best_d, second_d;
+  std::vector<std::int32_t> best_q;
   if (options.cross_check) {
-    train_best_d.assign(train.size(), 256);
-    train_second_d.assign(train.size(), 256);
-    train_best_q.assign(train.size(), -1);
+    best_d.assign(train.size(), 256);
+    second_d.assign(train.size(), 256);
+    best_q.assign(train.size(), -1);
   }
+  BackMatches back{best_d, second_d, best_q};
+  std::vector<std::int32_t> list;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    for (const std::int32_t idx : candidates.candidates(q)) {
+    candidates.expand(q, list);
+    for (const std::int32_t idx : list) {
       const int d =
           hamming_distance(queries[q], train[static_cast<std::size_t>(idx)]);
       keep_best_candidate(d, idx, forward[q]);
-      if (options.cross_check) {
-        const std::size_t t = static_cast<std::size_t>(idx);
-        if (d < train_best_d[t]) {
-          train_second_d[t] = train_best_d[t];
-          train_best_d[t] = d;
-          train_best_q[t] = static_cast<std::int32_t>(q);
-        } else if (d < train_second_d[t]) {
-          train_second_d[t] = d;
-        }
-      }
+      if (options.cross_check) back.add(d, static_cast<std::size_t>(idx), q);
     }
   }
-
-  out.reserve(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    Match m = forward[q];
-    m.query = static_cast<int>(q);
-    if (m.train < 0 || m.distance > options.max_distance) continue;
-    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
-      continue;
-    if (options.cross_check) {
-      const std::size_t t = static_cast<std::size_t>(m.train);
-      if (train_best_q[t] != static_cast<std::int32_t>(q)) continue;
-      if (options.ratio < 1.0 &&
-          !(train_best_d[t] < options.ratio * train_second_d[t]))
-        continue;
-    }
-    out.push_back(m);
-  }
+  accept_candidates(forward, options.cross_check ? &back : nullptr, options,
+                    out);
   return out;
 }
 
@@ -212,60 +269,40 @@ ESLAM_HOT_ALIGN void match_candidates_into(
   Arena& arena = scratch != nullptr ? *scratch : fallback_arena();
   const ArenaScope scope(arena);
 
-  std::size_t max_list = 0;
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    max_list = std::max(max_list, candidates.candidates(q).size());
-  const std::span<std::uint16_t> dist =
-      arena.alloc_span<std::uint16_t>(max_list);
+  // Each slot's descriptor in slot order, so a run is a block of
+  // contiguous rows, with the zeroed tail the window kernels read past a
+  // run's end.
+  const std::size_t slots = candidates.num_slots();
+  const std::size_t padded = slots + simd::kSlotRowPad;
+  auto* const rows = static_cast<Descriptor256*>(
+      arena.allocate(padded * sizeof(Descriptor256), 64));
+  for (std::size_t s = 0; s < slots; ++s)
+    rows[s] = train.aos[static_cast<std::size_t>(candidates.slot_train[s])];
+  std::fill(rows + slots, rows + padded, Descriptor256{});
 
-  const std::span<Match> forward = arena.alloc_span<Match>(
-      queries.size(), Match{});
-  std::span<int> train_best_d, train_second_d;
-  std::span<std::int32_t> train_best_q;
+  const std::span<Match> forward = arena.alloc_span<Match>(queries.size());
+  simd::best_two_windows(candidates, rows, descriptor_rows(queries),
+                         forward.data());
+
+  // Cross-check: the back side over the same candidate graph.
+  BackMatches back;
   if (options.cross_check) {
-    train_best_d = arena.alloc_span<int>(train.size(), 256);
-    train_second_d = arena.alloc_span<int>(train.size(), 256);
-    train_best_q = arena.alloc_span<std::int32_t>(train.size(), -1);
-  }
-
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const std::span<const std::int32_t> list = candidates.candidates(q);
-    if (list.empty()) continue;
-    simd::hamming_gather(train.aos, queries[q].descriptor, list, dist.data());
-    Match& m = forward[q];
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      const int d = dist[j];
-      const std::int32_t idx = list[j];
-      keep_best_candidate(d, idx, m);
-      if (options.cross_check) {
-        const std::size_t t = static_cast<std::size_t>(idx);
-        if (d < train_best_d[t]) {
-          train_second_d[t] = train_best_d[t];
-          train_best_d[t] = d;
-          train_best_q[t] = static_cast<std::int32_t>(q);
-        } else if (d < train_second_d[t]) {
-          train_second_d[t] = d;
+    back = {arena.alloc_span<int>(train.size(), 256),
+            arena.alloc_span<int>(train.size(), 256),
+            arena.alloc_span<std::int32_t>(train.size(), -1)};
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (const SlotRun& run : candidates.runs_of(q)) {
+        for (std::int32_t s = run.begin; s < run.end; ++s) {
+          const auto slot = static_cast<std::size_t>(s);
+          if (!candidates.in_window(q, slot)) continue;
+          back.add(hamming_distance(queries[q].descriptor, rows[slot]),
+                   static_cast<std::size_t>(candidates.slot_train[slot]), q);
         }
       }
     }
   }
-
-  out.reserve(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    Match m = forward[q];
-    m.query = static_cast<int>(q);
-    if (m.train < 0 || m.distance > options.max_distance) continue;
-    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
-      continue;
-    if (options.cross_check) {
-      const std::size_t t = static_cast<std::size_t>(m.train);
-      if (train_best_q[t] != static_cast<std::int32_t>(q)) continue;
-      if (options.ratio < 1.0 &&
-          !(train_best_d[t] < options.ratio * train_second_d[t]))
-        continue;
-    }
-    out.push_back(m);
-  }
+  accept_candidates(forward, options.cross_check ? &back : nullptr, options,
+                    out);
 }
 
 }  // namespace eslam

@@ -5,16 +5,17 @@
 //     all train descriptors, keep the minimum-distance candidate (paper
 //     section 3.2).  This is the bootstrap/relocalization/fallback tier.
 //   * match_candidates(): windowed search — each query scans only its
-//     candidate list (built by the slam/match_gate projection gate), with
-//     identical acceptance semantics (max_distance, ratio, cross-check)
-//     restricted to the candidate graph.
+//     candidates (the CandidateSet the slam/match_gate projection gate
+//     hands over), with identical acceptance semantics (max_distance,
+//     ratio, cross-check) restricted to the candidate graph.
 //
 // Equal distances go to the lower train index on every path: the brute
 // scan meets indices in ascending order and keeps the first minimum, and
 // the candidate consumers apply the rule explicitly, so their result does
-// not depend on the order of a candidate list.
+// not depend on the order in which a query's candidates are visited.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,26 +50,66 @@ struct MatcherOptions {
   bool cross_check = false;
 };
 
-// Per-query candidate lists in CSR form: the candidates of query q are
-// train indices indices[offsets[q] .. offsets[q+1]).  A list may come in
-// any order but names each train index at most once.  Every consumer
-// breaks equal distances by the lower train index
-// (d < best || (d == best && index < best_index)), so the best match, the
-// runner-up and the cross-check outcome are the same for any order of the
-// list, and a list covering the true match yields the brute-force winner.
-struct CandidateSet {
-  std::vector<std::int32_t> indices;
-  std::vector<std::int32_t> offsets;  // size num_queries + 1 (or empty)
+// A run of consecutive candidate slots [begin, end).
+struct SlotRun {
+  std::int32_t begin = 0;
+  std::int32_t end = 0;
 
-  std::size_t num_queries() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
+  bool operator==(const SlotRun&) const = default;
+};
+
+// The gated tier's candidates: what the projection gate hands the
+// matchers.
+//
+// Slots are map points: slot s is train index slot_train[s] at pixel
+// (slot_u[s], slot_v[s]).  The gate stores its kept projections in grid
+// cell order, so the slots of one cell row are contiguous.  Query q has a
+// square window of half-width `radius` centred at (query_u[q],
+// query_v[q]) and scans the runs runs[run_offsets[q] .. run_offsets[q+1]);
+// its candidates are the scanned slots inside its window (in_window).  The
+// gate's runs are the rows of grid cells the window touches, and its
+// coordinates all carry the same +margin shift, so the differences are
+// the ones its reference builder tests.  A query's runs name each train
+// index at most once.
+//
+// An explicit list is a query whose slots sit at its window's centre
+// (add_list): every slot it scans is a candidate.
+//
+// Every consumer breaks equal distances by the lower train index
+// (d < best || (d == best && index < best_index)), so the best match, the
+// runner-up and the cross-check outcome do not depend on the order in
+// which a query's candidates are visited, and a set covering the true
+// match yields the brute-force winner.  Consumers that work on explicit
+// lists (the fabric model, the allocating match_candidates) take each
+// query's list from expand().
+struct CandidateSet {
+  std::vector<std::int32_t> slot_train;
+  std::vector<double> slot_u, slot_v;
+  std::vector<double> query_u, query_v;
+  std::vector<std::int32_t> run_offsets;  // size num_queries + 1 (or empty)
+  std::vector<SlotRun> runs;
+  double radius = 0;
+
+  std::size_t num_queries() const { return query_u.size(); }
+  std::size_t num_slots() const { return slot_train.size(); }
+  std::span<const SlotRun> runs_of(std::size_t q) const {
+    return std::span<const SlotRun>(runs).subspan(
+        static_cast<std::size_t>(run_offsets[q]),
+        static_cast<std::size_t>(run_offsets[q + 1] - run_offsets[q]));
   }
-  std::size_t total_candidates() const { return indices.size(); }
-  std::span<const std::int32_t> candidates(std::size_t q) const {
-    return std::span<const std::int32_t>(indices)
-        .subspan(static_cast<std::size_t>(offsets[q]),
-                 static_cast<std::size_t>(offsets[q + 1] - offsets[q]));
+  bool in_window(std::size_t q, std::size_t s) const {
+    return std::abs(slot_u[s] - query_u[q]) <= radius &&
+           std::abs(slot_v[s] - query_v[q]) <= radius;
   }
+
+  // Replaces `out` with query q's candidates: run by run, ascending slots.
+  void expand(std::size_t q, std::vector<std::int32_t>& out) const;
+  // Candidates summed over every query.
+  std::size_t total_candidates() const;
+
+  void clear();
+  // Appends a query whose candidates are exactly `train`.
+  void add_list(std::span<const std::int32_t> train);
 };
 
 // Returns matches for each query that passes the filters, ordered by query
@@ -78,7 +119,8 @@ std::vector<Match> match_descriptors(std::span<const Descriptor256> queries,
                                      const MatcherOptions& options = {});
 
 // Windowed tier: like match_descriptors() but each query only scans its
-// candidate list.  candidates.num_queries() must equal queries.size().
+// candidates (expand()).  candidates.num_queries() must equal
+// queries.size().
 // The ratio test's runner-up is the second-best *candidate*; cross-check
 // confirms against the best query among those listing the winning train
 // point (the brute-force semantics restricted to the candidate graph).

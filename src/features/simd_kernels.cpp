@@ -16,6 +16,32 @@ namespace eslam::simd {
 
 namespace {
 
+// Selection keys: distance << 32 | train index.  The smaller key is the
+// smaller distance, and on equal distances the lower index — exactly the
+// winner of match_one()'s ascending scan.  kNoKey stands for match_one()'s
+// initial state (distance 256, no index); it ranks after every real key.
+constexpr std::uint64_t kNoKey = (std::uint64_t{256} << 32) | 0xFFFFFFFFu;
+
+inline void fold_key(std::uint64_t k, std::uint64_t& best,
+                     std::uint64_t& second) {
+  if (k < best) {
+    second = best;
+    best = k;
+  } else if (k < second) {
+    second = k;
+  }
+}
+
+// The two smallest keys are the best match and the runner-up; a best
+// distance of 256 leaves no match, as in match_one().
+inline Match match_from_keys(std::uint64_t best, std::uint64_t second) {
+  Match m;
+  m.distance = static_cast<int>(best >> 32);
+  m.second_best = static_cast<int>(second >> 32);
+  if (m.distance < 256) m.train = static_cast<int>(best & 0xFFFFFFFFu);
+  return m;
+}
+
 // match_one()'s update for the distance of train index j in an ascending
 // scan: the first minimum wins, the runner-up is the second smallest.
 inline void keep_best_two(int d, int j, Match& m) {
@@ -80,12 +106,24 @@ ESLAM_HOT_ALIGN void best_two_block_scalar(const DescriptorSoA& train,
   }
 }
 
-ESLAM_HOT_ALIGN void hamming_gather_scalar(
-    std::span<const Descriptor256> train, const Descriptor256& query,
-    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
-  for (std::size_t j = 0; j < candidates.size(); ++j)
-    out_dist[j] = static_cast<std::uint16_t>(hamming_distance(
-        query, train[static_cast<std::size_t>(candidates[j])]));
+ESLAM_HOT_ALIGN void best_two_windows_scalar(const CandidateSet& set,
+                                             const Descriptor256* slot_rows,
+                                             DescriptorRows queries,
+                                             Match* out) {
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::uint64_t best = kNoKey, second = kNoKey;
+    for (const SlotRun& run : set.runs_of(q)) {
+      for (std::int32_t j = run.begin; j < run.end; ++j) {
+        const auto s = static_cast<std::size_t>(j);
+        if (!set.in_window(q, s)) continue;
+        const auto d = static_cast<std::uint64_t>(
+            hamming_distance(queries[q], slot_rows[s]));
+        fold_key((d << 32) | static_cast<std::uint32_t>(set.slot_train[s]),
+                 best, second);
+      }
+    }
+    out[q] = match_from_keys(best, second);
+  }
 }
 
 ESLAM_HOT_ALIGN Match best_two_rows_scalar(const Descriptor256& query,
@@ -181,12 +219,6 @@ __attribute__((target("avx2"))) inline __m256i distance4(const __m256i* w,
   return _mm256_sad_epu8(c, _mm256_setzero_si256());
 }
 
-// Selection keys: distance << 32 | train index.  The smaller key is the
-// smaller distance, and on equal distances the lower index — exactly the
-// winner of match_one()'s ascending scan.  kNoKey stands for match_one()'s
-// initial state (distance 256, no index); it ranks after every real key.
-constexpr std::uint64_t kNoKey = (std::uint64_t{256} << 32) | 0xFFFFFFFFu;
-
 // Lane-wise fold of keys k into (best, second): best keeps the smaller
 // key, second the smaller of itself and the key that lost.  Keys stay
 // below 2^41, so the signed 64-bit compare orders them correctly.
@@ -200,36 +232,28 @@ __attribute__((target("avx2"))) inline void fold_keys(__m256i k,
                               _mm256_cmpgt_epi64(second, loser));
 }
 
-inline void fold_key(std::uint64_t k, std::uint64_t& best,
-                     std::uint64_t& second) {
-  if (k < best) {
-    second = best;
-    best = k;
-  } else if (k < second) {
-    second = k;
-  }
+// Folds another lane set's (best, second) keys into (best, second): its
+// best as a key, then its runner-up against the runner-up.
+__attribute__((target("avx2"))) inline void merge_keys(__m256i other_best,
+                                                       __m256i other_second,
+                                                       __m256i& best,
+                                                       __m256i& second) {
+  fold_keys(other_best, best, second);
+  second = _mm256_blendv_epi8(second, other_second,
+                              _mm256_cmpgt_epi64(second, other_second));
 }
 
-// Merges a query's per-lane best and runner-up keys into (best, second),
-// which start at kNoKey: the two smallest keys of every lane hold the two
-// smallest overall.
-inline void fold_lanes(const std::uint64_t* lane_best,
-                       const std::uint64_t* lane_second, int lanes,
-                       std::uint64_t& best, std::uint64_t& second) {
-  for (int lane = 0; lane < lanes; ++lane) {
-    fold_key(lane_best[lane], best, second);
-    fold_key(lane_second[lane], best, second);
-  }
-}
-
-// The two smallest keys are the best match and the runner-up; a best
-// distance of 256 leaves no match, as in match_one().
-inline Match match_from_keys(std::uint64_t best, std::uint64_t second) {
-  Match m;
-  m.distance = static_cast<int>(best >> 32);
-  m.second_best = static_cast<int>(second >> 32);
-  if (m.distance < 256) m.train = static_cast<int>(best & 0xFFFFFFFFu);
-  return m;
+// The two smallest of the four lanes' keys: after merging with the swapped
+// halves and then the swapped pairs, every lane holds them.
+__attribute__((target("avx2"))) inline void merge_lanes4(
+    __m256i best, __m256i second, std::uint64_t& best_key,
+    std::uint64_t& second_key) {
+  merge_keys(_mm256_permute4x64_epi64(best, 0x4E),
+             _mm256_permute4x64_epi64(second, 0x4E), best, second);
+  merge_keys(_mm256_permute4x64_epi64(best, 0xB1),
+             _mm256_permute4x64_epi64(second, 0xB1), best, second);
+  best_key = static_cast<std::uint64_t>(_mm256_extract_epi64(best, 0));
+  second_key = static_cast<std::uint64_t>(_mm256_extract_epi64(second, 0));
 }
 
 __attribute__((target("avx2,popcnt"))) inline int popcnt_distance(
@@ -275,11 +299,8 @@ best_two_block_avx2_q(const DescriptorSoA& train, std::size_t count,
     index = _mm256_add_epi64(index, step);
   }
   for (int k = 0; k < Q; ++k) {
-    alignas(32) std::uint64_t lane_best[4], lane_second[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_best), best[k]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_second), second[k]);
-    std::uint64_t b = kNoKey, s = kNoKey;
-    fold_lanes(lane_best, lane_second, 4, b, s);
+    std::uint64_t b, s;
+    merge_lanes4(best[k], second[k], b, s);
     const std::uint64_t* qd = q[k]->words().data();
     for (std::size_t t = j; t < count; ++t) {
       const std::uint64_t d = static_cast<std::uint64_t>(
@@ -303,12 +324,65 @@ ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void best_two_block_avx2(
     best_two_block_avx2_q<1>(train, count, queries, i, out);
 }
 
-ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void hamming_gather_avx2(
-    std::span<const Descriptor256> train, const Descriptor256& query,
-    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
-  for (std::size_t j = 0; j < candidates.size(); ++j)
-    out_dist[j] = static_cast<std::uint16_t>(popcnt_distance(
-        query, train[static_cast<std::size_t>(candidates[j])]));
+// Gated tier, four slots per step: the four rows are transposed into word
+// planes for distance4(), and a lane's key enters the fold only when its
+// slot is inside the run and the window (masked loads read nothing past
+// the run's end).
+ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) void
+best_two_windows_avx2(const CandidateSet& set, const Descriptor256* slot_rows,
+                      DescriptorRows queries, Match* out) {
+  const __m256d radius = _mm256_set1_pd(set.radius);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFF));
+  const __m256i no_key = _mm256_set1_epi64x(static_cast<long long>(kNoKey));
+  const __m256i lane64 = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m128i lane32 = _mm_setr_epi32(0, 1, 2, 3);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    __m256i qw[4];
+    for (int w = 0; w < 4; ++w)
+      qw[w] = _mm256_set1_epi64x(static_cast<long long>(queries[q].words()[w]));
+    const __m256d qu = _mm256_set1_pd(set.query_u[q]);
+    const __m256d qv = _mm256_set1_pd(set.query_v[q]);
+    __m256i best = no_key, second = no_key;
+    for (const SlotRun& run : set.runs_of(q)) {
+      for (std::int32_t j = run.begin; j < run.end; j += 4) {
+        const auto s = static_cast<std::size_t>(j);
+        const int left = run.end - j;
+        const __m256i valid =
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(left), lane64);
+        const __m128i valid32 = _mm_cmpgt_epi32(_mm_set1_epi32(left), lane32);
+        const auto* rows = reinterpret_cast<const __m256i*>(slot_rows + s);
+        const __m256i r0 = _mm256_loadu_si256(rows + 0);
+        const __m256i r1 = _mm256_loadu_si256(rows + 1);
+        const __m256i r2 = _mm256_loadu_si256(rows + 2);
+        const __m256i r3 = _mm256_loadu_si256(rows + 3);
+        const __m256i lo01 = _mm256_unpacklo_epi64(r0, r1);
+        const __m256i hi01 = _mm256_unpackhi_epi64(r0, r1);
+        const __m256i lo23 = _mm256_unpacklo_epi64(r2, r3);
+        const __m256i hi23 = _mm256_unpackhi_epi64(r2, r3);
+        const __m256i w[4] = {_mm256_permute2x128_si256(lo01, lo23, 0x20),
+                              _mm256_permute2x128_si256(hi01, hi23, 0x20),
+                              _mm256_permute2x128_si256(lo01, lo23, 0x31),
+                              _mm256_permute2x128_si256(hi01, hi23, 0x31)};
+        const __m256d u = _mm256_maskload_pd(set.slot_u.data() + s, valid);
+        const __m256d v = _mm256_maskload_pd(set.slot_v.data() + s, valid);
+        const __m256d in_u = _mm256_cmp_pd(
+            _mm256_and_pd(_mm256_sub_pd(u, qu), abs_mask), radius, _CMP_LE_OQ);
+        const __m256d in_v = _mm256_cmp_pd(
+            _mm256_and_pd(_mm256_sub_pd(v, qv), abs_mask), radius, _CMP_LE_OQ);
+        const __m256i in = _mm256_and_si256(
+            valid, _mm256_castpd_si256(_mm256_and_pd(in_u, in_v)));
+        const __m256i train = _mm256_cvtepu32_epi64(
+            _mm_maskload_epi32(set.slot_train.data() + s, valid32));
+        const __m256i key = _mm256_or_si256(
+            _mm256_slli_epi64(distance4(w, qw), 32), train);
+        fold_keys(_mm256_blendv_epi8(no_key, key, in), best, second);
+      }
+    }
+    std::uint64_t best_key, second_key;
+    merge_lanes4(best, second, best_key, second_key);
+    out[q] = match_from_keys(best_key, second_key);
+  }
 }
 
 ESLAM_HOT_ALIGN __attribute__((target("avx2,popcnt"))) Match best_two_rows_avx2(
@@ -474,15 +548,29 @@ ESLAM_TARGET_AVX512 inline __m512i keys8(__m512i distance, __m512i index,
       _mm512_slli_epi64(distance, 32), index);
 }
 
-// A query's result from its eight lanes' keys.
+// merge_keys over eight lanes.
+ESLAM_TARGET_AVX512 inline void merge_keys8(__m512i other_best,
+                                            __m512i other_second,
+                                            __m512i& best, __m512i& second) {
+  fold_keys8(other_best, best, second);
+  second = _mm512_min_epu64(second, other_second);
+}
+
+// A query's result from its eight lanes' keys: after merging with the
+// swapped halves, blocks and pairs, every lane holds the two smallest.
 ESLAM_TARGET_AVX512 inline Match match_from_lanes8(__m512i best,
                                                    __m512i second) {
-  alignas(64) std::uint64_t lane_best[8], lane_second[8];
-  _mm512_store_si512(lane_best, best);
-  _mm512_store_si512(lane_second, second);
-  std::uint64_t b = kNoKey, s = kNoKey;
-  fold_lanes(lane_best, lane_second, 8, b, s);
-  return match_from_keys(b, s);
+  merge_keys8(_mm512_shuffle_i64x2(best, best, 0x4E),
+              _mm512_shuffle_i64x2(second, second, 0x4E), best, second);
+  merge_keys8(_mm512_shuffle_i64x2(best, best, 0xB1),
+              _mm512_shuffle_i64x2(second, second, 0xB1), best, second);
+  merge_keys8(_mm512_permutex_epi64(best, 0xB1),
+              _mm512_permutex_epi64(second, 0xB1), best, second);
+  return match_from_keys(
+      static_cast<std::uint64_t>(
+          _mm_cvtsi128_si64(_mm512_castsi512_si128(best))),
+      static_cast<std::uint64_t>(
+          _mm_cvtsi128_si64(_mm512_castsi512_si128(second))));
 }
 
 // The first `n` (at most 8) lanes.
@@ -567,25 +655,32 @@ ESLAM_TARGET_AVX512 inline __m512i count_row_pair(const Descriptor256* lo,
   return _mm512_popcnt_epi64(_mm512_xor_si512(rows, q));
 }
 
-// Distances of the query (q, from broadcast_rows) to rows r[0..7], one
-// per 64-bit lane in row order.  Registers pair rows (0,2), (1,3), (4,6)
-// and (5,7); an unpack-add leaves each row's two half sums in the same
-// lane of two 128-bit blocks, and one 128-bit shuffle pair plus an add
-// completes every sum in row order.
-ESLAM_TARGET_AVX512 inline __m512i distance_rows8(const Descriptor256* const* r,
-                                                  __m512i q) {
-  const __m512i a = count_row_pair(r[0], r[2], q);
-  const __m512i b = count_row_pair(r[1], r[3], q);
-  const __m512i c = count_row_pair(r[4], r[6], q);
-  const __m512i d = count_row_pair(r[5], r[7], q);
-  // Blocks of ab: [0+1 of rows 0,1] [2+3 of rows 0,1] [0+1 of rows 2,3]
-  // [2+3 of rows 2,3] (words summed); cd likewise for rows 4-7.
-  const __m512i ab =
-      _mm512_add_epi64(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b));
-  const __m512i cd =
-      _mm512_add_epi64(_mm512_unpacklo_epi64(c, d), _mm512_unpackhi_epi64(c, d));
+// Row sums of four registers of per-word popcounts, two rows each (one
+// per 256-bit half): with a = (R0 | R1), b = (R2 | R3), c = (R4 | R5) and
+// d = (R6 | R7), the lanes hold the sums of rows R0, R2, R1, R3, R4, R6,
+// R5, R7 in that order.  An unpack-add leaves each row's two half sums in
+// the same lane of two 128-bit blocks, and one 128-bit shuffle pair plus
+// an add completes every sum.
+ESLAM_TARGET_AVX512 inline __m512i sum_row_pairs(__m512i a, __m512i b,
+                                                 __m512i c, __m512i d) {
+  // Blocks of ab: [0+1 of R0, R2] [2+3 of R0, R2] [0+1 of R1, R3]
+  // [2+3 of R1, R3] (words summed); cd likewise for R4-R7.
+  const __m512i ab = _mm512_add_epi64(_mm512_unpacklo_epi64(a, b),
+                                      _mm512_unpackhi_epi64(a, b));
+  const __m512i cd = _mm512_add_epi64(_mm512_unpacklo_epi64(c, d),
+                                      _mm512_unpackhi_epi64(c, d));
   return _mm512_add_epi64(_mm512_shuffle_i64x2(ab, cd, 0x88),
                           _mm512_shuffle_i64x2(ab, cd, 0xDD));
+}
+
+// Distances of the query (q, from broadcast_rows) to rows r[0..7], one
+// per 64-bit lane in row order: registers pair rows (0,2), (1,3), (4,6)
+// and (5,7), which sum_row_pairs returns in row order.
+ESLAM_TARGET_AVX512 inline __m512i distance_rows8(const Descriptor256* const* r,
+                                                  __m512i q) {
+  return sum_row_pairs(
+      count_row_pair(r[0], r[2], q), count_row_pair(r[1], r[3], q),
+      count_row_pair(r[4], r[6], q), count_row_pair(r[5], r[7], q));
 }
 
 // Fills r[0..7] with rows(j + k) for k < n - j and the query for the lanes
@@ -598,25 +693,59 @@ inline __mmask8 rows8(std::size_t j, std::size_t n, const Descriptor256& query,
   return first_lanes(n - j);
 }
 
-ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 void hamming_gather_avx512(
-    std::span<const Descriptor256> train, const Descriptor256& query,
-    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
-  const __m512i q = broadcast_rows(query);
-  const auto row = [&](std::size_t j) -> const Descriptor256& {
-    return train[static_cast<std::size_t>(candidates[j])];
-  };
-  const std::size_t n = candidates.size();
-  for (std::size_t j = 0; j < n; j += 8) {
-    const Descriptor256* r[8];
-    rows8(j, n, query, row, r);
-    const __m128i d = _mm512_cvtepi64_epi16(distance_rows8(r, q));
-    if (j + 8 <= n) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out_dist + j), d);
-    } else {
-      alignas(16) std::uint16_t last[8];
-      _mm_store_si128(reinterpret_cast<__m128i*>(last), d);
-      std::copy_n(last, n - j, out_dist + j);
+// Per-word popcounts of the contiguous rows r[0] (lanes 0-3) and r[1]
+// (lanes 4-7) against q.
+ESLAM_TARGET_AVX512 inline __m512i count_slot_pair(const Descriptor256* r,
+                                                   __m512i q) {
+  return _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(r), q));
+}
+
+// Distances of the query (q, from broadcast_rows) to the eight contiguous
+// rows r[0..7], one per lane in row order.  Each load holds two adjacent
+// rows, so sum_row_pairs returns rows 0, 2, 1, 3, 4, 6, 5, 7, and one
+// permute puts them back in order.
+ESLAM_TARGET_AVX512 inline __m512i distance_slots8(const Descriptor256* r,
+                                                   __m512i q) {
+  const __m512i sums =
+      sum_row_pairs(count_slot_pair(r, q), count_slot_pair(r + 2, q),
+                    count_slot_pair(r + 4, q), count_slot_pair(r + 6, q));
+  return _mm512_permutexvar_epi64(_mm512_setr_epi64(0, 2, 1, 3, 4, 6, 5, 7),
+                                  sums);
+}
+
+// Gated tier, eight slots per step: a lane's key enters the fold only when
+// its slot is inside the run and the window (masked loads read nothing
+// past the run's end).
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 void best_two_windows_avx512(
+    const CandidateSet& set, const Descriptor256* slot_rows,
+    DescriptorRows queries, Match* out) {
+  const __m512d radius = _mm512_set1_pd(set.radius);
+  const __m512i no_key = _mm512_set1_epi64(static_cast<long long>(kNoKey));
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const __m512i query = broadcast_rows(queries[q]);
+    const __m512d qu = _mm512_set1_pd(set.query_u[q]);
+    const __m512d qv = _mm512_set1_pd(set.query_v[q]);
+    __m512i best = no_key, second = no_key;
+    for (const SlotRun& run : set.runs_of(q)) {
+      for (std::int32_t j = run.begin; j < run.end; j += 8) {
+        const auto s = static_cast<std::size_t>(j);
+        const __mmask8 valid =
+            first_lanes(static_cast<std::size_t>(run.end - j));
+        const __m512d u = _mm512_maskz_loadu_pd(valid, set.slot_u.data() + s);
+        const __m512d v = _mm512_maskz_loadu_pd(valid, set.slot_v.data() + s);
+        __mmask8 in = _mm512_mask_cmp_pd_mask(
+            valid, _mm512_abs_pd(_mm512_sub_pd(u, qu)), radius, _CMP_LE_OQ);
+        in = _mm512_mask_cmp_pd_mask(in, _mm512_abs_pd(_mm512_sub_pd(v, qv)),
+                                     radius, _CMP_LE_OQ);
+        const __m512i train = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
+            _mm512_maskz_loadu_epi32(valid, set.slot_train.data() + s)));
+        const __m512i distance = distance_slots8(slot_rows + s, query);
+        fold_keys8(_mm512_mask_or_epi64(no_key, in,
+                                        _mm512_slli_epi64(distance, 32), train),
+                   best, second);
+      }
     }
+    out[q] = match_from_lanes8(best, second);
   }
 }
 
@@ -654,15 +783,15 @@ namespace {
 
 const KernelTable& table_of(IsaLevel level) {
   static constexpr KernelTable kScalarTable{
-      best_two_block_scalar, hamming_gather_scalar, best_two_rows_scalar,
+      best_two_block_scalar, best_two_windows_scalar, best_two_rows_scalar,
       project_batch_scalar, reprojection_inliers_scalar};
 #if defined(__x86_64__) || defined(__i386__)
   static constexpr KernelTable kAvx2Table{
-      best_two_block_avx2, hamming_gather_avx2, best_two_rows_avx2,
+      best_two_block_avx2, best_two_windows_avx2, best_two_rows_avx2,
       project_batch_avx2, reprojection_inliers_avx2};
   // The Hamming kernels at 512 bits; projection and scoring stay AVX2.
   static constexpr KernelTable kAvx512Table{
-      best_two_block_avx512, hamming_gather_avx512, best_two_rows_avx512,
+      best_two_block_avx512, best_two_windows_avx512, best_two_rows_avx512,
       project_batch_avx2, reprojection_inliers_avx2};
   switch (level) {
     case IsaLevel::kAvx512: return kAvx512Table;
@@ -692,10 +821,10 @@ ESLAM_HOT_ALIGN void best_two_block(const DescriptorSoA& train,
   active_kernels().best_two_block(train, count, queries, out);
 }
 
-ESLAM_HOT_ALIGN void hamming_gather(
-    std::span<const Descriptor256> train, const Descriptor256& query,
-    std::span<const std::int32_t> candidates, std::uint16_t* out_dist) {
-  active_kernels().hamming_gather(train, query, candidates, out_dist);
+ESLAM_HOT_ALIGN void best_two_windows(const CandidateSet& set,
+                                      const Descriptor256* slot_rows,
+                                      DescriptorRows queries, Match* out) {
+  active_kernels().best_two_windows(set, slot_rows, queries, out);
 }
 
 ESLAM_HOT_ALIGN Match best_two_rows(const Descriptor256& query,

@@ -3,31 +3,34 @@
 // Feature matching (paper section 3.2: the BRIEF Matcher; on the host it
 // is the ARM-side bottleneck) runs on three Hamming kernels, one per
 // matching tier, each computing exact integer distances so every tier is
-// bit-identical to hamming_distance():
+// bit-identical to hamming_distance().  The vector kernels (and the
+// scalar window scan) select with 64-bit keys (distance << 32 | train
+// index): the smaller key is the smaller distance and, on equal distances,
+// the lower index, so a lane-wise minimum is the lowest-index winner
+// whatever order the candidates arrive in.
 //
 //   1. best_two_block — brute force: every query against a whole
-//      DescriptorSoA train set, keeping each query's best match and
-//      runner-up distance.  The SIMD tiers are fused: distances and
-//      selection stay in registers as 64-bit keys (distance << 32 | train
-//      index), so the lane-wise minimum is the lowest-index winner, and
-//      several queries share each train load (AVX2: two queries, four
-//      train descriptors per step; AVX-512: four queries, eight train
-//      descriptors); lanes merge once per query.
-//   2. hamming_gather — gated tier: one query against a candidate list,
-//      each distance read from the candidate's contiguous 32-byte AoS row.
-//      Selection happens in the matcher, whose tie rule (lower train index
-//      wins on equal distance) makes the result independent of list order.
+//      DescriptorSoA train set.  Several queries share each train load
+//      (AVX2: two queries, four train descriptors per step; AVX-512: four
+//      queries, eight train descriptors).
+//   2. best_two_windows — gated tier: each query scans the slot runs of
+//      its CandidateSet window, reading the slots' descriptors as
+//      contiguous rows, and keeps the slots that pass the exact in-window
+//      test (AVX2: four slots per step; AVX-512: eight, two rows per
+//      load).
 //   3. best_two_rows — verification matching: one descriptor against
 //      strided AoS rows (a train set without SoA planes, or the queries in
 //      the cross-check's back scan).
 //
-// AVX2 counts a row with four POPCNT instructions in the row kernels and
-// with a nibble lookup in the fused block; AVX-512 loads two rows per
-// register, counts eight words per vpopcntq and keeps best_two_rows'
-// selection in key registers as well.  All three produce match_one()'s
-// result: best distance, runner-up distance (second smallest over the set)
-// and the lowest train index at the best distance, or -1 when no distance
-// is below 256.
+// Keys stay in registers, one best and one runner-up per lane, and the
+// lanes merge once per query; AVX2's best_two_rows and the other scalar
+// kernels keep match_one()'s running update instead.  AVX2 counts bits
+// with a nibble lookup in the vector kernels and with four POPCNT
+// instructions per row in best_two_rows; AVX-512 counts eight words per
+// vpopcntq.  All three
+// produce match_one()'s result over their candidates: best distance,
+// runner-up distance (second smallest over the set) and the lowest train
+// index at the best distance, or -1 when no distance is below 256.
 //
 // Batched map-point projection for the match gate: SE3 transform + pinhole
 // projection + padded-bounds mask over x/y/z lanes.  The scalar path
@@ -71,15 +74,19 @@ void best_two_block(const DescriptorSoA& train, std::size_t count,
 void best_two_block_scalar(const DescriptorSoA& train, std::size_t count,
                            DescriptorRows queries, Match* out);
 
-// out_dist[j] = hamming(query, train[candidates[j]]).
-void hamming_gather(std::span<const Descriptor256> train,
-                    const Descriptor256& query,
-                    std::span<const std::int32_t> candidates,
-                    std::uint16_t* out_dist);
-void hamming_gather_scalar(std::span<const Descriptor256> train,
-                           const Descriptor256& query,
-                           std::span<const std::int32_t> candidates,
-                           std::uint16_t* out_dist);
+// The read-ahead best_two_windows needs: slot_rows holds
+// set.num_slots() + kSlotRowPad rows, the last kSlotRowPad read but never
+// used.
+inline constexpr std::size_t kSlotRowPad = 8;
+
+// out[q] = match_one over query q's candidates in `set` (train, distance
+// and second_best; query left at -1), where slot s's descriptor is
+// slot_rows[s].  queries.size() == set.num_queries().
+void best_two_windows(const CandidateSet& set, const Descriptor256* slot_rows,
+                      DescriptorRows queries, Match* out);
+void best_two_windows_scalar(const CandidateSet& set,
+                             const Descriptor256* slot_rows,
+                             DescriptorRows queries, Match* out);
 
 // match_one(query, rows): the best row index, its distance and the
 // runner-up distance (query left at -1).
@@ -126,7 +133,7 @@ std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
 // One tier's kernels, with the entry points' signatures.
 struct KernelTable {
   decltype(&best_two_block_scalar) best_two_block;
-  decltype(&hamming_gather_scalar) hamming_gather;
+  decltype(&best_two_windows_scalar) best_two_windows;
   decltype(&best_two_rows_scalar) best_two_rows;
   decltype(&project_batch_scalar) project_batch;
   decltype(&reprojection_inliers_scalar) reprojection_inliers;

@@ -40,8 +40,9 @@ struct PipelineStats {
   int speculative_matches = 0;  // FM runs issued before the barrier cleared
   int replayed_matches = 0;     // ...of those, discarded by a key frame
   int rejected_feeds = 0;       // try_feed() calls bounced by back-pressure
-  int malformed_feeds = 0;      // frames refused: gray image not the
-                                //   session camera's width x height
+  int malformed_feeds = 0;      // frames refused: gray image (or, on a
+                                //   mapping session, depth) not the
+                                //   camera's size, or timestamp not finite
   int device_dispatches = 0;    // device-lane scheduling turns consumed
   double fpga_busy_ms = 0;      // summed FE+FM wall time (lane occupancy)
   double arm_busy_ms = 0;       // summed PE+PO+MU wall time
@@ -54,9 +55,8 @@ struct PipelineStats {
   int backend_jobs_rejected = 0;  // bounded background-queue overflow skips
   int backend_deltas_applied = 0; // deltas folded into the map at keyframes
   double backend_busy_ms = 0;     // summed job wall time (pool occupancy)
-  // Queue latency per class: time from freeze-enqueue to a worker pop.
-  // Averages divide by BackendStats' ba_jobs_run / loop_jobs_run.
-  double backend_ba_queue_ms = 0;
+  // Summed loop-verification queue latency: time from enqueue to a
+  // worker pop.  The mean divides by BackendStats' loop_jobs_run.
   double backend_loop_queue_ms = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "runtime/tracker_scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "geometry/assert.h"
 #include "slam/localizer.h"
@@ -120,11 +121,18 @@ std::uint64_t user_signal_snapshot(SchedulerSession& s) {
   return s.user_signal;
 }
 
-// True, and counted, when the frame's gray image is not the session
-// camera's size.
+// True, and counted, when tracking cannot use the frame: a gray image that
+// is not the session camera's size, a non-finite timestamp, or, on a
+// mapping session, a depth image that is not the camera's size (the
+// localizer never reads depth).  Timestamps may go back: a localization
+// client can replay its capture out of order.
 bool refuse_malformed(SchedulerSession& s, const FrameInput& frame) {
-  if (frame.gray.width() == s.camera.width() &&
-      frame.gray.height() == s.camera.height())
+  const auto camera_sized = [&s](const auto& image) {
+    return image.width() == s.camera.width() &&
+           image.height() == s.camera.height();
+  };
+  if (camera_sized(frame.gray) && std::isfinite(frame.timestamp) &&
+      (s.localizer != nullptr || camera_sized(frame.depth)))
     return false;
   s.malformed_feeds.fetch_add(1);
   return true;
@@ -671,16 +679,14 @@ void TrackerScheduler::arm_worker(int worker_index) {
         backend_concurrent_gauge_->update(bg_running_total_);
         backend_jobs_total_->add();
         backend_job = true;
-        // Per-class queue latency: how long the job sat behind tracking
-        // work and (for BA) behind loop verifications.  (The registry's
-        // eslam_backend_queue_wait_ms histograms got the same wait inside
-        // pop() above.)
-        const double waited = now_ms() - entry.enqueue_ms;
-        const std::lock_guard<std::mutex> stats_lock(s.stats_mutex);
-        if (entry.cls == BackendJobClass::kLoopVerify)
+        // A loop verification's queue wait: how long it sat behind
+        // tracking work.  (The registry's eslam_backend_queue_wait_ms
+        // histograms got every job's wait, per class, inside pop() above.)
+        if (entry.cls == BackendJobClass::kLoopVerify) {
+          const double waited = now_ms() - entry.enqueue_ms;
+          const std::lock_guard<std::mutex> stats_lock(s.stats_mutex);
           s.stats.backend_loop_queue_ms += waited;
-        else
-          s.stats.backend_ba_queue_ms += waited;
+        }
       }
     }
     if (backend_job) {

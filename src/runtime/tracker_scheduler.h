@@ -56,9 +56,12 @@
 // scheduler consumes no CPU.
 //
 // Frames are validated at the door: a frame whose gray image is not the
-// session camera's width x height is refused (feed/try_feed return false,
+// session camera's width x height, whose timestamp is not finite, or, on
+// a mapping session, whose depth image is not the camera's size (an empty
+// one included) is refused (feed/try_feed return false,
 // PipelineStats::malformed_feeds counts it) instead of reaching a stage
 // whose bounds assert would abort every session in the process.
+// Localization sessions never read depth and accept frames without it.
 //
 // Threading contract: each session's feed/try_feed/poll/drain must be
 // driven by one thread at a time (different sessions may use different

@@ -127,9 +127,10 @@ class SessionHandle {
   SessionKind kind() const;
 
   // Non-blocking feed; false on this session's back-pressure (input ring
-  // full), on a malformed frame (gray image not the session camera's
-  // size; counted in PipelineStats::malformed_feeds) or on an invalid
-  // handle.
+  // full), on a malformed frame (gray image, or on a mapping session the
+  // depth image, not the session camera's size, or a non-finite
+  // timestamp; counted in PipelineStats::malformed_feeds) or on an
+  // invalid handle.
   bool try_feed(FrameInput frame);
   // Blocking feed (waits for ring space; other sessions are unaffected).
   // False, without waiting, on a malformed frame or an invalid handle.

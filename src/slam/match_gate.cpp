@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "core/hot_align.h"
 #include "features/grid_index.h"
@@ -13,19 +12,19 @@ namespace eslam {
 
 namespace {
 
-// Bucket edge of the gate's grid, derived from the search window: with
-// half-radius cells the middle cells of a window lie wholly inside it, and
-// the gate appends those without testing.  The floor bounds the cell count
-// for tiny radii.
+// Bucket edge of the gate's grid, derived from the search window: a window
+// touches at most five half-radius cells per axis.  The floor bounds the
+// cell count for tiny radii.
 double gate_cell_px(const MatchPolicy& policy) {
   return std::max(policy.search_radius_px / 2, 4.0);
 }
 
-// A point's cell comes from floor(u / cell) in floating point, which can
-// place it a rounding error outside the cell's nominal edges; a cell only
-// counts as inside a feature's window when it clears the window's edges by
-// this much.
-constexpr double kInteriorSlackPx = 1e-6;
+// static_cast<int>(std::floor(x)) for x in int range, without the libm
+// call the generic x86-64 target makes for std::floor.
+inline int floor_to_int(double x) {
+  const int t = static_cast<int>(x);
+  return t - (x < t ? 1 : 0);
+}
 
 }  // namespace
 
@@ -69,13 +68,12 @@ GateResult build_candidate_set(std::span<const Vec3> map_positions,
   out.projected = static_cast<int>(entries.size());
   grid.build(std::move(entries));
 
-  out.candidates.offsets.reserve(features.size() + 1);
-  out.candidates.offsets.push_back(0);
+  std::vector<std::int32_t> list;
   for (const Feature& f : features) {
+    list.clear();
     grid.query(f.keypoint.x0() + margin, f.keypoint.y0() + margin,
-               policy.search_radius_px, out.candidates.indices);
-    out.candidates.offsets.push_back(
-        static_cast<std::int32_t>(out.candidates.indices.size()));
+               policy.search_radius_px, list);
+    out.candidates.add_list(list);
   }
 
   out.build_ms = std::chrono::duration<double, std::milli>(
@@ -90,8 +88,8 @@ ESLAM_HOT_ALIGN void build_candidate_set_into(
     const PinholeCamera& camera, const FeatureList& features,
     const MatchPolicy& policy, Arena* scratch, GateResult& out) {
   const auto start = std::chrono::steady_clock::now();
-  out.candidates.indices.clear();
-  out.candidates.offsets.clear();
+  CandidateSet& set = out.candidates;
+  set.clear();
   out.projected = 0;
 
   thread_local Arena fallback;
@@ -114,13 +112,13 @@ ESLAM_HOT_ALIGN void build_candidate_set_into(
   const int cols = std::max(1, static_cast<int>(std::ceil(grid_w / cell)));
   const int rows = std::max(1, static_cast<int>(std::ceil(grid_h / cell)));
   const auto cell_x = [cols, cell](double uu) {
-    return std::clamp(static_cast<int>(std::floor(uu / cell)), 0, cols - 1);
+    return std::clamp(floor_to_int(uu / cell), 0, cols - 1);
   };
   const auto cell_y = [rows, cell](double vv) {
-    return std::clamp(static_cast<int>(std::floor(vv / cell)), 0, rows - 1);
+    return std::clamp(floor_to_int(vv / cell), 0, rows - 1);
   };
 
-  // Counting sort of the kept projections into cell-sorted SoA columns
+  // Counting sort of the kept projections into the cell-ordered slots
   // (row-major cells; ascending map index within a cell).
   const std::size_t n_cells = static_cast<std::size_t>(cols) * rows;
   const std::span<std::int32_t> cell_start =
@@ -140,81 +138,48 @@ ESLAM_HOT_ALIGN void build_candidate_set_into(
   const std::span<std::int32_t> cursor =
       arena.alloc_span<std::int32_t>(n_cells);
   std::copy(cell_start.begin(), cell_start.end() - 1, cursor.begin());
-  const std::span<double> su = arena.alloc_span<double>(kept);
-  const std::span<double> sv = arena.alloc_span<double>(kept);
-  const std::span<std::int32_t> sid = arena.alloc_span<std::int32_t>(kept);
+  set.slot_train.resize(kept);
+  set.slot_u.resize(kept);
+  set.slot_v.resize(kept);
   for (std::size_t i = 0; i < n; ++i) {
     if (!keep[i]) continue;
     const auto at = static_cast<std::size_t>(
         cursor[static_cast<std::size_t>(cell_of[i])]++);
-    su[at] = u[i];
-    sv[at] = v[i];
-    sid[at] = static_cast<std::int32_t>(i);
+    set.slot_train[at] = static_cast<std::int32_t>(i);
+    set.slot_u[at] = u[i];
+    set.slot_v[at] = v[i];
   }
 
-  // Per-feature window queries.  In a cell row the window's cells are one
-  // contiguous run of the sorted columns.  Cells wholly inside the window
-  // are appended untested; the boundary cells keep the exact
-  // |u - qu| <= r && |v - qv| <= r test.  Lists come out in cell order,
-  // which CandidateSet allows.
+  // Each feature's window: one run of slots per cell row it touches (in a
+  // cell row the window's cells are contiguous slots).  The matcher tests
+  // every slot of a run against the window, so no per-point work is done
+  // here.
   const double radius = policy.search_radius_px;
-  const double slack = kInteriorSlackPx;
-  std::vector<std::int32_t>& indices = out.candidates.indices;
-  out.candidates.offsets.reserve(features.size() + 1);
-  out.candidates.offsets.push_back(0);
-  std::size_t count = 0;
-  for (const Feature& f : features) {
-    const double qu = f.keypoint.x0() + margin;
-    const double qv = f.keypoint.y0() + margin;
+  set.radius = radius;
+  set.query_u.resize(features.size());
+  set.query_v.resize(features.size());
+  set.run_offsets.resize(features.size() + 1);
+  set.run_offsets[0] = 0;
+  // A window spans at most 2 * radius / cell + 2 cell rows.
+  set.runs.reserve(features.size() *
+                   static_cast<std::size_t>(2 * radius / cell + 2));
+  for (std::size_t q = 0; q < features.size(); ++q) {
+    const double qu = features[q].keypoint.x0() + margin;
+    const double qv = features[q].keypoint.y0() + margin;
+    set.query_u[q] = qu;
+    set.query_v[q] = qv;
     const int x0 = cell_x(qu - radius);
     const int x1 = cell_x(qu + radius);
     const int y0 = cell_y(qv - radius);
     const int y1 = cell_y(qv + radius);
-    int ix0 = x0, ix1 = x1, iy0 = y0, iy1 = y1;
-    while (ix0 <= x1 && ix0 * cell - slack < qu - radius) ++ix0;
-    while (ix1 >= ix0 && (ix1 + 1) * cell + slack > qu + radius) --ix1;
-    while (iy0 <= y1 && iy0 * cell - slack < qv - radius) ++iy0;
-    while (iy1 >= iy0 && (iy1 + 1) * cell + slack > qv + radius) --iy1;
-
-    std::size_t bound = 0;
-    for (int y = y0; y <= y1; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * cols;
-      bound += static_cast<std::size_t>(cell_start[row + x1 + 1] -
-                                        cell_start[row + x0]);
-    }
-    if (count + bound > indices.size()) indices.resize(count + bound);
-    std::int32_t* const dst = indices.data() + count;
-    std::size_t k = 0;
-    const auto test = [&](std::int32_t first, std::int32_t last) {
-      for (std::int32_t i = first; i < last; ++i) {
-        const auto e = static_cast<std::size_t>(i);
-        dst[k] = sid[e];
-        k += static_cast<std::size_t>((std::abs(su[e] - qu) <= radius) &
-                                      (std::abs(sv[e] - qv) <= radius));
-      }
-    };
     for (int y = y0; y <= y1; ++y) {
       const std::size_t row = static_cast<std::size_t>(y) * cols;
       const std::int32_t a = cell_start[row + x0];
       const std::int32_t b = cell_start[row + x1 + 1];
-      if (y < iy0 || y > iy1 || ix0 > ix1) {
-        test(a, b);
-        continue;
-      }
-      const std::int32_t ia = cell_start[row + ix0];
-      const std::int32_t ib = cell_start[row + ix1 + 1];
-      test(a, ia);
-      if (ib > ia) {  // (an empty run may carry null pointers)
-        std::memcpy(dst + k, sid.data() + ia,
-                    static_cast<std::size_t>(ib - ia) * sizeof(std::int32_t));
-        k += static_cast<std::size_t>(ib - ia);
-      }
-      test(ib, b);
+      if (a < b) set.runs.push_back({a, b});
     }
-    count += k;
-    out.candidates.offsets.push_back(static_cast<std::int32_t>(count));
+    set.run_offsets[q + 1] = static_cast<std::int32_t>(set.runs.size());
   }
-  indices.resize(count);
 
   out.build_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)

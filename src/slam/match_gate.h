@@ -3,15 +3,15 @@
 //
 // Instead of matching every frame against the whole map (brute force,
 // linear in map age), the gate projects the map's positions() snapshot
-// into the image under a constant-velocity prior pose, buckets the
-// projections in a spatial grid of half-search-radius cells, and emits one
-// candidate list per feature: the map points landing within a square
-// window around the feature's pixel.  Cells wholly inside a window are
-// appended without per-point tests, and no list is sorted — the candidate
-// matcher's tie rule makes list order irrelevant (see CandidateSet).  The
-// candidate matcher (match_candidates) then does the Hamming work on those
-// lists only, so per-frame match cost tracks the *visible* map, not the
-// whole map.
+// into the image under a constant-velocity prior pose, counting-sorts the
+// projections into a grid of half-search-radius cells and hands the
+// matcher a CandidateSet (features/matcher.h): the projections as
+// cell-ordered slots (map index and padded pixel), and per feature its
+// square window with the rows of slots that window's cells cover.  The
+// gate does no per-point window test and writes no candidate list; the
+// candidate matcher scans each feature's slot rows once, keeping the
+// slots inside the window, so per-frame match cost tracks the *visible*
+// map, not the whole map.
 //
 // Brute force remains the second tier: the tracker falls back to it when
 // no prior is available (bootstrap, the frame after it, the frames after
@@ -65,14 +65,15 @@ struct MatchPolicy {
 struct GateResult {
   CandidateSet candidates;
   int projected = 0;     // map points landing inside the (padded) image
-  double build_ms = 0;   // host-side projection + bucketing time
+  double build_ms = 0;   // host-side projection + sorting time
 };
 
 // Reference builder: projects `map_positions` by `prior_pose_cw`, buckets
 // the projections in a GridIndex2d and collects each feature's candidate
-// list by testing every point of the window's cells (lists ascending).
-// Points projecting up to search_radius_px outside the image are kept —
-// their window can still cover features near the border.
+// list by testing every point of the window's cells; the set holds those
+// lists (CandidateSet::add_list, ascending).  Points projecting up to
+// search_radius_px outside the image are kept — their window can still
+// cover features near the border.
 GateResult build_candidate_set(std::span<const Vec3> map_positions,
                                const SE3& prior_pose_cw,
                                const PinholeCamera& camera,
@@ -82,11 +83,11 @@ GateResult build_candidate_set(std::span<const Vec3> map_positions,
 // The hot-path builder of the same candidate sets: positions arrive as SoA
 // lanes (the frame's borrowed MapReadView's xs()/ys()/zs() spans — frozen
 // for the stage, no lock, no per-frame snapshot copy), projection runs
-// through the batched SIMD kernel, the cell-sorted u/v/id columns live in
-// `scratch` (may be null: thread-local fallback), and `out`'s CSR vectors
-// are recycled across frames.  Projected counts and each feature's
-// candidate set equal build_candidate_set()'s on the same inputs; the
-// order inside a list is the grid's cell order (asserted by
+// through the batched SIMD kernel, scratch lives in `scratch` (may be
+// null: thread-local fallback), and `out`'s vectors are recycled across
+// frames.  The set holds the cell-ordered slots and each feature's window
+// runs; projected counts and each feature's candidates (expand()) equal
+// build_candidate_set()'s on the same inputs (asserted by
 // tests/features/simd_parity_test.cpp).
 void build_candidate_set_into(std::span<const double> xs,
                               std::span<const double> ys,

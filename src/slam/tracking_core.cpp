@@ -24,8 +24,7 @@ void FrameState::reset() {
   ransac.iterations = 0;
   ransac_retry.inliers.clear();
   correspondences.clear();
-  gate.candidates.indices.clear();
-  gate.candidates.offsets.clear();
+  gate.candidates.clear();
   gate.projected = 0;
   gate.build_ms = 0;
   result = TrackResult{};

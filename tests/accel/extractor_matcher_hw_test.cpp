@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 
 #include "../test_util.h"
 #include "accel/matcher_hw.h"
 #include "accel/orb_extractor_hw.h"
+#include "core/arena.h"
 #include "dataset/scene.h"
 #include "features/orb.h"
+#include "slam/match_gate.h"
 
 namespace eslam {
 namespace {
@@ -243,14 +246,12 @@ TEST(MatcherHw, LoadOverlapsComputeAtPaperScale) {
 CandidateSet window_lists(std::size_t queries, std::size_t train,
                           std::size_t per_query) {
   CandidateSet set;
-  set.offsets.push_back(0);
+  std::vector<std::int32_t> list(per_query);
   for (std::size_t q = 0; q < queries; ++q) {
     for (std::size_t k = 0; k < per_query; ++k)
-      set.indices.push_back(
-          static_cast<std::int32_t>((q * 7 + k * 13) % train));
-    auto begin = set.indices.end() - static_cast<std::ptrdiff_t>(per_query);
-    std::sort(begin, set.indices.end());
-    set.offsets.push_back(static_cast<std::int32_t>(set.indices.size()));
+      list[k] = static_cast<std::int32_t>((q * 7 + k * 13) % train);
+    std::sort(list.begin(), list.end());
+    set.add_list(list);
   }
   return set;
 }
@@ -263,8 +264,9 @@ TEST(MatcherHw, GatedResultsMatchSoftwareReference) {
   const auto matches = hw.match_candidates(queries, train, set);
   ASSERT_EQ(matches.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Match ref =
-        match_one_candidates(queries[i], train, set.candidates(i));
+    std::vector<std::int32_t> list;
+    set.expand(i, list);
+    const Match ref = match_one_candidates(queries[i], train, list);
     EXPECT_EQ(matches[i].train, ref.train);
     EXPECT_EQ(matches[i].distance, ref.distance);
     EXPECT_EQ(matches[i].second_best, ref.second_best);
@@ -272,6 +274,72 @@ TEST(MatcherHw, GatedResultsMatchSoftwareReference) {
   }
   EXPECT_TRUE(hw.report().gated);
   EXPECT_EQ(hw.report().candidates, set.total_candidates());
+}
+
+TEST(MatcherHw, GatedReportOverGateWindowsIsUnchanged) {
+  // The tracker's gated path: the fabric model takes each query's list
+  // from the hot-path gate's windows.  Its matches and cycle report equal
+  // those over the reference builder's lists, and the report equals the
+  // values recorded when the gate still emitted explicit lists.
+  std::mt19937_64 gen(622);
+  const auto uniform = [&gen](double lo, double hi) {
+    return lo + (hi - lo) * (static_cast<double>(gen() >> 11) * 0x1p-53);
+  };
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  std::vector<Vec3> positions;
+  std::vector<double> xs, ys, zs;
+  for (int i = 0; i < 3000; ++i) {
+    Vec3 p = cam.unproject(uniform(-40.0, 680.0), uniform(-40.0, 520.0),
+                           uniform(0.5, 4.0));
+    if (i % 40 == 0) p[2] = -p[2];  // behind the camera
+    positions.push_back(p);
+    xs.push_back(p[0]);
+    ys.push_back(p[1]);
+    zs.push_back(p[2]);
+  }
+  FeatureList features(700);
+  std::vector<Descriptor256> queries;
+  for (Feature& f : features) {
+    f.keypoint.x = static_cast<int>(uniform(0.0, 640.0));
+    f.keypoint.y = static_cast<int>(uniform(0.0, 480.0));
+    f.keypoint.scale = 1.0;
+    for (auto& w : f.descriptor.words()) w = gen();
+    queries.push_back(f.descriptor);
+  }
+  std::vector<Descriptor256> train(positions.size());
+  for (Descriptor256& d : train)
+    for (auto& w : d.words()) w = gen();
+  const MatchPolicy policy;
+  Arena arena;
+  GateResult gate;
+  build_candidate_set_into(xs, ys, zs, SE3{}, cam, features, policy, &arena,
+                           gate);
+  const GateResult reference =
+      build_candidate_set(positions, SE3{}, cam, features, policy);
+
+  BriefMatcherHw hw, hw_reference;
+  const auto matches = hw.match_candidates(queries, train, gate.candidates);
+  const auto want =
+      hw_reference.match_candidates(queries, train, reference.candidates);
+  ASSERT_EQ(matches.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(matches[i].train, want[i].train) << i;
+    EXPECT_EQ(matches[i].distance, want[i].distance) << i;
+    EXPECT_EQ(matches[i].second_best, want[i].second_best) << i;
+  }
+  const HwMatcherReport& got = hw.report();
+  const HwMatcherReport& ref = hw_reference.report();
+  EXPECT_EQ(got.candidates, ref.candidates);
+  EXPECT_EQ(got.compute_cycles, ref.compute_cycles);
+  EXPECT_EQ(got.load_cycles, ref.load_cycles);
+  EXPECT_EQ(got.writeback_cycles, ref.writeback_cycles);
+  EXPECT_EQ(got.total_cycles, ref.total_cycles);
+  // Recorded with the explicit-list gate on this scene.
+  EXPECT_EQ(got.candidates, 11752u);
+  EXPECT_EQ(got.compute_cycles, 1788u);
+  EXPECT_EQ(got.load_cycles, 52900u);
+  EXPECT_EQ(got.writeback_cycles, 708u);
+  EXPECT_EQ(got.total_cycles, 53608u);
 }
 
 TEST(MatcherHw, GatedCyclesTrackCandidateCountNotMapSize) {
@@ -306,7 +374,7 @@ TEST(MatcherHw, GatedEmptyListsAndEmptyMap) {
   const auto queries = random_set(3, 619);
   const auto train = random_set(10, 620);
   CandidateSet set;
-  set.offsets = {0, 0, 0, 0};  // every list empty
+  for (int q = 0; q < 3; ++q) set.add_list({});  // every list empty
   BriefMatcherHw hw;
   const auto matches = hw.match_candidates(queries, train, set);
   ASSERT_EQ(matches.size(), queries.size());

@@ -266,14 +266,18 @@ TEST(Matcher, TieBreaksTowardLowestTrainIndex) {
 
 // Full candidate lists: every query lists every train index (ascending).
 CandidateSet full_candidates(std::size_t queries, std::size_t train) {
+  std::vector<std::int32_t> all(train);
+  for (std::size_t t = 0; t < train; ++t)
+    all[t] = static_cast<std::int32_t>(t);
   CandidateSet set;
-  set.offsets.push_back(0);
-  for (std::size_t q = 0; q < queries; ++q) {
-    for (std::size_t t = 0; t < train; ++t)
-      set.indices.push_back(static_cast<std::int32_t>(t));
-    set.offsets.push_back(static_cast<std::int32_t>(set.indices.size()));
-  }
+  for (std::size_t q = 0; q < queries; ++q) set.add_list(all);
   return set;
+}
+
+std::vector<std::int32_t> list_of(const CandidateSet& set, std::size_t q) {
+  std::vector<std::int32_t> list;
+  set.expand(q, list);
+  return list;
 }
 
 TEST(CandidateMatcher, FullCandidatesEqualBruteForce) {
@@ -304,8 +308,8 @@ TEST(CandidateMatcher, RestrictedWindowExcludesOutOfListTrain) {
   auto train = random_set(10, 112);
   const std::vector<Descriptor256> query = {train[7]};
   CandidateSet set;
-  set.indices = {1, 2, 3};  // the exact copy (7) is outside the window
-  set.offsets = {0, 3};
+  const std::int32_t listed[] = {1, 2, 3};  // the exact copy (7) is not
+  set.add_list(listed);
   MatcherOptions opts;
   opts.max_distance = 256;
   const auto matches = match_candidates(query, train, set, opts);
@@ -330,8 +334,9 @@ TEST(CandidateMatcher, EmptyCandidateListYieldsNoMatch) {
   const auto train = random_set(5, 113);
   const auto query = random_set(2, 114);
   CandidateSet set;
-  set.indices = {0, 1, 2, 3, 4};
-  set.offsets = {0, 5, 5};  // query 1 has an empty list
+  const std::int32_t listed[] = {0, 1, 2, 3, 4};
+  set.add_list(listed);
+  set.add_list({});  // query 1 has an empty list
   MatcherOptions opts;
   opts.max_distance = 256;
   const auto matches = match_candidates(query, train, set, opts);
@@ -344,8 +349,8 @@ TEST(CandidateMatcher, TieBreaksTowardLowestTrainIndex) {
   train[3] = train[1];  // duplicate at higher index
   const std::vector<Descriptor256> query = {train[1]};
   CandidateSet set;
-  set.indices = {1, 3};
-  set.offsets = {0, 2};
+  const std::int32_t listed[] = {1, 3};
+  set.add_list(listed);
   const auto matches = match_candidates(query, train, set, MatcherOptions{});
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].train, 1);
@@ -377,8 +382,6 @@ TEST(CandidateMatcher, ListOrderDoesNotChangeMatches) {
   // Lists of whole duplicate pairs plus singles; the ascending set is the
   // reference, the shuffled set the same lists in random order.
   CandidateSet ascending, shuffled;
-  ascending.offsets.push_back(0);
-  shuffled.offsets.push_back(0);
   int reordered_ties = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     std::vector<std::int32_t> list;
@@ -398,12 +401,8 @@ TEST(CandidateMatcher, ListOrderDoesNotChangeMatches) {
     list.erase(std::unique(list.begin(), list.end()), list.end());
     std::vector<std::int32_t> mixed = list;
     std::shuffle(mixed.begin(), mixed.end(), rng);
-    ascending.indices.insert(ascending.indices.end(), list.begin(), list.end());
-    shuffled.indices.insert(shuffled.indices.end(), mixed.begin(), mixed.end());
-    ascending.offsets.push_back(
-        static_cast<std::int32_t>(ascending.indices.size()));
-    shuffled.offsets.push_back(
-        static_cast<std::int32_t>(shuffled.indices.size()));
+    ascending.add_list(list);
+    shuffled.add_list(mixed);
     // A first-minimum-wins scan over the shuffled list would pick another
     // index than the lowest-index winner here.
     const Match lowest = match_one_candidates(queries[q], train, list);
@@ -448,9 +447,9 @@ TEST(CandidateMatcher, ListOrderDoesNotChangeMatches) {
   std::vector<Match> one_shuffled, one_ascending;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     one_shuffled.push_back(
-        match_one_candidates(queries[q], train, shuffled.candidates(q)));
+        match_one_candidates(queries[q], train, list_of(shuffled, q)));
     one_ascending.push_back(
-        match_one_candidates(queries[q], train, ascending.candidates(q)));
+        match_one_candidates(queries[q], train, list_of(ascending, q)));
   }
   expect_same(one_shuffled, one_ascending, "match_one_candidates");
   BriefMatcherHw hw;
@@ -470,8 +469,9 @@ TEST(CandidateMatcher, CrossCheckWithinCandidateGraph) {
   const std::vector<Descriptor256> train = {base};
   const std::vector<Descriptor256> queries = {q_far, q_near};
   CandidateSet set;
-  set.indices = {0, 0};
-  set.offsets = {0, 1, 2};
+  const std::int32_t listed[] = {0};
+  set.add_list(listed);
+  set.add_list(listed);
   MatcherOptions opts;
   opts.max_distance = 256;
   opts.cross_check = true;

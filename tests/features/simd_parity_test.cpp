@@ -194,37 +194,6 @@ TEST_P(TierParity, BestTwoBlockHonoursCountAndFullDistance) {
   }
 }
 
-TEST_P(TierParity, HammingGatherEqualsHammingDistance) {
-  std::mt19937_64 rng(3);
-  const auto train = tied_train(rng, 256);
-  // Lengths straddling the AVX-512 step (8 rows) and its partial block.
-  for (const std::size_t len :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 33u, 100u}) {
-    std::vector<std::int32_t> candidates(len);
-    for (auto& c : candidates)
-      c = static_cast<std::int32_t>(rng() % train.size());
-    // Odd lists start with the complement of their query (distance 256).
-    Descriptor256 q = random_descriptor(rng);
-    if (len > 1 && len % 2 == 1) {
-      q = train[static_cast<std::size_t>(candidates[0])];
-      for (int w = 0; w < Descriptor256::kWords; ++w)
-        q.words()[w] = ~q.words()[w];
-    }
-    std::vector<std::uint16_t> simd_d(len + 1, 0xFFFF);
-    std::vector<std::uint16_t> scalar_d(len + 1, 0xFFFF);
-    tier().hamming_gather(train, q, candidates, simd_d.data());
-    simd::hamming_gather_scalar(train, q, candidates, scalar_d.data());
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(simd_d[i], scalar_d[i]) << "len=" << len << " i=" << i;
-      EXPECT_EQ(simd_d[i],
-                hamming_distance(q, train[static_cast<std::size_t>(
-                                        candidates[i])]));
-    }
-    // The kernel never writes past the last candidate.
-    EXPECT_EQ(simd_d[len], 0xFFFF) << "len=" << len;
-  }
-}
-
 TEST_P(TierParity, BestTwoRowsEqualsMatchOne) {
   std::mt19937_64 rng(4);
   for (const std::size_t n :
@@ -331,7 +300,6 @@ TEST(SimdParity, MatchCandidatesIntoEqualsReference) {
     // Random candidate lists (some empty), each index at most once, in
     // random order.
     CandidateSet candidates;
-    candidates.offsets.push_back(0);
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const std::size_t len = rng() % 12;
       std::vector<std::int32_t> list(len);
@@ -340,9 +308,7 @@ TEST(SimdParity, MatchCandidatesIntoEqualsReference) {
       std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());
       std::shuffle(list.begin(), list.end(), rng);
-      for (const auto c : list) candidates.indices.push_back(c);
-      candidates.offsets.push_back(
-          static_cast<std::int32_t>(candidates.indices.size()));
+      candidates.add_list(list);
     }
 
     const std::vector<Match> reference =
@@ -536,11 +502,165 @@ TEST_P(TierParity, ReprojectionInliersEdgeCases) {
   }
 }
 
-// ---- Gate ------------------------------------------------------------------
+// ---- Gate and window scan -----------------------------------------------
 
-// The gate contract: each feature's candidate set equals the reference
-// builder's (list order is free), projected counts agree, and matching
-// over either set gives identical matches.
+double uniform(std::mt19937_64& rng, double lo, double hi) {
+  return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
+}
+
+// One gate input: map points (as Vec3s for the reference builder and as
+// SoA lanes for the hot path), the prior, the features and the policy.
+struct GateScene {
+  PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  SE3 pose;
+  MatchPolicy policy;
+  std::vector<Vec3> positions;
+  std::vector<double> xs, ys, zs;
+  FeatureList features;
+
+  void add_point(const Vec3& p) {
+    positions.push_back(p);
+    xs.push_back(p[0]);
+    ys.push_back(p[1]);
+    zs.push_back(p[2]);
+  }
+  void add_feature(int x, int y, double scale = 1.0) {
+    Feature f;
+    f.keypoint.x = x;
+    f.keypoint.y = y;
+    f.keypoint.scale = scale;
+    features.push_back(f);
+  }
+  GateResult reference() const {
+    return build_candidate_set(positions, pose, cam, features, policy);
+  }
+  void build_into(Arena& arena, GateResult& out) const {
+    build_candidate_set_into(xs, ys, zs, pose, cam, features, policy, &arena,
+                             out);
+  }
+};
+
+// Points in and around the frustum under a non-trivial prior: most
+// project into the padded image, one in ten lies behind the camera and
+// one in ten projects far outside it.  Features anywhere in the image;
+// with few points most of their windows are empty.
+GateScene random_scene(std::mt19937_64& rng, double radius,
+                       std::size_t n_points, std::size_t n_features) {
+  GateScene scene;
+  scene.pose = SE3::exp({0.02, 0.01, -0.03, 0.1, 0.05, -0.08});
+  scene.policy.search_radius_px = radius;
+  const SE3 pose_wc = scene.pose.inverse();
+  for (std::size_t i = 0; i < n_points; ++i) {
+    const double z = uniform(rng, 0.5, 4.0);
+    Vec3 p_cam = scene.cam.unproject(uniform(rng, -radius - 10, 650 + radius),
+                                     uniform(rng, -radius - 10, 490 + radius),
+                                     z);
+    if (i % 10 == 3) p_cam[2] = -z;
+    if (i % 10 == 7) p_cam = Vec3{uniform(rng, -20.0, 20.0), 0.0, 0.3};
+    scene.add_point(pose_wc * p_cam);
+  }
+  for (std::size_t i = 0; i < n_features; ++i)
+    scene.add_feature(static_cast<int>(uniform(rng, 0.0, 640.0)),
+                      static_cast<int>(uniform(rng, 0.0, 480.0)));
+  return scene;
+}
+
+// Unit focal length and depth 1 under the identity pose: a point at
+// (x, y, 1) projects to exactly (x, y), so placements land on the window
+// and cell edges exactly.
+GateScene edge_scene(std::mt19937_64& rng, double radius) {
+  GateScene scene;
+  scene.cam = PinholeCamera(1.0, 1.0, 0.0, 0.0, 640, 480);
+  scene.policy.search_radius_px = radius;
+  const double cell = std::max(radius / 2, 4.0);
+  // Window edges on cell boundaries (padded x0 - r and x0 + r are cell
+  // multiples), image corners (windows cross the padded grid's border),
+  // a generic pixel and scaled pyramid-level coordinates.
+  const int on_edge = static_cast<int>(std::lround(10 * cell));
+  scene.add_feature(on_edge, on_edge);
+  scene.add_feature(0, 0);
+  scene.add_feature(639, 479);
+  scene.add_feature(0, 479);
+  scene.add_feature(639, 0);
+  scene.add_feature(301, 203);
+  scene.add_feature(83, 61, 1.2);
+  scene.add_feature(250, 190, 1.2 * 1.2 * 1.2);
+
+  const auto add_point = [&](double u, double v) {
+    scene.add_point({u, v, 1.0});
+  };
+  const double below = std::nextafter(radius, 0.0);
+  const double above = std::nextafter(radius, 1e9);
+  for (std::size_t q = 0; q < scene.features.size(); ++q) {
+    const double x0 = scene.features[q].keypoint.x0();
+    const double y0 = scene.features[q].keypoint.y0();
+    // Exactly +-r from the feature, one ulp inside and outside, and on
+    // the window's corners.
+    for (const double d : {radius, below, above, radius + 1e-9}) {
+      add_point(x0 + d, y0);
+      add_point(x0 - d, y0);
+      add_point(x0, y0 + d);
+      add_point(x0, y0 - d);
+      add_point(x0 + d, y0 + d);
+      add_point(x0 - d, y0 - d);
+    }
+  }
+  // Points on and around the cell edges crossed by the first window
+  // (image coordinate = padded coordinate - margin).
+  for (int k = 0; k < 30; ++k) {
+    const double edge = k * cell - radius;
+    for (const double e :
+         {edge, std::nextafter(edge, -1e9), std::nextafter(edge, 1e9)}) {
+      add_point(e, on_edge);
+      add_point(on_edge, e);
+      add_point(e, e);
+    }
+  }
+  // The padded grid's border: the first kept coordinate (-margin), the
+  // last one below width/height + margin, and the first one past it.
+  for (const double u : {-radius, std::nextafter(640 + radius, 0.0),
+                         640 + radius, 0.0, 639.0}) {
+    for (const double v : {-radius, std::nextafter(480 + radius, 0.0),
+                           480 + radius, 0.0, 479.0})
+      add_point(u, v);
+  }
+  // Plus a random scatter.
+  for (int i = 0; i < 400; ++i)
+    add_point(static_cast<double>(rng() % 7000) / 10.0 - 30.0,
+              static_cast<double>(rng() % 5400) / 10.0 - 30.0);
+  return scene;
+}
+
+// Train descriptors for the scene's points, and feature descriptors, with
+// ties across cells: every third point carries one of two shared
+// descriptors, every third feature is one of those two (distance 0 to
+// points scattered over many cells), and every third feature after it is
+// a one-bit variant of some point's descriptor.
+std::vector<Descriptor256> tie_descriptors(std::mt19937_64& rng,
+                                           GateScene& scene) {
+  const auto pool = random_descriptors(rng, 2);
+  auto train = tied_train(rng, scene.positions.size());
+  for (std::size_t i = 0; i < train.size(); i += 3) train[i] = pool[i % 2];
+  for (std::size_t q = 0; q < scene.features.size(); ++q) {
+    Descriptor256& d = scene.features[q].descriptor;
+    d = random_descriptor(rng);
+    if (q % 3 == 0) d = pool[q % 2];
+    if (q % 3 == 1 && !train.empty()) {
+      d = train[rng() % train.size()];
+      d.set_bit(static_cast<int>(rng() % 256), true);
+    }
+  }
+  return train;
+}
+
+std::vector<std::int32_t> list_of(const CandidateSet& set, std::size_t q) {
+  std::vector<std::int32_t> list;
+  set.expand(q, list);
+  return list;
+}
+
+// The gate contract: each feature's candidates equal the reference
+// builder's list as a set (no index twice), and projected counts agree.
 void expect_same_candidate_sets(const GateResult& reference,
                                 const GateResult& out,
                                 const std::string& where) {
@@ -548,185 +668,71 @@ void expect_same_candidate_sets(const GateResult& reference,
   ASSERT_EQ(reference.candidates.num_queries(), out.candidates.num_queries())
       << where;
   for (std::size_t q = 0; q < out.candidates.num_queries(); ++q) {
-    const auto ref_list = reference.candidates.candidates(q);
-    const auto list = out.candidates.candidates(q);
-    std::vector<std::int32_t> sorted(list.begin(), list.end());
+    std::vector<std::int32_t> sorted = list_of(out.candidates, q);
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
         << where << " feature " << q << ": an index listed twice";
-    EXPECT_EQ(sorted, std::vector<std::int32_t>(ref_list.begin(),
-                                                ref_list.end()))
+    EXPECT_EQ(sorted, list_of(reference.candidates, q))
         << where << " feature " << q;
   }
 }
 
-void expect_same_matches_over(const GateResult& reference,
-                              const GateResult& out,
-                              const FeatureList& features,
-                              const std::vector<Descriptor256>& train) {
-  Arena arena;
-  for (const bool cross_check : {false, true}) {
-    MatcherOptions options;
-    options.max_distance = 256;
-    options.cross_check = cross_check;
-    std::vector<Match> from_reference, from_out;
-    match_candidates_into(features, TrainView{train, nullptr},
-                          reference.candidates, options, &arena,
-                          from_reference);
-    match_candidates_into(features, TrainView{train, nullptr}, out.candidates,
-                          options, &arena, from_out);
-    expect_matches_equal(from_reference, from_out);
-  }
+// Slot descriptors in slot order, padded as best_two_windows reads them.
+std::vector<Descriptor256> slot_rows(const CandidateSet& set,
+                                     const std::vector<Descriptor256>& train) {
+  std::vector<Descriptor256> rows(set.num_slots() + simd::kSlotRowPad);
+  for (std::size_t s = 0; s < set.num_slots(); ++s)
+    rows[s] = train[static_cast<std::size_t>(set.slot_train[s])];
+  return rows;
 }
 
 TEST(SimdParity, BuildCandidateSetIntoEqualsReference) {
   std::mt19937_64 rng(8);
-  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
-  auto uniform = [&](double lo, double hi) {
-    return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
-  };
-  const SE3 pose = SE3::exp({0.02, 0.01, -0.03, 0.1, 0.05, -0.08});
-  const std::size_t n_points = 600;
-  std::vector<Vec3> positions(n_points);
-  std::vector<double> xs(n_points), ys(n_points), zs(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const Vec3 p{uniform(-3.0, 3.0), uniform(-2.0, 2.0), uniform(-0.5, 7.0)};
-    positions[i] = p;
-    xs[i] = p[0];
-    ys[i] = p[1];
-    zs[i] = p[2];
-  }
-  FeatureList features(150);
-  for (auto& f : features) {
-    f.keypoint.x = static_cast<int>(uniform(0.0, 640.0));
-    f.keypoint.y = static_cast<int>(uniform(0.0, 480.0));
-    f.keypoint.scale = 1.0;
-    f.descriptor = random_descriptor(rng);
-  }
-  const auto train = tied_train(rng, n_points);
-  MatchPolicy policy;
-
-  const GateResult reference =
-      build_candidate_set(positions, pose, cam, features, policy);
+  const GateScene scene = random_scene(rng, 24.0, 600, 150);
+  const GateResult reference = scene.reference();
   Arena arena;
   GateResult out;
-  build_candidate_set_into(xs, ys, zs, pose, cam, features, policy, &arena,
-                           out);
+  scene.build_into(arena, out);
   ASSERT_GT(reference.candidates.total_candidates(), 0u);
+  EXPECT_EQ(out.candidates.total_candidates(),
+            reference.candidates.total_candidates());
   expect_same_candidate_sets(reference, out, "random");
-  expect_same_matches_over(reference, out, features, train);
 
   // Recycled-output reuse: a second build into the same GateResult must
   // not accumulate stale state.
   const GateResult first = out;
-  build_candidate_set_into(xs, ys, zs, pose, cam, features, policy, &arena,
-                           out);
-  EXPECT_EQ(first.candidates.indices, out.candidates.indices);
-  EXPECT_EQ(first.candidates.offsets, out.candidates.offsets);
+  scene.build_into(arena, out);
+  EXPECT_EQ(first.candidates.slot_train, out.candidates.slot_train);
+  EXPECT_EQ(first.candidates.slot_u, out.candidates.slot_u);
+  EXPECT_EQ(first.candidates.slot_v, out.candidates.slot_v);
+  EXPECT_EQ(first.candidates.query_u, out.candidates.query_u);
+  EXPECT_EQ(first.candidates.query_v, out.candidates.query_v);
+  EXPECT_EQ(first.candidates.run_offsets, out.candidates.run_offsets);
+  EXPECT_EQ(first.candidates.runs, out.candidates.runs);
 }
 
 TEST(SimdParity, BuildCandidateSetIntoEdgePlacements) {
-  // Unit focal length and depth 1 under the identity pose: a point at
-  // (x, y, 1) projects to exactly (x, y), so placements land on the
-  // window and cell edges exactly.
-  const PinholeCamera cam(1.0, 1.0, 0.0, 0.0, 640, 480);
   std::mt19937_64 rng(9);
   for (const double radius : {24.0, 10.0, 5.0, 37.5}) {
-    MatchPolicy policy;
-    policy.search_radius_px = radius;
-    const double cell = std::max(radius / 2, 4.0);
-    FeatureList features;
-    const auto add_feature = [&](int x, int y, double scale = 1.0) {
-      Feature f;
-      f.keypoint.x = x;
-      f.keypoint.y = y;
-      f.keypoint.scale = scale;
-      f.descriptor = random_descriptor(rng);
-      features.push_back(f);
-    };
-    // Window edges on cell boundaries (padded x0 - r and x0 + r are cell
-    // multiples), image corners (windows cross the padded grid's border),
-    // a generic pixel and scaled pyramid-level coordinates.
-    const int on_edge = static_cast<int>(std::lround(10 * cell));
-    add_feature(on_edge, on_edge);
-    add_feature(0, 0);
-    add_feature(639, 479);
-    add_feature(0, 479);
-    add_feature(639, 0);
-    add_feature(301, 203);
-    add_feature(83, 61, 1.2);
-    add_feature(250, 190, 1.2 * 1.2 * 1.2);
-
-    std::vector<double> us, vs;
-    const auto add_point = [&](double u, double v) {
-      us.push_back(u);
-      vs.push_back(v);
-    };
-    const double below = std::nextafter(radius, 0.0);
-    const double above = std::nextafter(radius, 1e9);
-    for (const Feature& f : features) {
-      const double x0 = f.keypoint.x0(), y0 = f.keypoint.y0();
-      // Exactly +-r from the feature, one ulp inside and outside, and on
-      // the window's corners.
-      for (const double d : {radius, below, above, radius + 1e-9}) {
-        add_point(x0 + d, y0);
-        add_point(x0 - d, y0);
-        add_point(x0, y0 + d);
-        add_point(x0, y0 - d);
-        add_point(x0 + d, y0 + d);
-        add_point(x0 - d, y0 - d);
-      }
-    }
-    // Points on and around the cell edges crossed by the first window
-    // (image coordinate = padded coordinate - margin).
-    for (int k = 0; k < 30; ++k) {
-      const double edge = k * cell - radius;
-      for (const double e : {edge, std::nextafter(edge, -1e9),
-                             std::nextafter(edge, 1e9)}) {
-        add_point(e, on_edge);
-        add_point(on_edge, e);
-        add_point(e, e);
-      }
-    }
-    // The padded grid's border: the first kept coordinate (-margin), the
-    // last one below width/height + margin, and the first one past it.
-    for (const double u : {-radius, std::nextafter(640 + radius, 0.0),
-                           640 + radius, 0.0, 639.0}) {
-      for (const double v : {-radius, std::nextafter(480 + radius, 0.0),
-                             480 + radius, 0.0, 479.0})
-        add_point(u, v);
-    }
-    // Plus a random scatter.
-    for (int i = 0; i < 400; ++i)
-      add_point(static_cast<double>(rng() % 7000) / 10.0 - 30.0,
-                static_cast<double>(rng() % 5400) / 10.0 - 30.0);
-
-    const std::size_t n = us.size();
-    std::vector<Vec3> positions(n);
-    std::vector<double> zs(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i) positions[i] = Vec3{us[i], vs[i], 1.0};
-    const GateResult reference =
-        build_candidate_set(positions, SE3{}, cam, features, policy);
+    const GateScene scene = edge_scene(rng, radius);
+    const GateResult reference = scene.reference();
     Arena arena;
     GateResult out;
-    build_candidate_set_into(us, vs, zs, SE3{}, cam, features, policy, &arena,
-                             out);
+    scene.build_into(arena, out);
     const std::string where = "radius=" + std::to_string(radius);
     expect_same_candidate_sets(reference, out, where);
-    expect_same_matches_over(reference, out, features,
-                             tied_train(rng, n));
 
     // The window is closed: on a level-0 feature a point exactly r away
     // (on one axis or both) is a candidate, one just beyond is not.
-    for (std::size_t q = 0; q < features.size(); ++q) {
-      if (features[q].keypoint.scale != 1.0) continue;
-      const double x0 = features[q].keypoint.x0();
-      const double y0 = features[q].keypoint.y0();
-      const auto list = out.candidates.candidates(q);
+    for (std::size_t q = 0; q < scene.features.size(); ++q) {
+      if (scene.features[q].keypoint.scale != 1.0) continue;
+      const double x0 = scene.features[q].keypoint.x0();
+      const double y0 = scene.features[q].keypoint.y0();
+      const std::vector<std::int32_t> list = list_of(out.candidates, q);
       const auto listed = [&](double u, double v) {
         for (const std::int32_t i : list)
-          if (us[static_cast<std::size_t>(i)] == u &&
-              vs[static_cast<std::size_t>(i)] == v)
+          if (scene.xs[static_cast<std::size_t>(i)] == u &&
+              scene.ys[static_cast<std::size_t>(i)] == v)
             return true;
         return false;
       };
@@ -739,6 +745,106 @@ TEST(SimdParity, BuildCandidateSetIntoEdgePlacements) {
       EXPECT_TRUE(listed(x0 - radius, y0 - radius)) << at;
       EXPECT_FALSE(listed(x0 + radius + 1e-9, y0)) << at;
       EXPECT_FALSE(listed(x0, y0 - (radius + 1e-9))) << at;
+    }
+  }
+}
+
+// Scenes for the window scan: dense and sparse random maps at the default
+// radius and under the 4 px cell floor, an empty map, and the edge
+// placements at four radii.
+std::vector<std::pair<std::string, GateScene>> window_scenes(
+    std::mt19937_64& rng) {
+  std::vector<std::pair<std::string, GateScene>> scenes;
+  scenes.emplace_back("dense r=24", random_scene(rng, 24.0, 3000, 200));
+  scenes.emplace_back("dense r=5", random_scene(rng, 5.0, 3000, 200));
+  scenes.emplace_back("sparse r=24", random_scene(rng, 24.0, 40, 120));
+  scenes.emplace_back("empty map", random_scene(rng, 24.0, 0, 20));
+  for (const double radius : {24.0, 10.0, 5.0, 37.5})
+    scenes.emplace_back("edges r=" + std::to_string(radius),
+                        edge_scene(rng, radius));
+  return scenes;
+}
+
+TEST_P(TierParity, BestTwoWindowsEqualsMatchOneOverReferenceLists) {
+  // Per query, the tier's scan of the gate's windows (and of the reference
+  // builder's explicit lists) equals match_one_candidates() over the
+  // reference list: same winner, distance and runner-up, ties across
+  // cells to the lowest train index.
+  std::mt19937_64 rng(10);
+  for (auto& [where, scene] : window_scenes(rng)) {
+    const std::vector<Descriptor256> train = tie_descriptors(rng, scene);
+    const GateResult reference = scene.reference();
+    Arena arena;
+    GateResult out;
+    scene.build_into(arena, out);
+    const std::size_t nq = scene.features.size();
+    int ties = 0;
+    for (const GateResult* gate :
+         {static_cast<const GateResult*>(&out), &reference}) {
+      const CandidateSet& set = gate->candidates;
+      const std::vector<Descriptor256> rows = slot_rows(set, train);
+      std::vector<Match> got(nq + 1), scalar(nq + 1);
+      got[nq].query = scalar[nq].query = 7;  // sentinel
+      tier().best_two_windows(set, rows.data(),
+                              descriptor_rows(scene.features), got.data());
+      simd::best_two_windows_scalar(set, rows.data(),
+                                    descriptor_rows(scene.features),
+                                    scalar.data());
+      for (std::size_t q = 0; q < nq; ++q) {
+        const std::vector<std::int32_t> list =
+            list_of(reference.candidates, q);
+        const Match want =
+            match_one_candidates(scene.features[q].descriptor, train, list);
+        const std::string at = where + " feature " + std::to_string(q) +
+                               (gate == &out ? " (windows)" : " (lists)");
+        expect_match_eq(got[q], want, at);
+        expect_match_eq(scalar[q], want, at + " scalar");
+        ties += want.train >= 0 && want.distance == want.second_best ? 1 : 0;
+      }
+      // The kernel never writes past the last query.
+      EXPECT_EQ(got[nq].query, 7) << where;
+      EXPECT_EQ(scalar[nq].query, 7) << where;
+    }
+    if (where == "dense r=24") {
+      EXPECT_GT(ties, 20) << where << ": the scene must tie across cells";
+    }
+  }
+}
+
+TEST(SimdParity, MatchCandidatesIntoOverWindowsEqualsReferenceLists) {
+  // The whole gated matcher over the gate's windows against the allocating
+  // reference over the reference builder's lists, under every acceptance
+  // option: max distance, ratio test and cross-check.
+  std::mt19937_64 rng(11);
+  for (auto& [where, scene] : window_scenes(rng)) {
+    const std::vector<Descriptor256> train = tie_descriptors(rng, scene);
+    std::vector<Descriptor256> queries;
+    for (const Feature& f : scene.features) queries.push_back(f.descriptor);
+    DescriptorSoA soa;
+    soa.assign(train);
+    const GateResult reference = scene.reference();
+    Arena arena;
+    GateResult out;
+    scene.build_into(arena, out);
+    for (const int max_distance : {64, 256}) {
+      for (const double ratio : {1.0, 0.8}) {
+        for (const bool cross_check : {false, true}) {
+          MatcherOptions options;
+          options.max_distance = max_distance;
+          options.ratio = ratio;
+          options.cross_check = cross_check;
+          const std::vector<Match> want =
+              match_candidates(queries, train, reference.candidates, options);
+          std::vector<Match> got;
+          match_candidates_into(scene.features, TrainView{train, &soa},
+                                out.candidates, options, &arena, got);
+          SCOPED_TRACE(where + " max_distance=" +
+                       std::to_string(max_distance) +
+                       " ratio=" + std::to_string(ratio) +
+                       " cross_check=" + std::to_string(cross_check));
+          expect_matches_equal(want, got);
+        }
+      }
     }
   }
 }

@@ -117,11 +117,9 @@ TEST(BackendShardLane, ConcurrentSessionsKeepEveryInvariantUnderLoad) {
   for (const SessionHandle* h : {&a, &b}) {
     const PipelineStats stats = h->stats();
     const backend::BackendStats bstats = h->backend_stats();
-    // Latency is only recorded for popped jobs, and the tracker agrees
-    // with the scheduler about volume.
+    // The tracker agrees with the scheduler about volume.
     EXPECT_EQ(bstats.jobs_run, stats.backend_jobs);
     EXPECT_GT(stats.backend_jobs, 0);
-    EXPECT_GE(stats.backend_ba_queue_ms, 0.0);
     // Freeze accounting: jobs trace to freezes, in-flight never exceeded
     // the tracker's budget.
     EXPECT_LE(bstats.ba_jobs_run, bstats.shard_jobs_frozen);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -283,27 +284,44 @@ TEST(SlamService, MalformedFramesAreRefusedAndSiblingsUnaffected) {
   FrameInput tiny;
   tiny.gray = ImageU8(32, 24);
   tiny.depth = ImageU16(32, 24);
+  // Camera-sized gray images that tracking still cannot use: a NaN
+  // timestamp on any session; no depth, or depth of the wrong size, on a
+  // mapping session.
+  FrameInput nan_time = target_seq.frame(0);
+  nan_time.timestamp = std::numeric_limits<double>::quiet_NaN();
+  FrameInput no_depth = target_seq.frame(0);
+  no_depth.depth = ImageU16();
+  FrameInput small_depth = target_seq.frame(0);
+  small_depth.depth = ImageU16(32, 24);
   for (int f = 0; f < kFrames; ++f) {
     healthy.feed(healthy_seq.frame(f));
     if (f != kFrames / 2) continue;
     for (SessionHandle* target : {&mapping, &localization}) {
       EXPECT_FALSE(target->try_feed(FrameInput{})) << "empty frame";
       EXPECT_FALSE(target->feed(tiny)) << "32x24 frame";
+      EXPECT_FALSE(target->feed(nan_time)) << "NaN timestamp";
     }
+    EXPECT_FALSE(mapping.try_feed(no_depth)) << "mapping frame, no depth";
+    EXPECT_FALSE(mapping.feed(small_depth)) << "mapping frame, 32x24 depth";
   }
-  // The refusals left both targets serving well-formed frames.
+  // The refusals left both targets serving well-formed frames; the
+  // localizer never reads depth, so it takes and tracks a frame without.
   EXPECT_TRUE(mapping.feed(target_seq.frame(0)));
-  EXPECT_TRUE(localization.feed(target_seq.frame(0)));
+  EXPECT_TRUE(localization.feed(no_depth));
 
   expect_bit_identical(healthy.drain(),
                        solo_sequential(healthy_seq, iota_frames(kFrames)),
                        "healthy session");
   expect_bit_identical(mapping.drain(), solo_sequential(target_seq, {0}),
                        "mapping session after refusals");
-  EXPECT_EQ(localization.drain().size(), 1u);
+  const std::vector<TrackResult> localized = localization.drain();
+  ASSERT_EQ(localized.size(), 1u);
+  EXPECT_FALSE(localized[0].lost) << "depth-less frame on the localizer";
+  EXPECT_GT(localized[0].n_inliers, 0);
+  EXPECT_EQ(mapping.stats().malformed_feeds, 5);
+  EXPECT_EQ(localization.stats().malformed_feeds, 3);
   for (const SessionHandle* target : {&mapping, &localization}) {
     const PipelineStats stats = target->stats();
-    EXPECT_EQ(stats.malformed_feeds, 2);
     EXPECT_EQ(stats.rejected_feeds, 0);  // refusals are not back-pressure
     EXPECT_EQ(stats.frames_fed, 1);
   }

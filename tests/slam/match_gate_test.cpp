@@ -25,8 +25,9 @@ Vec3 point_at(double u, double v, double z) {
 }
 
 std::vector<std::int32_t> list_of(const CandidateSet& set, std::size_t q) {
-  const auto span = set.candidates(q);
-  return {span.begin(), span.end()};
+  std::vector<std::int32_t> list;
+  set.expand(q, list);
+  return list;
 }
 
 TEST(MatchGate, CandidatesAreMapPointsProjectingNearTheFeature) {
