@@ -30,6 +30,9 @@ PINNED = [
     "eslam::build_candidate_set_into",
     f"eslam::{ANON}::match_rows_into",
     "eslam::match_candidates_into",
+    # The recognition index: the query and the merge behind every insert.
+    "eslam::backend::KeyframeIndex::query",
+    "eslam::backend::KeyframeIndex::merge",
     # Scalar kernels.
     "eslam::simd::best_two_block_scalar",
     "eslam::simd::best_two_windows_scalar",

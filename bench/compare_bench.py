@@ -63,6 +63,14 @@ GATES = [
     Gate("multi_session_throughput", "bit_identical", ge=1),
     Gate("multi_session_throughput", "all_delivered", ge=1),
     Gate("multi_session_throughput", "fair_device_dispatch", ge=1),
+    # Sequential 60-frame runs (the CI smoke length), so deterministic:
+    # both forced losses recover through the recognition index with no
+    # brute-force fallback, and no frame is lost where the committed
+    # baseline loses none.
+    Gate("loop_closure", "loss_reloc_index_recoveries", ge=2),
+    Gate("loop_closure", "loss_reloc_brute_fallbacks", le=0),
+    Gate("loop_closure", "lost_frames_on", le=0),
+    Gate("backend_ate", "lost_frames_off", le=0),
 ]
 
 

@@ -19,12 +19,17 @@
 //     hypothesis solve, the 10-iteration refit on the inliers and the
 //     15-iteration Huber pose optimization, each against
 //     solve_pnp_reference(), and RANSAC's inlier scoring (dispatched,
-//     scalar tier, and the reprojection_error_sq() loop).
+//     scalar tier, and the reprojection_error_sq() loop);
+//   * the recognition index over keyframes of extracted ORB descriptors
+//     (the keyframe_index_* keys): a one-batch build of 21 keyframes (a
+//     snapshot load), one live insert plus FIFO eviction at 25, 100 and
+//     512 live keyframes, and one 1024-descriptor query.
 //
 // Every timed case first asserts that its outputs equal the reference
 // (candidate sets per feature, Match fields, projected pixels, PnP results
-// bit for bit, inlier lists) — a dispatch regression fails the bench
-// before it pollutes the numbers.
+// bit for bit, inlier lists, and the recognition index's rankings built
+// in one batch against keyframe by keyframe) — a dispatch regression
+// fails the bench before it pollutes the numbers.
 #include <algorithm>
 #include <bit>
 #include <cstdio>
@@ -33,12 +38,15 @@
 #include <string>
 #include <vector>
 
+#include "backend/keyframe_index.h"
 #include "bench_util.h"
 #include "core/arena.h"
 #include "core/simd_dispatch.h"
+#include "dataset/sequence.h"
 #include "features/descriptor_soa.h"
 #include "features/fast.h"
 #include "features/matcher.h"
+#include "features/orb.h"
 #include "features/simd_kernels.h"
 #include "geometry/camera.h"
 #include "geometry/wall_timer.h"
@@ -157,6 +165,63 @@ std::vector<Match> verify_on(const simd::KernelTable& tier,
     if (back.train == m.query) out.push_back(m);
   }
   return out;
+}
+
+// Keyframe observation sets cut from extracted ORB descriptors.  Uniform
+// random descriptors spread over the whole 2^20-word space; extracted ones
+// repeat chunk values across views, and that decides the index's size.
+// `frames` frames spread over the room sequence are extracted once; set s
+// is a window of `per_set` features of frame s % frames, starting further
+// along that frame's features on every lap, so no two sets are equal.
+// `query` gets the features of a frame between the first two.
+std::vector<std::vector<backend::KeyframeObservation>> extracted_keyframes(
+    int frames, int sets, int per_set, std::vector<Descriptor256>& query) {
+  constexpr int kStride = 12;
+  SequenceOptions options;
+  options.frames = frames * kStride;
+  const SyntheticSequence seq(SequenceId::kFr1Room, options);
+  OrbExtractor extractor{OrbConfig{}};
+  std::vector<FeatureList> features;
+  for (int f = 0; f < frames; ++f)
+    features.push_back(extractor.extract(seq.frame(f * kStride).gray));
+  for (const Feature& f : extractor.extract(seq.frame(kStride / 2).gray))
+    query.push_back(f.descriptor);
+  std::vector<std::vector<backend::KeyframeObservation>> out(
+      static_cast<std::size_t>(sets));
+  for (int s = 0; s < sets; ++s) {
+    const FeatureList& from = features[static_cast<std::size_t>(s % frames)];
+    const std::size_t start = static_cast<std::size_t>(s / frames) * 37;
+    for (int j = 0; j < per_set && j < static_cast<int>(from.size()); ++j) {
+      const Feature& f = from[(start + static_cast<std::size_t>(j)) %
+                              from.size()];
+      out[static_cast<std::size_t>(s)].push_back(
+          {s * 10000 + j, Vec2{}, f.descriptor, {}});
+    }
+  }
+  return out;
+}
+
+// Keyframes [first, first + n) of `sets`, as one batch.
+std::vector<backend::IndexedKeyframe> keyframe_batch(
+    const std::vector<std::vector<backend::KeyframeObservation>>& sets,
+    int first, int n) {
+  std::vector<backend::IndexedKeyframe> batch;
+  for (int id = first; id < first + n; ++id)
+    batch.push_back({id, sets[static_cast<std::size_t>(id)]});
+  return batch;
+}
+
+void require_same_ranking(const backend::KeyframeIndex& a,
+                          const backend::KeyframeIndex& b,
+                          std::span<const Descriptor256> query,
+                          const char* what) {
+  const auto ra = a.query(query, 1 << 20);
+  const auto rb = b.query(query, 1 << 20);
+  require(!ra.empty() && ra.size() == rb.size(), what);
+  for (std::size_t i = 0; i < ra.size(); ++i)
+    require(ra[i].keyframe_id == rb[i].keyframe_id &&
+                same_bits(ra[i].score, rb[i].score),
+            what);
 }
 
 // Median-of-reps wall time for `fn`, in milliseconds.
@@ -600,6 +665,76 @@ int main() {
     json.number("ransac_score_us", score_us);
     json.number("ransac_score_scalar_us", score_scalar_us);
     json.number("ransac_score_reference_us", score_ref_us);
+  }
+
+  // ---- Recognition index: build, live insert + eviction, query ----------
+  {
+    constexpr int kLive[] = {25, 100, 512};
+    constexpr int kReps = 15;
+    std::vector<Descriptor256> query;
+    const auto sets = extracted_keyframes(/*frames=*/24,
+                                          /*sets=*/512 + kReps + 1,
+                                          /*per_set=*/700, query);
+    auto one_by_one = [&](int first, int n) {
+      backend::KeyframeIndex index;
+      for (int id = first; id < first + n; ++id)
+        index.add_keyframe(id, sets[static_cast<std::size_t>(id)]);
+      return index;
+    };
+    auto batch = [&](int first, int n) {
+      backend::KeyframeIndex index;
+      index.add_keyframes(keyframe_batch(sets, first, n));
+      return index;
+    };
+
+    // A snapshot load's index: one batch of 21 keyframes.
+    require_same_ranking(batch(0, 21), one_by_one(0, 21), query,
+                         "index built in one batch vs keyframe by keyframe");
+    const double build_ms = time_ms(kReps, [&] { (void)batch(0, 21); });
+    const double build_one_by_one_ms =
+        time_ms(kReps, [&] { (void)one_by_one(0, 21); });
+    std::printf("keyframe_index build 21 keyframes: one batch %6.3f ms  "
+                "keyframe by keyframe %6.3f ms\n",
+                build_ms, build_one_by_one_ms);
+    json.number("keyframe_index_build_21_ms", build_ms);
+    json.number("keyframe_index_build_21_one_by_one_ms", build_one_by_one_ms);
+
+    // The tracker's keyframe insertion at a full FIFO window: one insert,
+    // then eviction of the oldest keyframe.  After the reps the live index
+    // must still answer as a fresh batch of its window.
+    std::printf("keyframe_index insert + evict:");
+    for (const int live_n : kLive) {
+      backend::KeyframeIndex live = batch(0, live_n);
+      require_same_ranking(live, one_by_one(0, live_n), query,
+                           "index built in one batch vs keyframe by keyframe");
+      std::vector<double> samples;
+      for (int r = 0; r <= kReps; ++r) {
+        const int id = live_n + r;
+        const WallTimer t;
+        live.add_keyframe(id, sets[static_cast<std::size_t>(id)]);
+        live.remove_below(id - live_n + 1);
+        if (r > 0) samples.push_back(t.elapsed_ms());  // first one warms up
+      }
+      require_same_ranking(live, batch(kReps + 1, live_n), query,
+                           "live inserts and evictions vs a fresh batch");
+      std::sort(samples.begin(), samples.end());
+      const double ms = samples[samples.size() / 2];
+      std::printf("  %d live %6.3f ms", live_n, ms);
+      json.number("keyframe_index_insert_evict_" + std::to_string(live_n) +
+                      "_ms",
+                  ms);
+    }
+    std::printf("\n");
+
+    // One frame's worth of recognition: a 1024-descriptor query against
+    // 100 keyframes.
+    const backend::KeyframeIndex index = batch(0, 100);
+    const double query_ms =
+        time_ms(kReps, [&] { (void)index.query(query, 10); });
+    std::printf("keyframe_index query %zu descriptors x 100 keyframes "
+                "%6.3f ms\n",
+                query.size(), query_ms);
+    json.number("keyframe_index_query_ms", query_ms);
   }
 
   // ---- Legacy scalar micro kernels (continuity with earlier runs) --------

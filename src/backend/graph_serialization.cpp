@@ -147,8 +147,11 @@ KeyframeGraph rebuild_graph(const KeyframeGraphOptions& options,
 
 void rebuild_index(const KeyframeGraph& graph, KeyframeIndex& index) {
   const int first = graph.first_live_id();
+  std::vector<IndexedKeyframe> keyframes;
+  keyframes.reserve(graph.size());
   for (int id = first; id < first + static_cast<int>(graph.size()); ++id)
-    index.add_keyframe(id, graph.keyframe(id).observations);
+    keyframes.push_back({id, graph.keyframe(id).observations});
+  index.add_keyframes(keyframes);
 }
 
 }  // namespace eslam::backend

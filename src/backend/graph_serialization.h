@@ -51,9 +51,9 @@ bool read_graph_section(ByteReader& in, std::int64_t next_point_id,
 KeyframeGraph rebuild_graph(const KeyframeGraphOptions& options,
                             std::span<const Keyframe> keyframes);
 
-// Rebuilds the recognition index over a (rebuilt) graph's live keyframes —
-// same insertion order as the live tracker performed, so query rankings
-// match a never-serialized session's.
+// Rebuilds the recognition index over a (rebuilt) graph's live keyframes
+// in one batch; the index answers exactly as if they had been inserted one
+// by one, so query rankings match a never-serialized session's.
 void rebuild_index(const KeyframeGraph& graph, KeyframeIndex& index);
 
 }  // namespace eslam::backend
