@@ -21,7 +21,6 @@ ANON = "(anonymous namespace)"
 # Demangled names, without parameters.
 PINNED = [
     # Pose estimation.
-    f"eslam::{ANON}::normal_equations",
     "eslam::solve_pnp",
     "eslam::solve_p3p",
     "eslam::solve_p3p_with_check",
@@ -40,6 +39,8 @@ PINNED = [
     "eslam::simd::project_batch_scalar",
     "eslam::simd::reprojection_inliers_scalar",
     f"eslam::simd::{ANON}::reprojection_inliers_from",
+    "eslam::simd::normal_equations_scalar",
+    f"eslam::simd::{ANON}::normal_equations_from",
     # AVX2 kernels.
     f"eslam::simd::{ANON}::best_two_block_avx2_q<1>",
     f"eslam::simd::{ANON}::best_two_block_avx2_q<2>",
@@ -48,18 +49,21 @@ PINNED = [
     f"eslam::simd::{ANON}::best_two_rows_avx2",
     f"eslam::simd::{ANON}::project_batch_avx2",
     f"eslam::simd::{ANON}::reprojection_inliers_avx2",
+    f"eslam::simd::{ANON}::normal_equations_avx2",
     # AVX-512 kernels.
     f"eslam::simd::{ANON}::best_two_block_avx512_q<1>",
     f"eslam::simd::{ANON}::best_two_block_avx512_q<4>",
     f"eslam::simd::{ANON}::best_two_block_avx512",
     f"eslam::simd::{ANON}::best_two_windows_avx512",
     f"eslam::simd::{ANON}::best_two_rows_avx512",
+    f"eslam::simd::{ANON}::normal_equations_avx512",
     # Dispatch entry points.
     "eslam::simd::best_two_block",
     "eslam::simd::best_two_windows",
     "eslam::simd::best_two_rows",
     "eslam::simd::project_batch",
     "eslam::simd::reprojection_inliers",
+    "eslam::simd::normal_equations",
 ]
 
 ALIGN = 64

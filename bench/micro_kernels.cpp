@@ -18,8 +18,11 @@
 //   * pose estimation at 1000 correspondences: the 4-point RANSAC
 //     hypothesis solve, the 10-iteration refit on the inliers and the
 //     15-iteration Huber pose optimization, each against
-//     solve_pnp_reference(), and RANSAC's inlier scoring (dispatched,
-//     scalar tier, and the reprojection_error_sq() loop);
+//     solve_pnp_reference(); one normal-equation pass per tier, Huber off
+//     and on (tier_<isa>_normal_equations_us, ..._huber_us), each first
+//     checked bit for bit against the scalar tier; and RANSAC's inlier
+//     scoring (dispatched, scalar tier, and the reprojection_error_sq()
+//     loop);
 //   * the recognition index over keyframes of extracted ORB descriptors
 //     (the keyframe_index_* keys): a one-batch build of 21 keyframes (a
 //     snapshot load), one live insert plus FIFO eviction at 25, 100 and
@@ -129,6 +132,15 @@ void require_same_pnp(const PnpResult& a, const PnpResult& b,
   require(same_bits(a.final_cost, b.final_cost) &&
               a.iterations == b.iterations && a.converged == b.converged,
           what);
+}
+
+bool same_equations(const simd::NormalEquations& a,
+                    const simd::NormalEquations& b) {
+  for (int k = 0; k < 21; ++k)
+    if (!same_bits(a.h[k], b.h[k])) return false;
+  for (int k = 0; k < 6; ++k)
+    if (!same_bits(a.b[k], b.b[k])) return false;
+  return same_bits(a.cost, b.cost) && a.used == b.used;
 }
 
 // The tiers this CPU runs, announcing the ones it cannot.
@@ -610,10 +622,10 @@ int main() {
     for (std::size_t i = 0; i < n; ++i)
       if (reprojection_error_sq(corr[i], cam, prior) < thresh_sq)
         want.push_back(static_cast<int>(i));
-    got.resize(
-        simd::reprojection_inliers(columns, prior, cam, thresh_sq, got.data()));
+    got.resize(simd::reprojection_inliers(columns, prior, cam, thresh_sq,
+                                          got.data(), 0));
     got_scalar.resize(simd::reprojection_inliers_scalar(
-        columns, prior, cam, thresh_sq, got_scalar.data()));
+        columns, prior, cam, thresh_sq, got_scalar.data(), 0));
     require(got == want, "reprojection_inliers vs error loop");
     require(got_scalar == want, "reprojection_inliers_scalar vs error loop");
     got.resize(n);
@@ -622,12 +634,12 @@ int main() {
     const double score_ms = time_ms(9, [&] {
       for (int r = 0; r < inner; ++r)
         sink += simd::reprojection_inliers(columns, prior, cam, thresh_sq,
-                                           got.data());
+                                           got.data(), 0);
     });
     const double score_scalar_ms = time_ms(9, [&] {
       for (int r = 0; r < inner; ++r)
         sink += simd::reprojection_inliers_scalar(columns, prior, cam,
-                                                  thresh_sq, got.data());
+                                                  thresh_sq, got.data(), 0);
     });
     const double score_ref_ms = time_ms(9, [&] {
       for (int r = 0; r < inner; ++r) {
@@ -642,6 +654,38 @@ int main() {
     const double score_us = score_ms * 1e3 / inner;
     const double score_scalar_us = score_scalar_ms * 1e3 / inner;
     const double score_ref_us = score_ref_ms * 1e3 / inner;
+
+    // One normal-equation pass (solve_pnp's per-iteration kernel) over the
+    // 1000 correspondences at the prior, per tier, Huber off and on.
+    std::printf("normal_equations %zu points:", n);
+    for (const double huber : {0.0, po.huber_delta}) {
+      const simd::NormalEquations want_ne =
+          simd::normal_equations_scalar(columns, prior, cam, huber);
+      for (const simd::IsaLevel level : tiers) {
+        const simd::KernelTable& tier = simd::kernels(level);
+        require(same_equations(tier.normal_equations(columns, prior, cam,
+                                                     huber),
+                               want_ne),
+                "normal_equations tier vs scalar");
+        double cost_sum = 0.0;
+        const double us =
+            time_ms(9,
+                    [&] {
+                      for (int r = 0; r < inner; ++r)
+                        cost_sum +=
+                            tier.normal_equations(columns, prior, cam, huber)
+                                .cost;
+                    }) *
+            1e3 / inner;
+        require(cost_sum > 0.0, "normal_equations sums a cost");
+        const std::string key =
+            huber > 0.0 ? "normal_equations_huber_us" : "normal_equations_us";
+        std::printf("  %s%s %6.2f us", simd::isa_name(level),
+                    huber > 0.0 ? " huber" : "", us);
+        json.number(tier_key(level, key), us);
+      }
+    }
+    std::printf("\n");
 
     std::printf("pnp_hypothesis 4 points   %6.2f us  reference %6.2f us  "
                 "speedup %5.2fx\n",

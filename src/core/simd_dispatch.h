@@ -2,8 +2,10 @@
 //
 // Three tiers, each on x86-64 a superset of the one below:
 //   kAvx512 — AVX2, POPCNT, AVX-512F and AVX512_VPOPCNTDQ: the Hamming
-//             kernels run 512 bits wide, one vpopcntq per eight words;
-//   kAvx2   — AVX2 and POPCNT (the tier uses each);
+//             kernels run 512 bits wide, one vpopcntq per eight words,
+//             and pose estimation's normal equations 8 points per block;
+//   kAvx2   — AVX2 and POPCNT (the tier uses each); the normal equations
+//             run 4 points per block;
 //   kScalar — the portable reference, on every other CPU (AArch64 too).
 // features/simd_kernels maps each tier to the kernels it runs.
 //

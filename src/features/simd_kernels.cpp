@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstring>
 
 #include "core/hot_align.h"
 #include "geometry/assert.h"
@@ -159,12 +162,14 @@ namespace {
 // Vec2::squared_norm, as in reprojection_error_sq().
 ESLAM_HOT_ALIGN std::size_t reprojection_inliers_from(
     const ReprojectionColumns& columns, std::size_t begin, const SE3& pose_cw,
-    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers,
+    std::size_t to_beat) {
   const Projector projector(pose_cw, camera);
   // reprojection_error_sq() scores a point behind the camera 1e12.
   const bool behind_is_inlier = 1e12 < thresh_sq;
   std::size_t count = 0;
   for (std::size_t i = begin; i < columns.size(); ++i) {
+    if (count + (columns.size() - i) <= to_beat) break;
     double u, v, zc;
     projector.project(columns.x[i], columns.y[i], columns.z[i], u, v, zc);
     const double du = u - columns.u[i];
@@ -183,10 +188,121 @@ ESLAM_HOT_ALIGN std::size_t reprojection_inliers_from(
 
 ESLAM_HOT_ALIGN std::size_t reprojection_inliers_scalar(
     const ReprojectionColumns& columns, const SE3& pose_cw,
-    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers,
+    std::size_t to_beat) {
   return reprojection_inliers_from(columns, 0, pose_cw, camera, thresh_sq,
-                                   out_inliers);
+                                   out_inliers, to_beat);
 }
+
+// The normal-equation kernels run without FP contraction: under a target
+// with FMA (AVX-512F implies it, and so does -march=native), GCC would
+// otherwise fuse a multiply and an add into one rounding.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+namespace {
+
+// normal_equations() over [begin, columns.size()), continuing the sums in
+// `ne`.  Each sum adds the points in order; the sums are local while the
+// loop runs, so nothing aliases them and they stay in registers.
+ESLAM_HOT_ALIGN void normal_equations_from(const ReprojectionColumns& columns,
+                                           std::size_t begin,
+                                           const SE3& pose_cw,
+                                           const PinholeCamera& camera,
+                                           double huber_delta,
+                                           NormalEquations& ne) {
+  const Projector k(pose_cw, camera);
+  double h[21], b[6];
+  for (int s = 0; s < 21; ++s) h[s] = ne.h[s];
+  for (int s = 0; s < 6; ++s) b[s] = ne.b[s];
+  double cost = ne.cost;
+  int used = ne.used;
+  for (std::size_t i = begin; i < columns.size(); ++i) {
+    const double wx = columns.x[i], wy = columns.y[i], wz = columns.z[i];
+    // SE3::operator*: Mat*Vec accumulates from zero, then adds t.
+    const double x = (((0.0 + k.r00 * wx) + k.r01 * wy) + k.r02 * wz) + k.t0;
+    const double y = (((0.0 + k.r10 * wx) + k.r11 * wy) + k.r12 * wz) + k.t1;
+    const double z = (((0.0 + k.r20 * wx) + k.r21 * wy) + k.r22 * wz) + k.t2;
+    if (z <= PinholeCamera::kMinDepth) continue;  // behind the camera
+    ++used;
+
+    const double inv_z = 1.0 / z;
+    const double r0 = (k.fx * x * inv_z + k.cx) - columns.u[i];
+    const double r1 = (k.fy * y * inv_z + k.cy) - columns.v[i];
+
+    // Rows of j_proj * [I | -hat(p)], the residual's Jacobian wrt a left
+    // pose perturbation; j01 and j10 are structurally zero.
+    const double j00 = k.fx * inv_z;
+    const double j02 = -k.fx * x * inv_z * inv_z;
+    const double j03 = j02 * y;
+    const double j04 = j00 * z + j02 * -x;
+    const double j05 = j00 * -y;
+    const double j11 = k.fy * inv_z;
+    const double j12 = -k.fy * y * inv_z * inv_z;
+    const double j13 = j11 * -z + j12 * y;
+    const double j14 = j12 * -x;
+    const double j15 = j11 * x;
+
+    const double err_sq = r0 * r0 + r1 * r1;
+    double w = 1.0;
+    if (huber_delta > 0.0) {
+      const double err = std::sqrt(err_sq);
+      if (err > huber_delta) w = huber_delta / err;
+      cost += w * err_sq * (2.0 - w);  // Huber rho
+    } else {
+      cost += err_sq;
+    }
+
+    h[0] += w * (j00 * j00);
+    h[2] += w * (j00 * j02);
+    h[3] += w * (j00 * j03);
+    h[4] += w * (j00 * j04);
+    h[5] += w * (j00 * j05);
+    h[6] += w * (j11 * j11);
+    h[7] += w * (j11 * j12);
+    h[8] += w * (j11 * j13);
+    h[9] += w * (j11 * j14);
+    h[10] += w * (j11 * j15);
+    h[11] += w * (j02 * j02 + j12 * j12);
+    h[12] += w * (j02 * j03 + j12 * j13);
+    h[13] += w * (j02 * j04 + j12 * j14);
+    h[14] += w * (j02 * j05 + j12 * j15);
+    h[15] += w * (j03 * j03 + j13 * j13);
+    h[16] += w * (j03 * j04 + j13 * j14);
+    h[17] += w * (j03 * j05 + j13 * j15);
+    h[18] += w * (j04 * j04 + j14 * j14);
+    h[19] += w * (j04 * j05 + j14 * j15);
+    h[20] += w * (j05 * j05 + j15 * j15);
+    b[0] += w * (j00 * r0);
+    b[1] += w * (j11 * r1);
+    b[2] += w * (j02 * r0 + j12 * r1);
+    b[3] += w * (j03 * r0 + j13 * r1);
+    b[4] += w * (j04 * r0 + j14 * r1);
+    b[5] += w * (j05 * r0 + j15 * r1);
+  }
+  for (int s = 0; s < 21; ++s) ne.h[s] = h[s];
+  for (int s = 0; s < 6; ++s) ne.b[s] = b[s];
+  ne.cost = cost;
+  ne.used = used;
+}
+
+}  // namespace
+
+ESLAM_HOT_ALIGN NormalEquations normal_equations_scalar(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double huber_delta) {
+  NormalEquations ne;
+  normal_equations_from(columns, 0, pose_cw, camera, huber_delta, ne);
+  return ne;
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 // ---- AVX2 (+ POPCNT) --------------------------------------------------------
 
@@ -482,7 +598,8 @@ ESLAM_HOT_ALIGN __attribute__((target("avx2"))) void project_batch_avx2(
 ESLAM_HOT_ALIGN __attribute__((target("avx2"))) std::size_t
 reprojection_inliers_avx2(const ReprojectionColumns& columns,
                           const SE3& pose_cw, const PinholeCamera& camera,
-                          double thresh_sq, int* out_inliers) {
+                          double thresh_sq, int* out_inliers,
+                          std::size_t to_beat) {
   const LaneProjector projector(pose_cw, camera);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d min_depth = _mm256_set1_pd(PinholeCamera::kMinDepth);
@@ -491,6 +608,7 @@ reprojection_inliers_avx2(const ReprojectionColumns& columns,
   const std::size_t n = columns.size();
   std::size_t i = 0, count = 0;
   for (; i + 4 <= n; i += 4) {
+    if (count + (n - i) <= to_beat) return count;
     __m256d u, v, zc;
     projector.project(columns.x.data() + i, columns.y.data() + i,
                       columns.z.data() + i, u, v, zc);
@@ -511,8 +629,9 @@ reprojection_inliers_avx2(const ReprojectionColumns& columns,
       count += static_cast<std::size_t>((mask >> k) & 1);
     }
   }
-  return count + reprojection_inliers_from(columns, i, pose_cw, camera,
-                                           thresh_sq, out_inliers + count);
+  return count + reprojection_inliers_from(
+                     columns, i, pose_cw, camera, thresh_sq,
+                     out_inliers + count, to_beat > count ? to_beat - count : 0);
 }
 
 // ---- AVX-512 (+ VPOPCNTDQ) ---------------------------------------------------
@@ -769,6 +888,281 @@ ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 Match best_two_rows_avx512(
   return match_from_lanes8(best, second);
 }
 
+// ---- Normal equations (AVX2 and AVX-512) ---------------------------------
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+// One block's points as GCC vector types, one point per lane: +, -, *, /
+// and comparisons on them are the scalar IEEE operations lane by lane, so
+// block_terms() below states each per-point expression once, in the
+// scalar loop's words, for both widths.
+using Lanes4 = double __attribute__((vector_size(32)));
+using Lanes8 = double __attribute__((vector_size(64)));
+template <typename V>
+using LaneMask = decltype(V{} <= 0.0);  // -1 in a lane where true, else 0
+
+// The helpers without a target attribute pass vectors by reference: by
+// value, their untargeted signatures would pass them in memory.
+template <typename V>
+[[gnu::always_inline]] inline void load_lanes(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void splat(V& v, double s) {
+  for (std::size_t l = 0; l < sizeof(V) / sizeof(double); ++l) v[l] = s;
+}
+
+__attribute__((target("avx2"))) inline void lane_sqrt(const Lanes4& v,
+                                                      Lanes4& root) {
+  root = _mm256_sqrt_pd(v);
+}
+ESLAM_TARGET_AVX512 inline void lane_sqrt(const Lanes8& v, Lanes8& root) {
+  root = _mm512_sqrt_pd(v);
+}
+
+// Projector's pose and intrinsics in every lane.
+template <typename V>
+struct PoseLanes {
+  V r00, r01, r02, r10, r11, r12, r20, r21, r22, t0, t1, t2, fx, fy, cx, cy;
+
+  [[gnu::always_inline]] explicit PoseLanes(const Projector& p) {
+    splat(r00, p.r00), splat(r01, p.r01), splat(r02, p.r02);
+    splat(r10, p.r10), splat(r11, p.r11), splat(r12, p.r12);
+    splat(r20, p.r20), splat(r21, p.r21), splat(r22, p.r22);
+    splat(t0, p.t0), splat(t1, p.t1), splat(t2, p.t2);
+    splat(fx, p.fx), splat(fy, p.fy), splat(cx, p.cx), splat(cy, p.cy);
+  }
+};
+
+// The vector tiers hold the running sums in NormalEquations' order, one
+// slot each: h[0..20] (slot 1, H(0,1), only ever adds +0.0), b[0..5] and
+// the cost.  Registers of sums are copied to and from a NormalEquations
+// as these 28 doubles; a last register's slots past them are never read.
+constexpr int kSumSlots = 28;
+static_assert(offsetof(NormalEquations, h) == 0 &&
+              offsetof(NormalEquations, b) == 21 * sizeof(double) &&
+              offsetof(NormalEquations, cost) == 27 * sizeof(double));
+
+// The points of one block (lane l holds point i + l): term[s] receives,
+// per lane, what the scalar loop adds to running sum s, in the same
+// association.  A lane whose point the loop skips (depth <= kMinDepth; a
+// NaN depth is kept) has its Jacobian entries and residuals selected to
+// +0.0 (1/z may be inf or NaN there, so no multiply may zero it): every
+// term built from them is then +0.0, and adding +0.0 leaves a sum
+// unchanged, since a sum that starts at +0.0 is never -0.0.  Kept lanes
+// subtract one from their lane of `kept`.
+template <typename V, bool kHuber>
+[[gnu::always_inline]] inline void block_terms(const PoseLanes<V>& k,
+                                               const ReprojectionColumns& c,
+                                               std::size_t i,
+                                               double huber_delta, V* term,
+                                               LaneMask<V>& kept) {
+  V wx, wy, wz, pu, pv;
+  load_lanes(wx, c.x.data() + i);
+  load_lanes(wy, c.y.data() + i);
+  load_lanes(wz, c.z.data() + i);
+  load_lanes(pu, c.u.data() + i);
+  load_lanes(pv, c.v.data() + i);
+  const V x = (((0.0 + k.r00 * wx) + k.r01 * wy) + k.r02 * wz) + k.t0;
+  const V y = (((0.0 + k.r10 * wx) + k.r11 * wy) + k.r12 * wz) + k.t1;
+  const V z = (((0.0 + k.r20 * wx) + k.r21 * wy) + k.r22 * wz) + k.t2;
+  const LaneMask<V> keep = !(z <= PinholeCamera::kMinDepth);
+  kept += keep;
+
+  const V inv_z = 1.0 / z;
+  const V zero{};
+  const V r0 = keep ? (k.fx * x * inv_z + k.cx) - pu : zero;
+  const V r1 = keep ? (k.fy * y * inv_z + k.cy) - pv : zero;
+
+  const V j00 = keep ? k.fx * inv_z : zero;
+  const V j02 = keep ? -k.fx * x * inv_z * inv_z : zero;
+  const V j03 = keep ? j02 * y : zero;
+  const V j04 = keep ? j00 * z + j02 * -x : zero;
+  const V j05 = keep ? j00 * -y : zero;
+  const V j11 = keep ? k.fy * inv_z : zero;
+  const V j12 = keep ? -k.fy * y * inv_z * inv_z : zero;
+  const V j13 = keep ? j11 * -z + j12 * y : zero;
+  const V j14 = keep ? j12 * -x : zero;
+  const V j15 = keep ? j11 * x : zero;
+
+  const V err_sq = r0 * r0 + r1 * r1;
+  V w;  // without Huber, w * a is a: the products fold away
+  splat(w, 1.0);
+  V cost = err_sq;
+  if constexpr (kHuber) {
+    V delta, err;
+    splat(delta, huber_delta);
+    lane_sqrt(err_sq, err);
+    w = err > delta ? delta / err : w;
+    cost = w * err_sq * (2.0 - w);  // Huber rho
+  }
+
+  term[0] = w * (j00 * j00);
+  term[1] = zero;
+  term[2] = w * (j00 * j02);
+  term[3] = w * (j00 * j03);
+  term[4] = w * (j00 * j04);
+  term[5] = w * (j00 * j05);
+  term[6] = w * (j11 * j11);
+  term[7] = w * (j11 * j12);
+  term[8] = w * (j11 * j13);
+  term[9] = w * (j11 * j14);
+  term[10] = w * (j11 * j15);
+  term[11] = w * (j02 * j02 + j12 * j12);
+  term[12] = w * (j02 * j03 + j12 * j13);
+  term[13] = w * (j02 * j04 + j12 * j14);
+  term[14] = w * (j02 * j05 + j12 * j15);
+  term[15] = w * (j03 * j03 + j13 * j13);
+  term[16] = w * (j03 * j04 + j13 * j14);
+  term[17] = w * (j03 * j05 + j13 * j15);
+  term[18] = w * (j04 * j04 + j14 * j14);
+  term[19] = w * (j04 * j05 + j14 * j15);
+  term[20] = w * (j05 * j05 + j15 * j15);
+  term[21] = w * (j00 * r0);
+  term[22] = w * (j11 * r1);
+  term[23] = w * (j02 * r0 + j12 * r1);
+  term[24] = w * (j03 * r0 + j13 * r1);
+  term[25] = w * (j04 * r0 + j14 * r1);
+  term[26] = w * (j05 * r0 + j15 * r1);
+  term[27] = cost;
+}
+
+// The points block_terms() kept, from its per-lane counts.
+template <typename M>
+[[gnu::always_inline]] inline int kept_count(const M& kept) {
+  int n = 0;
+  for (std::size_t l = 0; l < sizeof(M) / sizeof(kept[0]); ++l)
+    n -= static_cast<int>(kept[l]);
+  return n;
+}
+
+// Adds four points' terms for four slots (term[j], lane p = point p) to
+// the slots' sums (lane j of `sum`), point 0 first: a 4x4 transpose puts
+// each point's four terms in one register.
+__attribute__((target("avx2"))) inline void add_points4(const Lanes4* term,
+                                                        Lanes4& sum) {
+  const __m256d lo01 = _mm256_unpacklo_pd(term[0], term[1]);  // points 0, 2
+  const __m256d hi01 = _mm256_unpackhi_pd(term[0], term[1]);  // points 1, 3
+  const __m256d lo23 = _mm256_unpacklo_pd(term[2], term[3]);
+  const __m256d hi23 = _mm256_unpackhi_pd(term[2], term[3]);
+  sum += _mm256_permute2f128_pd(lo01, lo23, 0x20);
+  sum += _mm256_permute2f128_pd(hi01, hi23, 0x20);
+  sum += _mm256_permute2f128_pd(lo01, lo23, 0x31);
+  sum += _mm256_permute2f128_pd(hi01, hi23, 0x31);
+}
+
+// add_points4 for eight points and slots: pairs of slots interleave, then
+// 128-bit blocks and 256-bit halves gather each point's eight terms.
+ESLAM_TARGET_AVX512 inline void add_points8(const Lanes8* term, Lanes8& sum) {
+  __m512d pair[8];  // slots 2q, 2q+1: even points (2q), odd points (2q+1)
+  for (int q = 0; q < 4; ++q) {
+    pair[2 * q] = _mm512_unpacklo_pd(term[2 * q], term[2 * q + 1]);
+    pair[2 * q + 1] = _mm512_unpackhi_pd(term[2 * q], term[2 * q + 1]);
+  }
+  // quad[m] for m = 0, 1, 2, 3 holds points (0, 4), (2, 6), (1, 5) and
+  // (3, 7) of slots 0-3; quad[m + 4] the same points of slots 4-7.
+  __m512d quad[8];
+  for (int half = 0; half < 2; ++half) {
+    const __m512d* pr = pair + 4 * half;
+    quad[4 * half + 0] = _mm512_shuffle_f64x2(pr[0], pr[2], 0x88);
+    quad[4 * half + 1] = _mm512_shuffle_f64x2(pr[0], pr[2], 0xDD);
+    quad[4 * half + 2] = _mm512_shuffle_f64x2(pr[1], pr[3], 0x88);
+    quad[4 * half + 3] = _mm512_shuffle_f64x2(pr[1], pr[3], 0xDD);
+  }
+  constexpr int kQuadOfPoint[4] = {0, 2, 1, 3};  // points p and p + 4
+  for (int p = 0; p < 8; ++p) {
+    const int m = kQuadOfPoint[p % 4];
+    sum += p < 4 ? _mm512_shuffle_f64x2(quad[m], quad[m + 4], 0x88)
+                 : _mm512_shuffle_f64x2(quad[m], quad[m + 4], 0xDD);
+  }
+}
+
+// Every whole 4-point block from i on, continuing the sums in `ne`.
+// Returns the first point left.
+template <bool kHuber>
+[[gnu::always_inline]] __attribute__((target("avx2"))) inline std::size_t
+normal_equations_blocks4(const ReprojectionColumns& c, std::size_t i,
+                         const Projector& p, double huber_delta,
+                         NormalEquations& ne) {
+  const PoseLanes<Lanes4> k(p);
+  Lanes4 sum[kSumSlots / 4];
+  std::memcpy(sum, &ne, sizeof sum);
+  LaneMask<Lanes4> kept = {};
+  for (; i + 4 <= c.size(); i += 4) {
+    Lanes4 term[kSumSlots];
+    block_terms<Lanes4, kHuber>(k, c, i, huber_delta, term, kept);
+    for (int g = 0; g < kSumSlots / 4; ++g) add_points4(term + 4 * g, sum[g]);
+  }
+  std::memcpy(static_cast<void*>(&ne), sum, sizeof sum);
+  ne.used += kept_count(kept);
+  return i;
+}
+
+template <bool kHuber>
+[[gnu::always_inline]] __attribute__((target("avx2"))) inline NormalEquations
+normal_equations_avx2_h(const ReprojectionColumns& c, const SE3& pose_cw,
+                        const PinholeCamera& camera, double huber_delta) {
+  const Projector p(pose_cw, camera);
+  NormalEquations ne;
+  const std::size_t i =
+      normal_equations_blocks4<kHuber>(c, 0, p, huber_delta, ne);
+  if (i < c.size())
+    normal_equations_from(c, i, pose_cw, camera, huber_delta, ne);
+  return ne;
+}
+
+ESLAM_HOT_ALIGN __attribute__((target("avx2"))) NormalEquations
+normal_equations_avx2(const ReprojectionColumns& columns, const SE3& pose_cw,
+                      const PinholeCamera& camera, double huber_delta) {
+  return huber_delta > 0.0 ? normal_equations_avx2_h<true>(
+                                 columns, pose_cw, camera, huber_delta)
+                           : normal_equations_avx2_h<false>(
+                                 columns, pose_cw, camera, huber_delta);
+}
+
+template <bool kHuber>
+[[gnu::always_inline]] ESLAM_TARGET_AVX512 inline NormalEquations
+normal_equations_avx512_h(const ReprojectionColumns& c, const SE3& pose_cw,
+                          const PinholeCamera& camera, double huber_delta) {
+  const Projector p(pose_cw, camera);
+  NormalEquations ne;
+  std::size_t i = 0;
+  if (c.size() >= 8) {
+    const PoseLanes<Lanes8> k(p);
+    Lanes8 sum[4] = {};
+    LaneMask<Lanes8> kept = {};
+    for (; i + 8 <= c.size(); i += 8) {
+      Lanes8 term[32];
+      block_terms<Lanes8, kHuber>(k, c, i, huber_delta, term, kept);
+      for (int s = kSumSlots; s < 32; ++s) term[s] = Lanes8{};
+      for (int g = 0; g < 4; ++g) add_points8(term + 8 * g, sum[g]);
+    }
+    std::memcpy(static_cast<void*>(&ne), sum, kSumSlots * sizeof(double));
+    ne.used = kept_count(kept);
+  }
+  i = normal_equations_blocks4<kHuber>(c, i, p, huber_delta, ne);
+  if (i < c.size())
+    normal_equations_from(c, i, pose_cw, camera, huber_delta, ne);
+  return ne;
+}
+
+ESLAM_HOT_ALIGN ESLAM_TARGET_AVX512 NormalEquations normal_equations_avx512(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double huber_delta) {
+  return huber_delta > 0.0 ? normal_equations_avx512_h<true>(
+                                 columns, pose_cw, camera, huber_delta)
+                           : normal_equations_avx512_h<false>(
+                                 columns, pose_cw, camera, huber_delta);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -784,15 +1178,18 @@ namespace {
 const KernelTable& table_of(IsaLevel level) {
   static constexpr KernelTable kScalarTable{
       best_two_block_scalar, best_two_windows_scalar, best_two_rows_scalar,
-      project_batch_scalar, reprojection_inliers_scalar};
+      project_batch_scalar,  reprojection_inliers_scalar,
+      normal_equations_scalar};
 #if defined(__x86_64__) || defined(__i386__)
   static constexpr KernelTable kAvx2Table{
-      best_two_block_avx2, best_two_windows_avx2, best_two_rows_avx2,
-      project_batch_avx2, reprojection_inliers_avx2};
-  // The Hamming kernels at 512 bits; projection and scoring stay AVX2.
+      best_two_block_avx2, best_two_windows_avx2,     best_two_rows_avx2,
+      project_batch_avx2,  reprojection_inliers_avx2, normal_equations_avx2};
+  // The Hamming kernels and the normal equations at 512 bits; projection
+  // and scoring stay AVX2.
   static constexpr KernelTable kAvx512Table{
       best_two_block_avx512, best_two_windows_avx512, best_two_rows_avx512,
-      project_batch_avx2, reprojection_inliers_avx2};
+      project_batch_avx2,    reprojection_inliers_avx2,
+      normal_equations_avx512};
   switch (level) {
     case IsaLevel::kAvx512: return kAvx512Table;
     case IsaLevel::kAvx2: return kAvx2Table;
@@ -842,9 +1239,17 @@ ESLAM_HOT_ALIGN void project_batch(
 
 ESLAM_HOT_ALIGN std::size_t reprojection_inliers(
     const ReprojectionColumns& columns, const SE3& pose_cw,
-    const PinholeCamera& camera, double thresh_sq, int* out_inliers) {
+    const PinholeCamera& camera, double thresh_sq, int* out_inliers,
+    std::size_t to_beat) {
   return active_kernels().reprojection_inliers(columns, pose_cw, camera,
-                                               thresh_sq, out_inliers);
+                                               thresh_sq, out_inliers, to_beat);
+}
+
+ESLAM_HOT_ALIGN NormalEquations normal_equations(
+    const ReprojectionColumns& columns, const SE3& pose_cw,
+    const PinholeCamera& camera, double huber_delta) {
+  return active_kernels().normal_equations(columns, pose_cw, camera,
+                                           huber_delta);
 }
 
 }  // namespace eslam::simd

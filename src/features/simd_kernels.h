@@ -45,14 +45,27 @@
 // loop over reprojection_error_sq() (slam/pnp.h), including its
 // behind-camera sentinel: depth <= kMinDepth scores 1e12.  Ordered
 // comparisons make a NaN lane an outlier on every path.  The AVX2 code
-// runs 4 lanes with project_batch's association.
+// runs 4 lanes with project_batch's association.  A hypothesis that can
+// no longer beat the best one stops early (exact: RANSAC drops it either
+// way).
+//
+// Pose estimation's normal equations (solve_pnp's one pass per LM
+// iteration): each lane evaluates the scalar loop's per-point
+// expressions, a dropped lane becomes +0.0 by select, and each block's
+// 27 sums are transposed so that every running sum still adds the points
+// in index order (no lane-wise partial sums).  AVX2 runs 4 points per
+// block; AVX-512 runs 8, then one 4-point block; the scalar loop takes
+// the rest and continues the same sums.  FP contraction is off in these
+// kernels: AVX-512F implies FMA, and a fused multiply-add rounds once
+// where the scalar loop rounds twice.
 //
 // Each entry point runs the kernel of the tier core/simd_dispatch picked
 // (active_isa()); kernels() is the one place a tier maps to its kernels —
-// the AVX-512 tier widens the three Hamming kernels and keeps the AVX2
-// projection and scoring.  The _scalar variants are the portable
-// reference; the parity suite and bench_micro_kernels reach every other
-// tier the host supports through kernels().
+// the AVX-512 tier widens the three Hamming kernels and the normal
+// equations, and keeps the AVX2 projection and scoring.  The _scalar
+// variants are the portable reference; the parity suite and
+// bench_micro_kernels reach every other tier the host supports through
+// kernels().
 #pragma once
 
 #include <cstdint>
@@ -121,14 +134,47 @@ struct ReprojectionColumns {
 // Writes to out_inliers, ascending, every index i whose squared
 // reprojection error under pose_cw is below thresh_sq, and returns how
 // many.  out_inliers must hold columns.size() entries.
+//
+// `to_beat` is the count a caller keeps only when exceeded (RANSAC's best
+// so far; 0 keeps any).  The scan stops once the count so far plus the
+// points left cannot exceed it, and then returns a count <= to_beat with
+// the list cut short; a count above to_beat is always the full answer.
 std::size_t reprojection_inliers(const ReprojectionColumns& columns,
                                  const SE3& pose_cw,
                                  const PinholeCamera& camera,
-                                 double thresh_sq, int* out_inliers);
+                                 double thresh_sq, int* out_inliers,
+                                 std::size_t to_beat);
 std::size_t reprojection_inliers_scalar(const ReprojectionColumns& columns,
                                         const SE3& pose_cw,
                                         const PinholeCamera& camera,
-                                        double thresh_sq, int* out_inliers);
+                                        double thresh_sq, int* out_inliers,
+                                        std::size_t to_beat);
+
+// Normal equations of the reprojection error (slam/pnp.h) linearised at
+// one pose, summed over the correspondences in index order.
+struct NormalEquations {
+  // Upper triangle of H = sum w J^T J, row-major: (0,0) (0,1) .. (0,5)
+  // (1,1) .. (1,5) .. (5,5).  Entry (0,1) is structurally zero.
+  double h[21] = {};
+  double b[6] = {};   // sum w J^T r
+  double cost = 0.0;  // robustified squared error, summed over used points
+  int used = 0;       // points in front of the camera
+};
+
+// One pass over the columns at pose_cw: J is the residual's Jacobian
+// with respect to a left pose perturbation, w the Huber weight
+// (huber_delta <= 0: w = 1, plain squared error).  A point is skipped
+// when its depth is <= kMinDepth (a NaN depth is used).  Every tier adds
+// the points in index order with the scalar loop's per-point expressions
+// and no FMA, so all of them return the same bits.
+NormalEquations normal_equations(const ReprojectionColumns& columns,
+                                 const SE3& pose_cw,
+                                 const PinholeCamera& camera,
+                                 double huber_delta);
+NormalEquations normal_equations_scalar(const ReprojectionColumns& columns,
+                                        const SE3& pose_cw,
+                                        const PinholeCamera& camera,
+                                        double huber_delta);
 
 // One tier's kernels, with the entry points' signatures.
 struct KernelTable {
@@ -137,6 +183,7 @@ struct KernelTable {
   decltype(&best_two_rows_scalar) best_two_rows;
   decltype(&project_batch_scalar) project_batch;
   decltype(&reprojection_inliers_scalar) reprojection_inliers;
+  decltype(&normal_equations_scalar) normal_equations;
 };
 
 // The kernels `level` runs.  Aborts unless isa_supported(level): the CPU

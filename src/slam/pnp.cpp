@@ -2,112 +2,13 @@
 
 #include <cmath>
 
+#include "core/arena.h"
 #include "core/hot_align.h"
+#include "features/simd_kernels.h"
 
 namespace eslam {
 
 namespace {
-
-// Normal equations of the problem linearised at one pose.
-struct NormalEquations {
-  // Upper triangle of H = sum w J^T J, row-major: (0,0) (0,1) .. (0,5)
-  // (1,1) .. (1,5) .. (5,5).  Entry (0,1) is structurally zero.
-  double h[21] = {};
-  double b[6] = {};   // sum w J^T r
-  double cost = 0.0;  // robustified squared error, summed over used points
-  int used = 0;       // points in front of the camera
-};
-
-// One pass over the correspondences at `pose`.  Each entry is summed over
-// the points in order with the reference's operation order (see pnp.h).
-ESLAM_HOT_ALIGN NormalEquations normal_equations(
-    std::span<const Correspondence> correspondences,
-    const PinholeCamera& camera, const SE3& pose, double huber_delta) {
-  const Mat3& rot = pose.rotation();
-  const Vec3& t = pose.translation();
-  const double r00 = rot(0, 0), r01 = rot(0, 1), r02 = rot(0, 2);
-  const double r10 = rot(1, 0), r11 = rot(1, 1), r12 = rot(1, 2);
-  const double r20 = rot(2, 0), r21 = rot(2, 1), r22 = rot(2, 2);
-  const double t0 = t[0], t1 = t[1], t2 = t[2];
-  const double fx = camera.fx(), fy = camera.fy();
-  const double cx = camera.cx(), cy = camera.cy();
-
-  // Local accumulators: nothing aliases them, so they stay in registers.
-  double h[21] = {};
-  double b[6] = {};
-  double cost = 0.0;
-  int used = 0;
-  for (const Correspondence& c : correspondences) {
-    const double wx = c.world[0], wy = c.world[1], wz = c.world[2];
-    // SE3::operator*: Mat*Vec accumulates from zero, then adds t.
-    const double x = (((0.0 + r00 * wx) + r01 * wy) + r02 * wz) + t0;
-    const double y = (((0.0 + r10 * wx) + r11 * wy) + r12 * wz) + t1;
-    const double z = (((0.0 + r20 * wx) + r21 * wy) + r22 * wz) + t2;
-    if (z <= PinholeCamera::kMinDepth) continue;  // behind the camera
-    ++used;
-
-    const double inv_z = 1.0 / z;
-    const double r0 = (fx * x * inv_z + cx) - c.pixel[0];
-    const double r1 = (fy * y * inv_z + cy) - c.pixel[1];
-
-    // Rows of j_proj * [I | -hat(p)], the residual's Jacobian wrt a left
-    // pose perturbation; j01 and j10 are structurally zero.
-    const double j00 = fx * inv_z;
-    const double j02 = -fx * x * inv_z * inv_z;
-    const double j03 = j02 * y;
-    const double j04 = j00 * z + j02 * -x;
-    const double j05 = j00 * -y;
-    const double j11 = fy * inv_z;
-    const double j12 = -fy * y * inv_z * inv_z;
-    const double j13 = j11 * -z + j12 * y;
-    const double j14 = j12 * -x;
-    const double j15 = j11 * x;
-
-    const double err_sq = r0 * r0 + r1 * r1;
-    double w = 1.0;
-    if (huber_delta > 0.0) {
-      const double err = std::sqrt(err_sq);
-      if (err > huber_delta) w = huber_delta / err;
-      cost += w * err_sq * (2.0 - w);  // Huber rho
-    } else {
-      cost += err_sq;
-    }
-
-    h[0] += w * (j00 * j00);
-    h[2] += w * (j00 * j02);
-    h[3] += w * (j00 * j03);
-    h[4] += w * (j00 * j04);
-    h[5] += w * (j00 * j05);
-    h[6] += w * (j11 * j11);
-    h[7] += w * (j11 * j12);
-    h[8] += w * (j11 * j13);
-    h[9] += w * (j11 * j14);
-    h[10] += w * (j11 * j15);
-    h[11] += w * (j02 * j02 + j12 * j12);
-    h[12] += w * (j02 * j03 + j12 * j13);
-    h[13] += w * (j02 * j04 + j12 * j14);
-    h[14] += w * (j02 * j05 + j12 * j15);
-    h[15] += w * (j03 * j03 + j13 * j13);
-    h[16] += w * (j03 * j04 + j13 * j14);
-    h[17] += w * (j03 * j05 + j13 * j15);
-    h[18] += w * (j04 * j04 + j14 * j14);
-    h[19] += w * (j04 * j05 + j14 * j15);
-    h[20] += w * (j05 * j05 + j15 * j15);
-    b[0] += w * (j00 * r0);
-    b[1] += w * (j11 * r1);
-    b[2] += w * (j02 * r0 + j12 * r1);
-    b[3] += w * (j03 * r0 + j13 * r1);
-    b[4] += w * (j04 * r0 + j14 * r1);
-    b[5] += w * (j05 * r0 + j15 * r1);
-  }
-
-  NormalEquations out;
-  for (int k = 0; k < 21; ++k) out.h[k] = h[k];
-  for (int k = 0; k < 6; ++k) out.b[k] = b[k];
-  out.cost = cost;
-  out.used = used;
-  return out;
-}
 
 // Reference: accumulates the normal equations for one correspondence
 // through generic Mat products.  Returns false when the point is behind
@@ -154,6 +55,26 @@ bool accumulate(const Correspondence& c, const PinholeCamera& camera,
   return true;
 }
 
+// Copies row(k) for k < n into SoA columns in `arena`.
+template <typename Row>
+simd::ReprojectionColumns gather_columns(std::size_t n, Arena& arena,
+                                         Row row) {
+  const std::span<double> x = arena.alloc_span<double>(n);
+  const std::span<double> y = arena.alloc_span<double>(n);
+  const std::span<double> z = arena.alloc_span<double>(n);
+  const std::span<double> u = arena.alloc_span<double>(n);
+  const std::span<double> v = arena.alloc_span<double>(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const Correspondence& c = row(k);
+    x[k] = c.world[0];
+    y[k] = c.world[1];
+    z[k] = c.world[2];
+    u[k] = c.pixel[0];
+    v[k] = c.pixel[1];
+  }
+  return {x, y, z, u, v};
+}
+
 }  // namespace
 
 double reprojection_error_sq(const Correspondence& c,
@@ -164,11 +85,37 @@ double reprojection_error_sq(const Correspondence& c,
   return (*proj - c.pixel).squared_norm();
 }
 
+simd::ReprojectionColumns columns_of(std::span<const Correspondence> rows,
+                                     Arena& arena) {
+  return gather_columns(rows.size(), arena,
+                        [&](std::size_t k) -> const Correspondence& {
+                          return rows[k];
+                        });
+}
+
+simd::ReprojectionColumns columns_of(std::span<const Correspondence> rows,
+                                     std::span<const int> pick, Arena& arena) {
+  return gather_columns(pick.size(), arena,
+                        [&](std::size_t k) -> const Correspondence& {
+                          return rows[static_cast<std::size_t>(pick[k])];
+                        });
+}
+
 ESLAM_HOT_ALIGN PnpResult solve_pnp(
     std::span<const Correspondence> correspondences,
     const PinholeCamera& camera, const SE3& initial_pose,
     const PnpOptions& options) {
-  ESLAM_ASSERT(correspondences.size() >= 3, "PnP needs >= 3 correspondences");
+  thread_local Arena scratch;
+  const ArenaScope scope(scratch);
+  return solve_pnp(columns_of(correspondences, scratch), camera, initial_pose,
+                   options);
+}
+
+ESLAM_HOT_ALIGN PnpResult solve_pnp(const simd::ReprojectionColumns& columns,
+                                    const PinholeCamera& camera,
+                                    const SE3& initial_pose,
+                                    const PnpOptions& options) {
+  ESLAM_ASSERT(columns.size() >= 3, "PnP needs >= 3 correspondences");
   PnpResult result;
   result.pose = initial_pose;
   if (options.max_iterations <= 0) return result;
@@ -176,8 +123,8 @@ ESLAM_HOT_ALIGN PnpResult solve_pnp(
 
   // The normal equations at result.pose: an accepted step replaces them
   // with the candidate's, a rejected step leaves pose and sums as they are.
-  NormalEquations at_pose = normal_equations(correspondences, camera,
-                                             result.pose, options.huber_delta);
+  simd::NormalEquations at_pose = simd::normal_equations(
+      columns, result.pose, camera, options.huber_delta);
   double prev_cost = -1.0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (at_pose.used < 3) break;  // degenerate: almost everything behind
@@ -198,8 +145,8 @@ ESLAM_HOT_ALIGN PnpResult solve_pnp(
     const SE3 candidate = SE3::exp(delta) * result.pose;
 
     // Evaluate the candidate; accept when cost does not increase.
-    const NormalEquations at_candidate = normal_equations(
-        correspondences, camera, candidate, options.huber_delta);
+    const simd::NormalEquations at_candidate = simd::normal_equations(
+        columns, candidate, camera, options.huber_delta);
     double cand_cost = at_candidate.cost;
     if (at_candidate.used >= 3) cand_cost /= at_candidate.used;
 

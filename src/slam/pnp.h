@@ -10,17 +10,26 @@
 // both scores it and builds its normal equations (the upper triangle of
 // H = sum w J^T J, and b = sum w J^T r), so an accepted step carries them
 // into the next iteration and a rejected step keeps the ones it already
-// holds.  The per-point kernel writes the two Jacobian rows of
-// j_proj * [I | -hat(p)] in closed form.
+// holds.  The pass is simd::normal_equations() over SoA columns, on the
+// tier core/simd_dispatch picked: AVX-512 runs 8 points per block, AVX2
+// 4, the scalar loop one (features/simd_kernels.h).  Its per-point
+// expressions write the two Jacobian rows of j_proj * [I | -hat(p)] in
+// closed form.  The span overload copies the rows into columns first;
+// RANSAC and pose optimization gather theirs into the frame's arena
+// (columns_of).
 //
 // Bit-identity: solve_pnp() returns exactly what solve_pnp_reference()
-// returns — the generic-Mat solver that evaluates every iteration twice.
-// Every H, b and cost entry keeps the reference's operation order (points
-// summed in order, no FMA, no reassociation); the kernel drops only the
-// products with a structurally zero Jacobian entry and the leading
-// `0.0 +` of each dot product, which for finite values can change nothing
-// but the sign of an exact zero, and sums that start at +0.0 absorb that.
-// tests/slam/pnp_ransac_test.cpp holds the two equal bit for bit.
+// returns — the generic-Mat solver that evaluates every iteration twice —
+// on every tier.  Every H, b and cost entry keeps the reference's
+// operation order (points summed in order, no FMA, no reassociation; a
+// vector tier evaluates each point in its own lane and adds the lanes to
+// each sum in index order); the kernel drops only the products with a
+// structurally zero Jacobian entry and the leading `0.0 +` of each dot
+// product, which for finite values can change nothing but the sign of an
+// exact zero, and sums that start at +0.0 absorb that.
+// tests/slam/pnp_ransac_test.cpp holds the two equal bit for bit, and
+// tests/features/simd_parity_test.cpp every tier's pass equal to the
+// scalar one.
 #pragma once
 
 #include <span>
@@ -29,6 +38,11 @@
 #include "geometry/se3.h"
 
 namespace eslam {
+
+class Arena;
+namespace simd {
+struct ReprojectionColumns;
+}
 
 struct Correspondence {
   Vec3 world;   // g_i: matched 3D map point (world frame)
@@ -52,9 +66,20 @@ struct PnpResult {
 
 // Refines `initial_pose` against the correspondences.  Requires >= 3
 // correspondences (6 DoF from 2 residuals each needs >= 3).
+PnpResult solve_pnp(const simd::ReprojectionColumns& columns,
+                    const PinholeCamera& camera, const SE3& initial_pose,
+                    const PnpOptions& options = {});
+// The same on AoS rows, copied into columns in thread-local scratch.
 PnpResult solve_pnp(std::span<const Correspondence> correspondences,
                     const PinholeCamera& camera, const SE3& initial_pose,
                     const PnpOptions& options = {});
+
+// The rows as SoA columns allocated in `arena`: all of them, or
+// rows[pick[0]], rows[pick[1]], ... in that order.
+simd::ReprojectionColumns columns_of(std::span<const Correspondence> rows,
+                                     Arena& arena);
+simd::ReprojectionColumns columns_of(std::span<const Correspondence> rows,
+                                     std::span<const int> pick, Arena& arena);
 
 // The generic-Mat solver: two full passes per LM iteration through
 // Mat<2,3> * Mat<3,6> and Mat<6,2> * Mat<2,6> products.  The reference

@@ -61,30 +61,16 @@ ESLAM_HOT_ALIGN void ransac_pnp_into(
   PnpOptions refit = options.refit;
   refit.max_iterations = std::max(refit.max_iterations, 5);
 
-  const std::span<Correspondence> sample = arena.alloc_span<Correspondence>(
-      static_cast<std::size_t>(options.sample_size), Correspondence{});
   const std::span<int> indices = arena.alloc_span<int>(
       static_cast<std::size_t>(options.sample_size), 0);
   const std::span<int> current =
       arena.alloc_span<int>(static_cast<std::size_t>(n));
   best.inliers.reserve(static_cast<std::size_t>(n));
 
-  // SoA columns for the batched scoring kernel, built once per call.
-  const std::size_t count = static_cast<std::size_t>(n);
-  const std::span<double> xs = arena.alloc_span<double>(count);
-  const std::span<double> ys = arena.alloc_span<double>(count);
-  const std::span<double> zs = arena.alloc_span<double>(count);
-  const std::span<double> us = arena.alloc_span<double>(count);
-  const std::span<double> vs = arena.alloc_span<double>(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Correspondence& c = correspondences[i];
-    xs[i] = c.world[0];
-    ys[i] = c.world[1];
-    zs[i] = c.world[2];
-    us[i] = c.pixel[0];
-    vs[i] = c.pixel[1];
-  }
-  const simd::ReprojectionColumns columns{xs, ys, zs, us, vs};
+  // SoA columns for the batched kernels: every correspondence for
+  // scoring, built once per call; each sample and the final inlier set
+  // are gathered the same way for their refits.
+  const simd::ReprojectionColumns columns = columns_of(correspondences, arena);
 
   int needed_iterations = options.max_iterations;
   for (int iter = 0; iter < needed_iterations; ++iter) {
@@ -100,18 +86,22 @@ ESLAM_HOT_ALIGN void ransac_pnp_into(
               indices[static_cast<std::size_t>(k)])
             fresh = false;
       } while (!fresh);
-      sample[static_cast<std::size_t>(k)] =
-          correspondences[static_cast<std::size_t>(
-              indices[static_cast<std::size_t>(k)])];
     }
+    const ArenaScope sample_scope(arena);
+    const simd::ReprojectionColumns sample =
+        columns_of(correspondences, indices, arena);
 
     SE3 hypothesis_pose;
     if (options.use_p3p) {
       ESLAM_ASSERT(options.sample_size >= 4, "P3P+1 needs 4 samples");
-      const std::array<Vec3, 4> world = {sample[0].world, sample[1].world,
-                                         sample[2].world, sample[3].world};
-      const std::array<Vec2, 4> pixels = {sample[0].pixel, sample[1].pixel,
-                                          sample[2].pixel, sample[3].pixel};
+      std::array<Vec3, 4> world;
+      std::array<Vec2, 4> pixels;
+      for (std::size_t k = 0; k < 4; ++k) {
+        const Correspondence& c =
+            correspondences[static_cast<std::size_t>(indices[k])];
+        world[k] = c.world;
+        pixels[k] = c.pixel;
+      }
       const auto p3p = solve_p3p_with_check(world, pixels, camera);
       if (!p3p) continue;
       // One polish step on the minimal set tightens the closed-form pose.
@@ -120,8 +110,11 @@ ESLAM_HOT_ALIGN void ransac_pnp_into(
       hypothesis_pose = solve_pnp(sample, camera, prior_pose, refit).pose;
     }
 
-    const std::size_t inlier_count = simd::reprojection_inliers(
-        columns, hypothesis_pose, camera, thresh_sq, current.data());
+    // A hypothesis that cannot beat the best one is dropped below either
+    // way, so scoring may stop as soon as it cannot.
+    const std::size_t inlier_count =
+        simd::reprojection_inliers(columns, hypothesis_pose, camera, thresh_sq,
+                                   current.data(), best.inliers.size());
 
     if (inlier_count > best.inliers.size()) {
       best.inliers.assign(current.begin(),
@@ -156,11 +149,8 @@ ESLAM_HOT_ALIGN void ransac_pnp_into(
   if (static_cast<int>(best.inliers.size()) >= options.min_inliers) {
     // Final refit on all inliers (this is the "pose estimation" output the
     // Pose Optimization stage then polishes further).
-    const std::span<Correspondence> inlier_set =
-        arena.alloc_span<Correspondence>(best.inliers.size());
-    std::size_t k = 0;
-    for (int i : best.inliers)
-      inlier_set[k++] = correspondences[static_cast<std::size_t>(i)];
+    const simd::ReprojectionColumns inlier_set =
+        columns_of(correspondences, best.inliers, arena);
     PnpOptions final_fit = options.refit;
     final_fit.max_iterations = 10;
     best.pose = solve_pnp(inlier_set, camera, best.pose, final_fit).pose;

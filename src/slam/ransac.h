@@ -5,13 +5,22 @@
 // where inter-frame motion is small.
 //
 // Where the time goes: per hypothesis, the 4-point solve_pnp() refit (P3P
-// first when use_p3p) and a scoring pass over every correspondence.
-// Scoring runs on simd::reprojection_inliers() over SoA x/y/z/u/v columns
-// built once per call in the caller's arena; it is bit-identical to a
-// reprojection_error_sq() loop, so poses, inlier sets (in ascending
-// order) and iteration counts do not depend on the ISA.  Every
-// run adds its hypothesis count (RansacResult::iterations) to the
-// eslam_ransac_hypotheses_total counter.
+// first when use_p3p), about ten LM iterations whose 4-point
+// normal-equation passes cost less than the 6x6 solve and SE3::exp each
+// iteration also runs; then a scoring pass over the correspondences.
+// After the hypotheses, one refit over the inliers, whose ~8 passes over
+// hundreds of points run on the widest SIMD tier.  Every kernel reads SoA
+// x/y/z/u/v columns in the caller's arena: all correspondences, built
+// once per call for scoring, and each sample and the final inlier set,
+// gathered for their refits.  Scoring runs on simd::reprojection_inliers()
+// with the best count so far as its bound, so a hypothesis stops being
+// scored once it cannot win; that is exact, because it would be dropped
+// anyway.  Both kernels are bit-identical across tiers (a scored
+// hypothesis gets exactly a reprojection_error_sq() loop's inliers), so
+// poses, inlier sets (in ascending order) and iteration counts do not
+// depend on the ISA.  Every run adds its hypothesis count
+// (RansacResult::iterations) to the eslam_ransac_hypotheses_total
+// counter.
 #pragma once
 
 #include <span>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "features/simd_kernels.h"
 #include "geometry/wall_timer.h"
 #include "obs/metrics.h"
 
@@ -259,11 +260,8 @@ void TrackingCore::optimize_pose(FrameState& fs) const {
   const WallTimer po_timer;
   if (!fs.arena) fs.arena = std::make_unique<Arena>();
   const ArenaScope scope(*fs.arena);
-  std::span<Correspondence> inlier_set =
-      fs.arena->alloc_span<Correspondence>(fs.ransac.inliers.size());
-  std::size_t k = 0;
-  for (int idx : fs.ransac.inliers)
-    inlier_set[k++] = fs.correspondences[static_cast<std::size_t>(idx)];
+  const simd::ReprojectionColumns inlier_set =
+      columns_of(fs.correspondences, fs.ransac.inliers, *fs.arena);
   const PnpResult optimized = solve_pnp(inlier_set, camera_, fs.ransac.pose,
                                         options_.pose_optimization);
   fs.result.times.pose_optimization = po_timer.elapsed_ms();

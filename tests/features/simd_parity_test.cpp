@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <ostream>
@@ -424,9 +426,9 @@ void expect_scoring_matches_reference(const simd::KernelTable& tier,
   const std::vector<int> want = reference_inliers(corr, cam, pose, thresh_sq);
   std::vector<int> got(n), got_scalar(n);
   got.resize(
-      tier.reprojection_inliers(columns, pose, cam, thresh_sq, got.data()));
+      tier.reprojection_inliers(columns, pose, cam, thresh_sq, got.data(), 0));
   got_scalar.resize(simd::reprojection_inliers_scalar(
-      columns, pose, cam, thresh_sq, got_scalar.data()));
+      columns, pose, cam, thresh_sq, got_scalar.data(), 0));
   EXPECT_EQ(got, want) << where << " (tier)";
   EXPECT_EQ(got_scalar, want) << where << " (scalar)";
 }
@@ -502,11 +504,203 @@ TEST_P(TierParity, ReprojectionInliersEdgeCases) {
   }
 }
 
-// ---- Gate and window scan -----------------------------------------------
+// ---- Bounded scoring and the normal equations ------------------------------
 
 double uniform(std::mt19937_64& rng, double lo, double hi) {
   return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1p-53);
 }
+
+// Correspondences as the SoA columns the kernels read.
+struct ColumnStore {
+  std::vector<double> x, y, z, u, v;
+
+  explicit ColumnStore(const std::vector<Correspondence>& corr) {
+    for (const Correspondence& c : corr) {
+      x.push_back(c.world[0]);
+      y.push_back(c.world[1]);
+      z.push_back(c.world[2]);
+      u.push_back(c.pixel[0]);
+      v.push_back(c.pixel[1]);
+    }
+  }
+  simd::ReprojectionColumns columns() const { return {x, y, z, u, v}; }
+};
+
+// n correspondences under `pose`: camera-frame points mostly in front and
+// about one in eight behind, pixels within ~4 px of the projection, so
+// both sides of a 3 px gate and of Huber widths 1 and 2.5 are populated.
+std::vector<Correspondence> random_correspondences(std::mt19937_64& rng,
+                                                   const PinholeCamera& cam,
+                                                   const SE3& pose,
+                                                   std::size_t n) {
+  const SE3 pose_wc = pose.inverse();
+  std::vector<Correspondence> corr(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 p_cam{uniform(rng, -2.0, 2.0), uniform(rng, -1.5, 1.5),
+                     i % 8 == 3 ? uniform(rng, -3.0, 0.0)
+                                : uniform(rng, 0.5, 6.0)};
+    const Vec2 px{cam.fx() * p_cam[0] / p_cam[2] + cam.cx(),
+                  cam.fy() * p_cam[1] / p_cam[2] + cam.cy()};
+    corr[i] = Correspondence{
+        pose_wc * p_cam,
+        px + Vec2{uniform(rng, -4.0, 4.0), uniform(rng, -4.0, 4.0)}};
+  }
+  return corr;
+}
+
+TEST_P(TierParity, BoundedScoringStopsOnlyWhenItCannotWin) {
+  std::mt19937_64 rng(29);
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  const double thresh_sq = 9.0;
+  for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 1023u}) {
+    const SE3 pose = SE3::exp({uniform(rng, -0.2, 0.2), uniform(rng, -0.2, 0.2),
+                               uniform(rng, -0.2, 0.2), uniform(rng, -0.3, 0.3),
+                               uniform(rng, -0.3, 0.3),
+                               uniform(rng, -0.3, 0.3)});
+    const ColumnStore store(random_correspondences(rng, cam, pose, n));
+    const simd::ReprojectionColumns columns = store.columns();
+    std::vector<int> full(n);
+    full.resize(simd::reprojection_inliers_scalar(columns, pose, cam,
+                                                  thresh_sq, full.data(), 0));
+    const std::size_t count = full.size();
+    for (const std::size_t to_beat :
+         {std::size_t{0}, std::size_t{1}, count > 0 ? count - 1 : 0, count,
+          count + 1, n / 2, n, n + 5}) {
+      const std::string where =
+          "n=" + std::to_string(n) + " to_beat=" + std::to_string(to_beat);
+      for (const bool scalar : {false, true}) {
+        std::vector<int> got(n);
+        got.resize(scalar ? simd::reprojection_inliers_scalar(
+                                columns, pose, cam, thresh_sq, got.data(),
+                                to_beat)
+                          : tier().reprojection_inliers(columns, pose, cam,
+                                                        thresh_sq, got.data(),
+                                                        to_beat));
+        if (count > to_beat)
+          EXPECT_EQ(got, full) << where << (scalar ? " (scalar)" : " (tier)");
+        else
+          EXPECT_LE(got.size(), to_beat)
+              << where << (scalar ? " (scalar)" : " (tier)");
+      }
+    }
+  }
+}
+
+// Bit for bit, except that any NaN matches any NaN: which operand's NaN
+// an add passes on depends on the order the compiler puts them in.
+bool same_value(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+void expect_equations_equal(const simd::NormalEquations& got,
+                            const simd::NormalEquations& want,
+                            const std::string& where) {
+  for (int k = 0; k < 21; ++k)
+    EXPECT_TRUE(same_value(got.h[k], want.h[k]))
+        << where << " h[" << k << "] " << got.h[k] << " vs " << want.h[k];
+  for (int k = 0; k < 6; ++k)
+    EXPECT_TRUE(same_value(got.b[k], want.b[k]))
+        << where << " b[" << k << "] " << got.b[k] << " vs " << want.b[k];
+  EXPECT_TRUE(same_value(got.cost, want.cost))
+      << where << " cost " << got.cost << " vs " << want.cost;
+  EXPECT_EQ(got.used, want.used) << where;
+}
+
+void expect_equations_match_scalar(const simd::KernelTable& tier,
+                                   const std::vector<Correspondence>& corr,
+                                   const PinholeCamera& cam, const SE3& pose,
+                                   const std::string& where) {
+  const ColumnStore store(corr);
+  for (const double huber : {0.0, 2.5, 1.0})
+    expect_equations_equal(
+        tier.normal_equations(store.columns(), pose, cam, huber),
+        simd::normal_equations_scalar(store.columns(), pose, cam, huber),
+        where + " huber=" + std::to_string(huber));
+}
+
+TEST_P(TierParity, NormalEquationsBitExactWithScalar) {
+  std::mt19937_64 rng(31);
+  const PinholeCamera cam = PinholeCamera::tum_freiburg1();
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 19; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  for (int trial = 0; trial < 4; ++trial) {
+    const SE3 pose = SE3::exp({uniform(rng, -0.5, 0.5), uniform(rng, -0.5, 0.5),
+                               uniform(rng, -0.5, 0.5), uniform(rng, -1.0, 1.0),
+                               uniform(rng, -1.0, 1.0),
+                               uniform(rng, -1.0, 1.0)});
+    for (const std::size_t n : sizes) {
+      const std::vector<Correspondence> corr =
+          random_correspondences(rng, cam, pose, n);
+      expect_equations_match_scalar(
+          tier(), corr, cam, pose,
+          "trial " + std::to_string(trial) + " n=" + std::to_string(n));
+      // Evaluated away from the truth as well, as LM's candidates are.
+      const SE3 off = SE3::exp({0.05, -0.03, 0.02, 0.01, 0.02, -0.01}) * pose;
+      expect_equations_match_scalar(
+          tier(), corr, cam, off,
+          "trial " + std::to_string(trial) + " off n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST_P(TierParity, NormalEquationsEdgeCases) {
+  // Integral intrinsics and exact poses, so depths and residuals below are
+  // exact.
+  const PinholeCamera cam(500.0, 500.0, 320.0, 240.0, 640, 480);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double min_depth = PinholeCamera::kMinDepth;
+  const std::vector<Correspondence> special = {
+      {Vec3{0.0, 0.0, 1.0}, Vec2{320.0, 240.0}},      // exact zero residual
+      {Vec3{-0.0, -0.0, 1.0}, Vec2{320.0, 240.0}},    // negative zeros
+      {Vec3{0.0, 0.0, 1.0}, Vec2{-0.0, 240.0}},       // -0 pixel
+      {Vec3{0.0, 0.0, min_depth}, Vec2{320.0, 240.0}},  // z == kMinDepth
+      {Vec3{0.5, 0.5, -1.0}, Vec2{320.0, 240.0}},     // behind
+      {Vec3{0.5, -0.25, 2.0}, Vec2{446.0, 176.5}},    // 1 px residual
+      {Vec3{0.5, -0.25, 2.0}, Vec2{480.0, 120.0}},    // large residual
+  };
+  const std::vector<Correspondence> poison = {
+      {Vec3{nan, 0.0, 1.0}, Vec2{320.0, 240.0}},   // NaN x
+      {Vec3{0.0, 0.0, nan}, Vec2{320.0, 240.0}},   // NaN depth: used
+      {Vec3{0.0, 0.0, 1.0}, Vec2{nan, 240.0}},     // NaN pixel
+      {Vec3{inf, 0.0, 1.0}, Vec2{320.0, 240.0}},   // +inf x
+      {Vec3{0.0, -inf, 1.0}, Vec2{320.0, 240.0}},  // -inf y
+      {Vec3{0.0, 0.0, inf}, Vec2{320.0, 240.0}},   // +inf depth
+      {Vec3{0.0, 0.0, -inf}, Vec2{320.0, 240.0}},  // -inf depth: behind
+      {Vec3{0.0, 0.0, 1.0}, Vec2{-inf, 240.0}},    // -inf pixel
+  };
+  const SE3 poses[] = {SE3{}, SE3{Mat3::identity(), Vec3{0.5, -0.25, 2.0}}};
+  std::mt19937_64 rng(37);
+  for (const SE3& pose : poses) {
+    // The exact cases alone, then each case (one poison point at most,
+    // since NaN absorbs the sums) in every lane of a 19-point set, which
+    // runs an 8-point block, a 4-point block and a scalar tail.
+    expect_equations_match_scalar(tier(), special, cam, pose, "special");
+    std::vector<Correspondence> cases = special;
+    cases.insert(cases.end(), poison.begin(), poison.end());
+    const std::vector<Correspondence> filler =
+        random_correspondences(rng, cam, pose, 19);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      for (std::size_t lane = 0; lane < 19; ++lane) {
+        std::vector<Correspondence> corr = filler;
+        corr[lane] = cases[c];
+        expect_equations_match_scalar(
+            tier(), corr, cam, pose,
+            "case " + std::to_string(c) + " at " + std::to_string(lane));
+      }
+    }
+  }
+  // A NaN depth is used and a depth of exactly kMinDepth is not, as in the
+  // scalar loop's `continue`.
+  const ColumnStore nan_depth({poison[1], special[3], special[0]});
+  EXPECT_EQ(simd::normal_equations_scalar(nan_depth.columns(), SE3{}, cam, 0.0)
+                .used,
+            2);
+}
+
+// ---- Gate and window scan -----------------------------------------------
 
 // One gate input: map points (as Vec3s for the reference builder and as
 // SoA lanes for the hot path), the prior, the features and the policy.
