@@ -13,32 +13,15 @@ FeatureList AcceleratedBackend::extract(const ImageU8& image) {
   return features;
 }
 
-namespace {
-
-// Host-side acceptance gates (distance threshold, ratio) over the fabric's
-// raw minimum-distance results; they run on the ARM and are negligible
-// next to PnP, so they are not separately timed.  Shared by the full-scan
-// and gated tiers so the tiers only differ in how candidates are found.
-std::vector<Match> apply_acceptance(std::vector<Match> raw,
-                                    const MatcherOptions& accept) {
-  std::vector<Match> accepted;
-  accepted.reserve(raw.size());
-  for (const Match& m : raw) {
-    if (m.train < 0 || m.distance > accept.max_distance) continue;
-    if (accept.ratio < 1.0 && !(m.distance < accept.ratio * m.second_best))
-      continue;
-    accepted.push_back(m);
-  }
-  return accepted;
-}
-
-}  // namespace
-
+// The fabric returns each query's raw minimum-distance result; the host
+// applies the matcher module's acceptance rule to it (accept_matches), on
+// the ARM and outside the simulated fabric time.  Both tiers share it, so
+// they only differ in how candidates are found.
 std::vector<Match> AcceleratedBackend::match(
     std::span<const Descriptor256> queries,
     std::span<const Descriptor256> train) {
-  std::vector<Match> accepted =
-      apply_acceptance(matcher_.match(queries, train), accept_);
+  std::vector<Match> accepted = accept_matches(
+      matcher_.match(queries, train), queries, train, nullptr, accept_);
   match_ms_.store(matcher_.report().ms());
   return accepted;
 }
@@ -46,8 +29,9 @@ std::vector<Match> AcceleratedBackend::match(
 std::vector<Match> AcceleratedBackend::match_candidates(
     std::span<const Descriptor256> queries,
     std::span<const Descriptor256> train, const CandidateSet& candidates) {
-  std::vector<Match> accepted = apply_acceptance(
-      matcher_.match_candidates(queries, train, candidates), accept_);
+  std::vector<Match> accepted =
+      accept_matches(matcher_.match_candidates(queries, train, candidates),
+                     queries, train, &candidates, accept_);
   match_ms_.store(matcher_.report().ms());
   return accepted;
 }

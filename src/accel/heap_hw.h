@@ -34,7 +34,6 @@ class FilterHeap {
   FeatureList drain();
 
   std::uint64_t cycles() const { return cycles_; }
-  void reset_cycles() { cycles_ = 0; }
 
   // Storage footprint in bits: capacity x (256b descriptor + 2 x 16b
   // coords + 32b score + 8b level/orientation).

@@ -46,12 +46,23 @@ struct BackMatches {
       second_d[t] = d;
     }
   }
+  // Train point t's back match: its best query (as .train) and distances.
+  Match operator()(std::size_t t) const {
+    return {-1, best_q[t], best_d[t], second_d[t]};
+  }
 };
 
-// The gated tier's acceptance of each query's best candidate forward[q];
-// `back` is null unless cross-checking.
-void accept_candidates(std::span<const Match> forward, const BackMatches* back,
-                       const MatcherOptions& options, std::vector<Match>& out) {
+// The acceptance rule of every tier, over each query's best match
+// forward[q] (train == -1 for none): max_distance, the ratio test and,
+// with cross_check, the back match back(t) of the winning train point t
+// over the graph the forward side searched, which must name q and pass
+// the ratio test on its own runner-up.  An out-of-gate back match would
+// never be emitted as a forward match, so it must not confirm one.
+// (max_distance needs no back-side gate: the agreed pair's distance is
+// one symmetric Hamming value.)
+template <typename BackMatch>
+void accept(std::span<const Match> forward, const MatcherOptions& options,
+            const BackMatch& back, std::vector<Match>& out) {
   out.reserve(forward.size());
   for (std::size_t q = 0; q < forward.size(); ++q) {
     Match m = forward[q];
@@ -59,11 +70,10 @@ void accept_candidates(std::span<const Match> forward, const BackMatches* back,
     if (m.train < 0 || m.distance > options.max_distance) continue;
     if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
       continue;
-    if (back != nullptr) {
-      const std::size_t t = static_cast<std::size_t>(m.train);
-      if (back->best_q[t] != static_cast<std::int32_t>(q)) continue;
-      if (options.ratio < 1.0 &&
-          !(back->best_d[t] < options.ratio * back->second_d[t]))
+    if (options.cross_check) {
+      const Match b = back(static_cast<std::size_t>(m.train));
+      if (b.train != m.query) continue;
+      if (options.ratio < 1.0 && !(b.distance < options.ratio * b.second_best))
         continue;
     }
     out.push_back(m);
@@ -87,24 +97,11 @@ ESLAM_HOT_ALIGN void match_rows_into(
     for (std::size_t i = 0; i < queries.size(); ++i)
       best[i] = simd::best_two_rows(queries[i], rows);
   }
-  out.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    Match m = best[i];
-    m.query = static_cast<int>(i);
-    if (m.train < 0 || m.distance > options.max_distance) continue;
-    if (options.ratio < 1.0 && !(m.distance < options.ratio * m.second_best))
-      continue;
-    if (options.cross_check) {
-      // Back match over the query rows, same gates as match_descriptors().
-      const Match back = simd::best_two_rows(
-          train.aos[static_cast<std::size_t>(m.train)], queries);
-      if (back.train != static_cast<int>(i)) continue;
-      if (options.ratio < 1.0 &&
-          !(back.distance < options.ratio * back.second_best))
-        continue;
-    }
-    out.push_back(m);
-  }
+  // The back match scans the query rows.
+  const auto back = [&](std::size_t t) {
+    return simd::best_two_rows(train.aos[t], queries);
+  };
+  accept(best, options, back, out);
 }
 
 }  // namespace
@@ -168,34 +165,11 @@ Match match_one(const Descriptor256& query,
 std::vector<Match> match_descriptors(std::span<const Descriptor256> queries,
                                      std::span<const Descriptor256> train,
                                      const MatcherOptions& options) {
-  std::vector<Match> out;
-  if (train.empty()) return out;
-  out.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    Match m = match_one(queries[i], train);
-    m.query = static_cast<int>(i);
-    if (m.train < 0 || m.distance > options.max_distance) continue;
-    if (options.ratio < 1.0 &&
-        !(m.distance < options.ratio * m.second_best))
-      continue;
-    if (options.cross_check) {
-      // Symmetric check: the back match must itself pass the acceptance
-      // gates, not just point back.  Once back.train == m.query the two
-      // distances are the same Hamming pair, so max_distance holds by the
-      // forward gate — the back-side condition that can differ is the
-      // ratio test, whose runner-up comes from the query set instead of
-      // the train set.  An out-of-gate back match (ratio failure) would
-      // never be emitted as a forward match and must not confirm one.
-      const Match back = match_one(train[static_cast<std::size_t>(m.train)],
-                                   queries);
-      if (back.train != m.query) continue;
-      if (options.ratio < 1.0 &&
-          !(back.distance < options.ratio * back.second_best))
-        continue;
-    }
-    out.push_back(m);
-  }
-  return out;
+  std::vector<Match> raw;
+  raw.reserve(queries.size());
+  for (const Descriptor256& query : queries)
+    raw.push_back(match_one(query, train));
+  return accept_matches(raw, queries, train, nullptr, options);
 }
 
 Match match_one_candidates(const Descriptor256& query,
@@ -215,12 +189,28 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
                                     const MatcherOptions& options) {
   ESLAM_ASSERT(candidates.num_queries() == queries.size(),
                "candidate set does not cover the query set");
-  std::vector<Match> out;
-  if (train.empty() || queries.empty()) return out;
+  if (train.empty()) return {};
+  std::vector<Match> raw;
+  raw.reserve(queries.size());
+  std::vector<std::int32_t> list;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    candidates.expand(q, list);
+    raw.push_back(match_one_candidates(queries[q], train, list));
+  }
+  return accept_matches(raw, queries, train, &candidates, options);
+}
 
-  // Forward pass: per-query best/second over its candidate list, and the
-  // back side over the same candidate graph when cross-checking.
-  std::vector<Match> forward(queries.size());
+std::vector<Match> accept_matches(std::span<const Match> raw,
+                                  std::span<const Descriptor256> queries,
+                                  std::span<const Descriptor256> train,
+                                  const CandidateSet* candidates,
+                                  const MatcherOptions& options) {
+  std::vector<Match> out;
+  if (candidates == nullptr) {
+    accept(raw, options,
+           [&](std::size_t t) { return match_one(train[t], queries); }, out);
+    return out;
+  }
   std::vector<int> best_d, second_d;
   std::vector<std::int32_t> best_q;
   if (options.cross_check) {
@@ -230,17 +220,14 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
   }
   BackMatches back{best_d, second_d, best_q};
   std::vector<std::int32_t> list;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    candidates.expand(q, list);
-    for (const std::int32_t idx : list) {
-      const int d =
-          hamming_distance(queries[q], train[static_cast<std::size_t>(idx)]);
-      keep_best_candidate(d, idx, forward[q]);
-      if (options.cross_check) back.add(d, static_cast<std::size_t>(idx), q);
+  for (std::size_t q = 0; options.cross_check && q < queries.size(); ++q) {
+    candidates->expand(q, list);
+    for (const std::int32_t t : list) {
+      const auto idx = static_cast<std::size_t>(t);
+      back.add(hamming_distance(queries[q], train[idx]), idx, q);
     }
   }
-  accept_candidates(forward, options.cross_check ? &back : nullptr, options,
-                    out);
+  accept(raw, options, back, out);
   return out;
 }
 
@@ -301,8 +288,7 @@ ESLAM_HOT_ALIGN void match_candidates_into(
       }
     }
   }
-  accept_candidates(forward, options.cross_check ? &back : nullptr, options,
-                    out);
+  accept(forward, options, back, out);
 }
 
 }  // namespace eslam

@@ -130,6 +130,18 @@ std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
                                     const CandidateSet& candidates,
                                     const MatcherOptions& options = {});
 
+// The acceptance rule of both tiers (max_distance, ratio, cross-check),
+// over raw per-query results: raw[q] is query q's best train index (-1
+// for none), distance and runner-up, as match_one() and
+// match_one_candidates() report them.  With `candidates` null the
+// cross-check's back match scans every query (brute force); otherwise the
+// queries whose candidates name the train point.
+std::vector<Match> accept_matches(std::span<const Match> raw,
+                                  std::span<const Descriptor256> queries,
+                                  std::span<const Descriptor256> train,
+                                  const CandidateSet* candidates,
+                                  const MatcherOptions& options);
+
 // Single query against the train set (min + second-min distances).
 Match match_one(const Descriptor256& query,
                 std::span<const Descriptor256> train);

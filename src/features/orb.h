@@ -55,9 +55,6 @@ class OrbExtractor {
   const OrbConfig& config() const { return config_; }
   const OrbExtractionStats& last_stats() const { return stats_; }
 
-  const RsBriefPattern& rs_pattern() const { return rs_pattern_; }
-  const OriginalBriefPattern& orb_pattern() const { return orb_pattern_; }
-
  private:
   OrbConfig config_;
   RsBriefPattern rs_pattern_;

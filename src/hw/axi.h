@@ -49,11 +49,6 @@ class AxiBusModel {
   std::uint64_t write_transactions() const { return write_transactions_; }
   const AxiConfig& config() const { return config_; }
 
-  // Sustained bandwidth in bytes/cycle for large transfers.
-  double peak_bandwidth() const {
-    return static_cast<double>(config_.bus_bytes);
-  }
-
  private:
   std::uint64_t beats_for(std::uint64_t bytes) const {
     return (bytes + static_cast<std::uint64_t>(config_.bus_bytes) - 1) /

@@ -99,12 +99,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const MaxGauge* MetricsRegistry::find_max_gauge(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);

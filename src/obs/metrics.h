@@ -114,7 +114,6 @@ class MetricsRegistry {
 
   // nullptr when the instrument does not exist (never creates).
   const Counter* find_counter(const std::string& name) const;
-  const MaxGauge* find_max_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
   // Prometheus-style text exposition: counters and gauges as single

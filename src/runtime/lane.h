@@ -1,7 +1,8 @@
 // Lane abstraction of the Figure-7 runtime (TrackerScheduler): which
 // heterogeneous unit executes a stage (the simulated FPGA fabric vs the
-// ARM host), the five pipeline stages, the timestamped stage-event
-// record, and the per-session occupancy/progress statistics.
+// ARM host), the five pipeline stages, and the per-session
+// occupancy/progress statistics.  Where each stage of a frame ran travels
+// with the frame's result (TrackResult::windows).
 #pragma once
 
 namespace eslam {
@@ -17,19 +18,6 @@ enum class PipeStage {
 
 const char* to_string(PipeLane lane);
 const char* to_string(PipeStage stage);
-
-// One stage execution on one lane, timestamped on the runtime's wall
-// clock (ms since construction).  `speculative` marks a feature-matching
-// run that a key frame later invalidated; the replayed (authoritative)
-// run appears as a separate non-speculative event.
-struct StageEvent {
-  int frame = 0;
-  PipeLane lane = PipeLane::kFpga;
-  PipeStage stage = PipeStage::kFeatureExtraction;
-  double start_ms = 0;
-  double end_ms = 0;
-  bool speculative = false;
-};
 
 // Per-session progress and lane-occupancy statistics (lane busy-ms are
 // the shared lane's time spent on *this* session's stages).

@@ -8,10 +8,6 @@
 
 namespace eslam {
 
-const char* to_string(PipeLane lane) {
-  return lane == PipeLane::kFpga ? "FPGA" : "ARM";
-}
-
 const char* to_string(PipeStage stage) {
   switch (stage) {
     case PipeStage::kFeatureExtraction: return "FE";
@@ -24,25 +20,19 @@ const char* to_string(PipeStage stage) {
 }
 
 struct SchedulerSession {
-  SchedulerSession(Tracker& tracker_, const SchedulerSessionOptions& opts_)
-      : tracker(&tracker_),
+  // Exactly one of tracker_ and localizer_ is non-null.  A localization
+  // session's frames bypass the device lane entirely and run whole on the
+  // ARM pool, so its handoff ring stays unused.
+  SchedulerSession(Tracker* tracker_, Localizer* localizer_,
+                   const SchedulerSessionOptions& opts_)
+      : tracker(tracker_),
+        localizer(localizer_),
         opts(opts_),
-        camera(tracker_.camera()),
+        camera(tracker_ ? tracker_->camera() : localizer_->camera()),
         input_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))),
-        handoff_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))) {
-  }
+        handoff_q(tracker_ ? input_q.capacity() : 1) {}
 
-  // Localization-tier session: frames bypass the device lane entirely and
-  // run whole on the ARM pool (the handoff ring stays unused).
-  SchedulerSession(Localizer& localizer_, const SchedulerSessionOptions& opts_)
-      : localizer(&localizer_),
-        opts(opts_),
-        camera(localizer_.camera()),
-        input_q(static_cast<std::size_t>(std::max(1, opts_.queue_capacity))),
-        handoff_q(1) {}
-
-  // Exactly one of the two is set; `localizer` non-null marks the
-  // read-only tier.
+  // `localizer` non-null marks the read-only tier.
   Tracker* tracker = nullptr;
   Localizer* localizer = nullptr;
   SchedulerSessionOptions opts;
@@ -58,8 +48,7 @@ struct SchedulerSession {
   // per-session device order is FIFO by construction.  A frame parked
   // with pending_ready == false carries a speculative FM.
   std::optional<FrameState> pending;
-  bool pending_ready = false;       // FM is authoritative; awaiting handoff
-  int pending_spec_event = -1;      // that FM's event index, for replay
+  bool pending_ready = false;  // FM is authoritative; awaiting handoff
 
   // Guarded by the scheduler-wide work_mutex_: how many handed-off frames
   // await ARM stages, and whether a worker currently owns this session.
@@ -75,7 +64,7 @@ struct SchedulerSession {
   std::atomic<int> frames_fed{0};
   std::atomic<int> frames_retired{0};
   std::atomic<int> frames_delivered{0};
-  std::atomic<int> retired_through{-1};  // highest retired frame index
+  std::atomic<int> retired_through{-1};  // highest retired mapping frame
   std::atomic<int> malformed_feeds{0};   // refused at the door
 
   // Finished results awaiting poll().  Unbounded on purpose: ARM workers
@@ -97,9 +86,6 @@ struct SchedulerSession {
 
   mutable std::mutex stats_mutex;
   PipelineStats stats;
-
-  mutable std::mutex events_mutex;
-  std::vector<StageEvent> events;
 };
 
 namespace {
@@ -202,17 +188,13 @@ void TrackerScheduler::kick_device() {
   device_cv_.notify_one();
 }
 
-int TrackerScheduler::record(SchedulerSession& s, int frame, PipeLane lane,
-                             PipeStage stage, double start_ms, double end_ms) {
-  {
-    const std::lock_guard<std::mutex> lock(s.stats_mutex);
-    (lane == PipeLane::kFpga ? s.stats.fpga_busy_ms : s.stats.arm_busy_ms) +=
-        end_ms - start_ms;
-  }
-  if (!s.opts.record_events) return -1;
-  const std::lock_guard<std::mutex> lock(s.events_mutex);
-  s.events.push_back({frame, lane, stage, start_ms, end_ms, false});
-  return static_cast<int>(s.events.size()) - 1;
+StageWindow TrackerScheduler::record(SchedulerSession& s, PipeLane lane,
+                                     double start_ms) {
+  const StageWindow window{start_ms, now_ms()};
+  const std::lock_guard<std::mutex> lock(s.stats_mutex);
+  (lane == PipeLane::kFpga ? s.stats.fpga_busy_ms : s.stats.arm_busy_ms) +=
+      window.end_ms - window.start_ms;
+  return window;
 }
 
 void TrackerScheduler::pace(const SchedulerSession& s, PipeStage stage,
@@ -228,26 +210,24 @@ void TrackerScheduler::pace(const SchedulerSession& s, PipeStage stage,
 
 SessionRef TrackerScheduler::add_session(
     Tracker& tracker, const SchedulerSessionOptions& options) {
-  SessionRef session = std::make_shared<SchedulerSession>(tracker, options);
-  {
-    const std::unique_lock<std::shared_mutex> lock(sessions_mutex_);
-    sessions_.push_back(session);
-    sessions_generation_.fetch_add(1);
-  }
-  kick_device();
-  return session;
+  return register_session(
+      std::make_shared<SchedulerSession>(&tracker, nullptr, options));
 }
 
 SessionRef TrackerScheduler::add_localization_session(
     Localizer& localizer, const SchedulerSessionOptions& options) {
-  SessionRef session = std::make_shared<SchedulerSession>(localizer, options);
+  return register_session(
+      std::make_shared<SchedulerSession>(nullptr, &localizer, options));
+}
+
+SessionRef TrackerScheduler::register_session(SessionRef session) {
   {
     const std::unique_lock<std::shared_mutex> lock(sessions_mutex_);
     sessions_.push_back(session);
     sessions_generation_.fetch_add(1);
   }
-  // The device lane skips this session, but its snapshot should still
-  // refresh promptly (registry bookkeeping, prompt teardown).
+  // The device lane skips a localization session, but its snapshot should
+  // still refresh promptly (registry bookkeeping, prompt teardown).
   kick_device();
   return session;
 }
@@ -426,13 +406,6 @@ PipelineStats TrackerScheduler::stats(const SessionRef& session) const {
   return out;
 }
 
-std::vector<StageEvent> TrackerScheduler::stage_events(
-    const SessionRef& session) const {
-  if (!session) return {};
-  const std::lock_guard<std::mutex> lock(session->events_mutex);
-  return session->events;
-}
-
 // ---- device lane (the shared FPGA fabric) ----------------------------------
 
 void TrackerScheduler::device_lane() {
@@ -542,7 +515,8 @@ void TrackerScheduler::run_device_stage(SchedulerSession& s, FrameState& fs,
   // spans on its session row cover the measured compute only.
   const double span_t0 = obs::trace_now_us();
   const double t0 = now_ms();
-  if (stage == PipeStage::kFeatureExtraction) {
+  const bool extract = stage == PipeStage::kFeatureExtraction;
+  if (extract) {
     s.tracker->extract(fs);
   } else {
     s.tracker->match(fs);
@@ -554,9 +528,9 @@ void TrackerScheduler::run_device_stage(SchedulerSession& s, FrameState& fs,
 #else
   (void)span_t0;
 #endif
-  const int event = record(s, fs.index, PipeLane::kFpga, stage, t0, now_ms());
+  // A replayed FM overwrites its speculative run's window.
+  (extract ? fs.windows.fe : fs.windows.fm) = record(s, PipeLane::kFpga, t0);
   if (speculative) {
-    s.pending_spec_event = event;
     speculative_matches_total_->add();
     const std::lock_guard<std::mutex> lock(s.stats_mutex);
     ++s.stats.speculative_matches;
@@ -567,11 +541,6 @@ void TrackerScheduler::finalize_match(SchedulerSession& s, FrameState& fs) {
   // The barrier is open: frame fs.index - 1 has retired.  The speculative
   // match is authoritative iff no structural map change intervened.
   if (!s.tracker->matches_current(fs)) {
-    if (s.pending_spec_event >= 0) {
-      const std::lock_guard<std::mutex> lock(s.events_mutex);
-      s.events[static_cast<std::size_t>(s.pending_spec_event)].speculative =
-          true;
-    }
     replayed_matches_total_->add();
     {
       const std::lock_guard<std::mutex> lock(s.stats_mutex);
@@ -579,7 +548,6 @@ void TrackerScheduler::finalize_match(SchedulerSession& s, FrameState& fs) {
     }
     run_device_stage(s, fs, PipeStage::kFeatureMatching, false);
   }
-  s.pending_spec_event = -1;
 }
 
 // ---- ARM worker pool -------------------------------------------------------
@@ -701,13 +669,13 @@ void TrackerScheduler::arm_worker(int worker_index) {
   }
 }
 
-void TrackerScheduler::run_session_localization(const SessionRef& session) {
+void TrackerScheduler::run_session_arm(const SessionRef& session) {
   SchedulerSession& s = *session;
-  // Same ownership protocol as run_session_arm: this worker owns the
-  // session until its backlog is empty, so frames of one localization
-  // session run serially in feed order (bit-identical to a solo
-  // sequential run) while other workers serve other sessions — including
-  // other localizers over the same FrozenMap, which read it lock-free.
+  // This worker owns the session (arm_queued == true) until the backlog is
+  // empty: frames of one session therefore run serially in feed order
+  // (bit-identical to a solo sequential run), while other workers serve
+  // other sessions, including other localizers over the same FrozenMap,
+  // which read it lock-free.
   for (;;) {
     if (stop_.load()) return;  // abandon like the lanes on shutdown
     {
@@ -718,110 +686,90 @@ void TrackerScheduler::run_session_localization(const SessionRef& session) {
       }
       --s.arm_backlog;
     }
-    FrameInput input;
-    const bool popped = s.input_q.try_pop(input);
-    // The input push happens-before the backlog increment (push_input
-    // enqueues after the ring push), so a claimed unit finds its frame.
-    ESLAM_ASSERT(popped, "localization backlog out of sync with input ring");
-    kick_user(s);  // a ring slot freed: wake a parked feed()
-
-    // The whole frame — FE/FM/PE/PO, no MU — as one ARM unit.  No pacer
-    // and no event log: there is no modeled fabric stage in this tier.
-    const double t0 = now_ms();
-    TrackResult result = s.localizer->process(input);
-    const double end = now_ms();
-    {
-      const std::lock_guard<std::mutex> lock(s.stats_mutex);
-      s.stats.arm_busy_ms += end - t0;
-    }
-    // Tier-wide lifetime counters (survive session close).
-    if (result.reloc_attempted) {
-      loc_coldstart_attempts_.fetch_add(1);
-      if (result.relocalized) loc_coldstart_successes_.fetch_add(1);
-    }
-
-    const int index = s.frames_retired.load();
-    s.retired_through.store(index);
+    TrackResult result = s.localizer ? run_localization_frame(s)
+                                     : run_mapping_frame(session);
+    // Nothing past this count may touch the tracker: remove_session()
+    // destroys it once every fed frame has retired.
     s.frames_retired.fetch_add(1);
     {
       const std::lock_guard<std::mutex> lock(s.results_mutex);
       s.results.push_back(std::move(result));
     }
-    kick_user(s);  // delivers a result (parked drain()/remove())
+    // A mapping retirement can open this session's barrier or free a
+    // handoff slot (device lane); every result wakes a parked drain() or
+    // close().
+    if (s.tracker) kick_device();
+    kick_user(s);
   }
 }
 
-void TrackerScheduler::run_session_arm(const SessionRef& session) {
-  SchedulerSession& s = *session;
-  if (s.localizer) return run_session_localization(session);
-  // This worker owns the session (arm_queued == true) until the backlog is
-  // empty — ARM stages of one session therefore run serially in frame
-  // order, while other workers serve other sessions.
-  for (;;) {
-    if (stop_.load()) return;  // abandon like the lanes on shutdown
-    {
-      const std::lock_guard<std::mutex> lock(work_mutex_);
-      if (s.arm_backlog == 0) {
-        s.arm_queued = false;
-        return;
-      }
-      --s.arm_backlog;
-    }
-    FrameState fs;
-    const bool popped = s.handoff_q.try_pop(fs);
-    // The handoff push happens-before the backlog increment (both sides of
-    // work_mutex_), so a claimed backlog unit always finds its frame.
-    ESLAM_ASSERT(popped, "ARM backlog out of sync with handoff ring");
+TrackResult TrackerScheduler::run_localization_frame(SchedulerSession& s) {
+  FrameInput input;
+  const bool popped = s.input_q.try_pop(input);
+  // The input push happens-before the backlog increment (push_input
+  // enqueues after the ring push), so a claimed unit finds its frame.
+  ESLAM_ASSERT(popped, "localization backlog out of sync with input ring");
+  kick_user(s);  // a ring slot freed: wake a parked feed()
 
-    double t0 = now_ms();
-    s.tracker->estimate_pose(fs);
-    pace(s, PipeStage::kPoseEstimation, t0);
-    record(s, fs.index, PipeLane::kArm, PipeStage::kPoseEstimation, t0,
-           now_ms());
-
-    t0 = now_ms();
-    s.tracker->optimize_pose(fs);
-    pace(s, PipeStage::kPoseOptimization, t0);
-    record(s, fs.index, PipeLane::kArm, PipeStage::kPoseOptimization, t0,
-           now_ms());
-
-    t0 = now_ms();
-    const int index = fs.index;
-    TrackResult result = s.tracker->update_map(fs);
-    pace(s, PipeStage::kMapUpdating, t0);
-    record(s, index, PipeLane::kArm, PipeStage::kMapUpdating, t0, now_ms());
-    // The frame is retired: hand its shell (buffers + arena) back to the
-    // tracker so begin_frame() on the device lane reuses the memory.
-    s.tracker->recycle_frame(std::move(fs));
-
-    if (result.backend_applied) {
-      const std::lock_guard<std::mutex> lock(s.stats_mutex);
-      ++s.stats.backend_deltas_applied;
-    }
-
-    // A keyframe may have frozen backend jobs (shard BAs and/or a loop
-    // verification): offer them to the background lane (no-op when the
-    // backend is idle or disabled).  This MUST precede the retirement
-    // publication below — touching the tracker after the session's last
-    // retirement is visible would race remove_session() destroying it,
-    // and enqueuing first also makes the bg_queued count visible to any
-    // remover that observes the retirement (both sides synchronize on
-    // work_mutex_).
-    if (s.tracker->backend_job_pending()) enqueue_backend(session);
-
-    // Publish retirement before delivering the result: the device lane's
-    // key-frame barrier must not wait on the user's poll cadence.
-    s.retired_through.store(index);
-    s.frames_retired.fetch_add(1);
-    {
-      const std::lock_guard<std::mutex> lock(s.results_mutex);
-      s.results.push_back(std::move(result));
-    }
-    // A retirement can open this session's barrier or free a handoff slot
-    // (device lane), and delivers a result (parked drain()/close()).
-    kick_device();
-    kick_user(s);
+  // The whole frame (FE/FM/PE/PO, no MU) as one ARM unit.  No pacer and
+  // no stage windows: there is no modeled fabric stage in this tier.
+  const double t0 = now_ms();
+  TrackResult result = s.localizer->process(input);
+  record(s, PipeLane::kArm, t0);
+  // Tier-wide lifetime counters (survive session close).
+  if (result.reloc_attempted) {
+    loc_coldstart_attempts_.fetch_add(1);
+    if (result.relocalized) loc_coldstart_successes_.fetch_add(1);
   }
+  return result;
+}
+
+TrackResult TrackerScheduler::run_mapping_frame(const SessionRef& session) {
+  SchedulerSession& s = *session;
+  FrameState fs;
+  const bool popped = s.handoff_q.try_pop(fs);
+  // The handoff push happens-before the backlog increment (both sides of
+  // work_mutex_), so a claimed backlog unit always finds its frame.
+  ESLAM_ASSERT(popped, "ARM backlog out of sync with handoff ring");
+
+  double t0 = now_ms();
+  s.tracker->estimate_pose(fs);
+  pace(s, PipeStage::kPoseEstimation, t0);
+  fs.windows.pe = record(s, PipeLane::kArm, t0);
+
+  t0 = now_ms();
+  s.tracker->optimize_pose(fs);
+  pace(s, PipeStage::kPoseOptimization, t0);
+  fs.windows.po = record(s, PipeLane::kArm, t0);
+
+  t0 = now_ms();
+  const int index = fs.index;
+  TrackResult result = s.tracker->update_map(fs);
+  pace(s, PipeStage::kMapUpdating, t0);
+  result.windows = fs.windows;
+  result.windows.mu = record(s, PipeLane::kArm, t0);
+  // The frame is retired: hand its shell (buffers + arena) back to the
+  // tracker so begin_frame() on the device lane reuses the memory.
+  s.tracker->recycle_frame(std::move(fs));
+
+  if (result.backend_applied) {
+    const std::lock_guard<std::mutex> lock(s.stats_mutex);
+    ++s.stats.backend_deltas_applied;
+  }
+
+  // A keyframe may have frozen backend jobs (shard BAs and/or a loop
+  // verification): offer them to the background lane (no-op when the
+  // backend is idle or disabled).  This MUST precede the retirement
+  // publication — touching the tracker after the session's last
+  // retirement is visible would race remove_session() destroying it, and
+  // enqueuing first also makes the bg_queued count visible to any remover
+  // that observes the retirement (both sides synchronize on work_mutex_).
+  if (s.tracker->backend_job_pending()) enqueue_backend(session);
+
+  // Publish retirement before delivering the result: the device lane's
+  // key-frame barrier must not wait on the user's poll cadence.
+  s.retired_through.store(index);
+  return result;
 }
 
 }  // namespace eslam

@@ -79,8 +79,13 @@
 // fabric lane — the tier's throughput scales with cores.  Frames of one
 // session still run serially in feed order (same ownership protocol), so
 // per-session output is bit-identical to a solo sequential
-// Localizer::process() run.  Pacing and the per-stage event log do not
-// apply to this tier (there is no modeled fabric stage to pad against).
+// Localizer::process() run.  Pacing and stage windows do not apply to
+// this tier (there is no modeled fabric stage to pad against), so its
+// results carry zero TrackResult::windows.
+//
+// Every result a mapping session delivers carries its measured Figure-7
+// schedule: where its five stages ran (TrackResult::windows), on this
+// scheduler's clock with pacer padding included.
 #pragma once
 
 #include <atomic>
@@ -136,9 +141,6 @@ struct SchedulerOptions {
 // Per-session knobs.
 struct SchedulerSessionOptions {
   int queue_capacity = 4;        // input + handoff ring depth
-  // Keep the per-stage event log (stage_events()).  Off by default: the
-  // log grows with stream length.
-  bool record_events = false;
   StagePacer pacer;              // optional platform-emulation padding
 };
 
@@ -192,7 +194,6 @@ class TrackerScheduler {
   int in_flight(const SessionRef& session) const;
 
   PipelineStats stats(const SessionRef& session) const;
-  std::vector<StageEvent> stage_events(const SessionRef& session) const;
 
   int session_count() const;
   // Live localization sessions (session_count() includes them).
@@ -218,10 +219,14 @@ class TrackerScheduler {
   bool device_step(const SessionRef& session);
   void finalize_match(SchedulerSession& s, FrameState& fs);
   void arm_worker(int worker_index);
+  // Runs the session's backlog, one frame per unit, while this worker owns
+  // the session, and delivers each result.
   void run_session_arm(const SessionRef& session);
-  // Localization analogue of run_session_arm: drains the session's input
-  // ring, one whole Localizer frame per backlog unit.
-  void run_session_localization(const SessionRef& session);
+  // Frame bodies by session kind: PE, PO and MU of the next handed-off
+  // mapping frame (which retires it), or a whole Localizer frame (FE
+  // through PO) from the input ring.
+  TrackResult run_mapping_frame(const SessionRef& session);
+  TrackResult run_localization_frame(SchedulerSession& s);
   void enqueue_arm(const SessionRef& session);
   // One frozen backend job awaiting (or holding) a pool worker.
   struct BackendQueueEntry {
@@ -251,8 +256,10 @@ class TrackerScheduler {
   // Wakes the device lane (new input, retirement, or session change).
   void kick_device();
   double now_ms() const;
-  int record(SchedulerSession& s, int frame, PipeLane lane, PipeStage stage,
-             double start_ms, double end_ms);
+  // Adds [start_ms, now) to the lane's busy time; returns that window.
+  StageWindow record(SchedulerSession& s, PipeLane lane, double start_ms);
+  // Lists a new session and wakes the device lane.
+  SessionRef register_session(SessionRef session);
 
   SchedulerOptions options_;
   std::chrono::steady_clock::time_point epoch_;

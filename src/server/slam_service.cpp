@@ -82,11 +82,6 @@ backend::BackendStats SessionHandle::backend_stats() const {
                                        : backend::BackendStats{};
 }
 
-std::vector<StageEvent> SessionHandle::stage_events() const {
-  if (!service_) return {};
-  return service_->scheduler_.stage_events(session_->slot);
-}
-
 const Tracker& SessionHandle::tracker() const {
   ESLAM_ASSERT(session_ != nullptr, "tracker() on a closed session handle");
   ESLAM_ASSERT(session_->tracker != nullptr,
@@ -149,7 +144,6 @@ SessionHandle SlamService::open_session(const SessionConfig& config) {
 
   SchedulerSessionOptions scheduler_options;
   scheduler_options.queue_capacity = config.queue_capacity;
-  scheduler_options.record_events = config.record_events;
   scheduler_options.pacer = config.pacer;
 
   if (config.kind == SessionKind::kLocalization) {

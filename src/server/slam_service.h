@@ -7,7 +7,8 @@
 // Tracker + feature backend from a SessionConfig (per-session camera,
 // platform, tracker tuning) and registers it with the scheduler; the
 // returned SessionHandle is the client's connection: feed/poll/drain,
-// stats, stage events, and lifecycle.
+// stats, and lifecycle.  Each result a mapping session delivers carries
+// where its stages ran (TrackResult::windows).
 //
 // Sharing model (the paper's, scaled out): the fabric is the scarce
 // resource, so FE+FM of *all* sessions serialize on the one device lane
@@ -83,7 +84,6 @@ struct SessionConfig {
   // (required — open_session asserts).
   std::shared_ptr<const FrozenMap> frozen_map;
   int queue_capacity = 4;         // this session's input/handoff ring depth
-  bool record_events = false;     // off by default: sessions are long-lived
   StagePacer pacer;               // platform-emulation padding (benches)
   // Overrides make_feature_backend(backend) when set — lets tests and
   // benches inject instrumented/emulated backends per session.
@@ -142,16 +142,19 @@ class SessionHandle {
   std::vector<TrackResult> drain();
 
   int in_flight() const;
-  // Runtime stats, including the background lane's per-class job counts
-  // and queue latencies, the pool-wide backend-concurrency high-water
-  // mark, and the per-session pruned/culled/fused map-maintenance totals.
+  // What only the scheduler sees of this session: frames fed, retired and
+  // in flight, feeds bounced or refused, device dispatches, speculative
+  // and replayed matches, lane busy time, and background jobs run,
+  // rejected and applied.  What the jobs did is backend_stats(), the
+  // pool-wide backend high-water mark SlamService::stats(), and per-frame
+  // outcomes (keyframes, pruned/culled/fused points, relocalizations,
+  // loops) the delivered TrackResults.
   PipelineStats stats() const;
   // The tracker's own local-mapping counters (per-class jobs run, shard
   // freeze accounting, BA iterations/costs, points moved).  Thread-safe
   // at any time — the tracker snapshots them under its backend mutex.
   // Zeros for a localization session (it has no backend lane).
   backend::BackendStats backend_stats() const;
-  std::vector<StageEvent> stage_events() const;
 
   // The session's tracker (trajectory, map).  Mapping sessions only
   // (asserts); only valid while quiescent — after drain() and before the

@@ -29,6 +29,7 @@ void FrameState::reset() {
   gate.projected = 0;
   gate.build_ms = 0;
   result = TrackResult{};
+  windows = StageWindows{};
   if (arena)
     arena->reset();
   else

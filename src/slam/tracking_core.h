@@ -120,6 +120,20 @@ struct StageTimesMs {
   }
 };
 
+// When one stage of a frame ran on a TrackerScheduler lane: ms on the
+// scheduler's clock (since its construction), pacer padding included.
+struct StageWindow {
+  double start_ms = 0;
+  double end_ms = 0;
+};
+
+// The schedule of one frame, stage by stage (FE and FM on the device lane,
+// PE, PO and MU on an ARM worker).  FM is the authoritative run: a replay
+// after a key frame overwrites the speculative window.
+struct StageWindows {
+  StageWindow fe, fm, pe, po, mu;
+};
+
 struct TrackResult {
   SE3 pose_cw;  // world-to-camera (the PnP estimate)
   SE3 pose_wc;  // camera-in-world (what trajectories record)
@@ -149,6 +163,10 @@ struct TrackResult {
   bool loop_closed = false;
   double timestamp = 0;
   StageTimesMs times;
+  // Set only on mapping results a TrackerScheduler delivers; zero on
+  // Tracker::process() and localization results and in the tracker's own
+  // trajectory.
+  StageWindows windows;
 };
 
 // Recognition-based relocalization policy, for both session kinds: a
@@ -307,6 +325,9 @@ struct FrameState {
   // Scratch result for estimate_pose()'s retry attempts (reused so a retry
   // does not allocate a fresh inlier vector every lost-ish frame).
   RansacResult ransac_retry;
+  // A TrackerScheduler's record of where this frame's stages ran, copied
+  // into the result it delivers (the stages never read it).
+  StageWindows windows;
 
   // Clears the per-frame state for reuse, keeping every container's
   // capacity and the arena's slabs (creates the arena on first use).

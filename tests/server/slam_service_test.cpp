@@ -338,18 +338,15 @@ TEST(SlamService, RoundRobinInterleavesSessionsOnTheDeviceLane) {
   const MultiSequenceSet streams(mopts);
 
   SlamService service(ServiceOptions{/*arm_workers=*/2});
-  SessionConfig cfg0 = software_session(streams.stream(0));
-  SessionConfig cfg1 = software_session(streams.stream(1));
-  cfg0.record_events = cfg1.record_events = true;
-  SessionHandle a = service.open_session(cfg0);
-  SessionHandle b = service.open_session(cfg1);
+  SessionHandle a = service.open_session(software_session(streams.stream(0)));
+  SessionHandle b = service.open_session(software_session(streams.stream(1)));
 
   for (int f = 0; f < kFrames; ++f) {
     a.feed(streams.stream(0).frame(f));
     b.feed(streams.stream(1).frame(f));
   }
-  a.drain();
-  b.drain();
+  const std::vector<TrackResult> a_results = a.drain();
+  const std::vector<TrackResult> b_results = b.drain();
 
   // Every frame costs exactly one device dispatch; neither session can be
   // starved into fewer.
@@ -359,12 +356,10 @@ TEST(SlamService, RoundRobinInterleavesSessionsOnTheDeviceLane) {
   // The device lane interleaved the two sessions rather than running one
   // to completion first: B's first FE starts before A's last FE ends.
   double a_last_fe_end = 0, b_first_fe_start = 1e300;
-  for (const StageEvent& e : a.stage_events())
-    if (e.stage == PipeStage::kFeatureExtraction)
-      a_last_fe_end = std::max(a_last_fe_end, e.end_ms);
-  for (const StageEvent& e : b.stage_events())
-    if (e.stage == PipeStage::kFeatureExtraction)
-      b_first_fe_start = std::min(b_first_fe_start, e.start_ms);
+  for (const TrackResult& r : a_results)
+    a_last_fe_end = std::max(a_last_fe_end, r.windows.fe.end_ms);
+  for (const TrackResult& r : b_results)
+    b_first_fe_start = std::min(b_first_fe_start, r.windows.fe.start_ms);
   EXPECT_LT(b_first_fe_start, a_last_fe_end);
 }
 
