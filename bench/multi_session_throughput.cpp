@@ -8,7 +8,7 @@
 // the modeled device latency as a sleep (the one fabric is *occupied*, the
 // host core is free, exactly like a real shared FPGA); the ARM stages run
 // their real computation and are then paced to the paper's ARM Cortex-A9
-// Table-2 stage durations via the scheduler's StagePacer.  Because both
+// Table-2 stage durations via each session's StagePacer.  Because both
 // knobs only pad wall time, every session's poses stay bit-identical to a
 // solo sequential run — which is checked — while the schedule keeps the
 // paper's proportions on any host, so the session-count scaling is

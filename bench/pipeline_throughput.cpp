@@ -1,7 +1,7 @@
 // Measured counterpart of Figure 7 / Table 3: runs the same synthetic
 // sequence through the sequential schedule and through the concurrent
-// pipeline runtime (runtime/TrackerScheduler, one session on one ARM
-// worker: the paper's two-lane pipeline), and prints measured
+// pipeline runtime (server/SlamService, one session on one ARM worker:
+// the paper's two-lane pipeline), and prints measured
 // per-frame latency/throughput side-by-side with the analytic
 // pipeline_timeline model fed with the measured stage durations.
 //
@@ -38,7 +38,7 @@
 
 #include "bench_util.h"
 #include "obs/trace.h"
-#include "runtime/tracker_scheduler.h"
+#include "server/slam_service.h"
 
 namespace {
 
@@ -69,18 +69,19 @@ TrackerOptions bench_tracker_options() {
 
 int failures = 0;
 
-// The single-stream Figure-7 pipeline over one tracker.
+// The single-stream Figure-7 pipeline: one session on a one-worker
+// service.
 struct SingleStream {
-  explicit SingleStream(Tracker& tracker)
-      : session(scheduler.add_session(tracker)) {}
+  explicit SingleStream(const SessionConfig& config)
+      : session(service.open_session(config)) {}
 
   std::vector<TrackResult> run(const std::vector<FrameInput>& frames) {
-    for (const FrameInput& f : frames) scheduler.feed(session, f);
-    return scheduler.drain(session);
+    for (const FrameInput& f : frames) session.feed(f);
+    return session.drain();
   }
 
-  TrackerScheduler scheduler{SchedulerOptions{/*arm_workers=*/1}};
-  SessionRef session;
+  SlamService service{ServiceOptions{/*arm_workers=*/1}};
+  SessionHandle session;
 };
 
 void check(bool ok, const char* what) {
@@ -144,16 +145,18 @@ int main() {
     for (const FrameInput& f : frames)
       precomputed.push_back(extractor.extract(f.gray));
   }
-  auto make_tracker = [&] {
-    return std::make_unique<Tracker>(
-        seq.camera(),
-        std::make_unique<bench::DeviceEmulationBackend>(
-            precomputed, MatcherOptions{}, kDeviceFeMs, kDeviceFmFloorMs),
-        topts);
+  auto make_backend = [&]() -> std::unique_ptr<FeatureBackend> {
+    return std::make_unique<bench::DeviceEmulationBackend>(
+        precomputed, MatcherOptions{}, kDeviceFeMs, kDeviceFmFloorMs);
   };
+  SessionConfig pipelined;
+  pipelined.camera = seq.camera();
+  pipelined.tracker = topts;
+  pipelined.backend_factory = make_backend;
 
   // --- sequential reference ----------------------------------------------
-  auto sequential = make_tracker();
+  auto sequential =
+      std::make_unique<Tracker>(seq.camera(), make_backend(), topts);
   const WallTimer seq_timer;
   for (const FrameInput& f : frames) sequential->process(f);
   const double seq_wall_ms = seq_timer.elapsed_ms();
@@ -190,13 +193,12 @@ int main() {
   scale(key_mean, n_key);
 
   // --- pipelined run ------------------------------------------------------
-  auto pipelined = make_tracker();
-  SingleStream pipe(*pipelined);
+  SingleStream pipe(pipelined);
   const WallTimer pipe_timer;
   const std::vector<TrackResult> results = pipe.run(frames);
   const double pipe_wall_ms = pipe_timer.elapsed_ms();
 
-  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
+  const PipelineStats stats = pipe.session.stats();
 
   // Steady-state per-frame latency: retire-to-retire interval, attributed
   // to the frame that retires.  Skip the two warmup frames.
@@ -287,7 +289,7 @@ int main() {
 
   // --- tracing overhead gate -----------------------------------------------
   // A/B the span-tracing layer (obs/trace.h) on this exact workload: same
-  // tracker factory, same frames, runtime switch flipped.  An arm's
+  // session config, same frames, runtime switch flipped.  An arm's
   // statistic is its mean frame period over the ~34 periods of a run:
   // tracing costs every frame, so the mean carries it, while a p99 over
   // so few periods is the run's largest one and reads one scheduler
@@ -300,8 +302,7 @@ int main() {
   auto pipelined_mean_period = [&](bool tracing_on) {
     const bool was = obs::trace_enabled();
     obs::set_trace_enabled(tracing_on);
-    auto tracker = make_tracker();
-    SingleStream ab(*tracker);
+    SingleStream ab(pipelined);
     const std::vector<TrackResult> ab_results = ab.run(frames);
     obs::set_trace_enabled(was);
     return mean_period_ms(ab_results);

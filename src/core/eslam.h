@@ -16,10 +16,10 @@
 // process() runs all five stages inline, one frame start-to-finish at a
 // time: the reference schedule.  Streaming through the concurrent
 // Figure-7 runtime (FE+FM of frame N+1 on the fabric lane while PE/PO/MU
-// of frame N run on the ARM side) is TrackerScheduler's job — one
-// add_session() on a one-worker scheduler for a single stream, or
-// SlamService for many — and reproduces process() bit-for-bit with the
-// local-mapping backend disabled.
+// of frame N run on the ARM side) is SlamService's job — one session on a
+// one-worker service for a single stream, more sessions and workers for
+// many — and reproduces process() bit-for-bit with the local-mapping
+// backend disabled.
 #pragma once
 
 #include <memory>

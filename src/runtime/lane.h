@@ -1,9 +1,11 @@
-// Lane abstraction of the Figure-7 runtime (TrackerScheduler): which
+// Lane abstraction of the Figure-7 runtime (server/SlamService): which
 // heterogeneous unit executes a stage (the simulated FPGA fabric vs the
-// ARM host), the five pipeline stages, and the per-session
-// occupancy/progress statistics.  Where each stage of a frame ran travels
-// with the frame's result (TrackResult::windows).
+// ARM host), the five pipeline stages, the platform-emulation pacer, and
+// the per-session occupancy/progress statistics.  Where each stage of a
+// frame ran travels with the frame's result (TrackResult::windows).
 #pragma once
+
+#include <functional>
 
 namespace eslam {
 
@@ -16,8 +18,24 @@ enum class PipeStage {
   kMapUpdating,  // includes commit (trajectory/motion-model bookkeeping)
 };
 
-const char* to_string(PipeLane lane);
-const char* to_string(PipeStage stage);
+inline const char* to_string(PipeStage stage) {
+  switch (stage) {
+    case PipeStage::kFeatureExtraction: return "FE";
+    case PipeStage::kFeatureMatching: return "FM";
+    case PipeStage::kPoseEstimation: return "PE";
+    case PipeStage::kPoseOptimization: return "PO";
+    case PipeStage::kMapUpdating: return "MU";
+  }
+  return "?";
+}
+
+// Pads an executed stage to a modeled platform duration: after running a
+// stage, the owning lane sleeps out `pacer(stage) - measured_ms`.  This is
+// the emulation hook that lets a fast host reproduce the paper's
+// ARM-Cortex-A9 / 100 MHz-fabric schedule proportions (cf. timing_model's
+// arm_from_host): the lane stays *occupied* for the modeled time, exactly
+// as the slower platform's unit would be.  Return <= 0 for "no pacing".
+using StagePacer = std::function<double(PipeStage)>;
 
 // Per-session progress and lane-occupancy statistics (lane busy-ms are
 // the shared lane's time spent on *this* session's stages).
@@ -38,7 +56,7 @@ struct PipelineStats {
 
   // Local-mapping backend (the background-job lane), per session.  What
   // the jobs did (BA vs loop jobs, loops applied, points culled) is the
-  // tracker's BackendStats; these count what only the scheduler sees.
+  // tracker's BackendStats; these count what only the runtime sees.
   int backend_jobs = 0;           // backend jobs executed on the ARM pool
   int backend_jobs_rejected = 0;  // bounded background-queue overflow skips
   int backend_deltas_applied = 0; // deltas folded into the map at keyframes

@@ -12,7 +12,7 @@ namespace eslam {
 
 namespace {
 // Session ordinal for the trace process row ("mapping-N"): process-wide so
-// rows stay distinct across schedulers and services.
+// rows stay distinct across services.
 std::atomic<int> g_mapping_session_ordinal{0};
 }  // namespace
 

@@ -184,7 +184,7 @@ class Tracker {
   // At least one frozen job has not been offered to a worker yet.
   bool backend_job_pending() const;
   // A worker is inside run_backend_job() right now.  The tracker must not
-  // be destroyed while true (the scheduler's remove_session waits).
+  // be destroyed while true (SessionHandle::close() waits).
   bool backend_busy() const;
   // Marks every unoffered ready job offered and appends its ticket —
   // the scheduler's claim step (each ticket is then queued exactly once).

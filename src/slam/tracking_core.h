@@ -120,8 +120,8 @@ struct StageTimesMs {
   }
 };
 
-// When one stage of a frame ran on a TrackerScheduler lane: ms on the
-// scheduler's clock (since its construction), pacer padding included.
+// When one stage of a frame ran on a SlamService lane: ms on the service's
+// clock (since its construction), pacer padding included.
 struct StageWindow {
   double start_ms = 0;
   double end_ms = 0;
@@ -163,7 +163,7 @@ struct TrackResult {
   bool loop_closed = false;
   double timestamp = 0;
   StageTimesMs times;
-  // Set only on mapping results a TrackerScheduler delivers; zero on
+  // Set only on mapping results a SlamService delivers; zero on
   // Tracker::process() and localization results and in the tracker's own
   // trajectory.
   StageWindows windows;
@@ -325,7 +325,7 @@ struct FrameState {
   // Scratch result for estimate_pose()'s retry attempts (reused so a retry
   // does not allocate a fresh inlier vector every lost-ish frame).
   RansacResult ransac_retry;
-  // A TrackerScheduler's record of where this frame's stages ran, copied
+  // A SlamService's record of where this frame's stages ran, copied
   // into the result it delivers (the stages never read it).
   StageWindows windows;
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "dataset/sequence.h"
-#include "runtime/tracker_scheduler.h"
 #include "server/slam_service.h"
 
 namespace eslam {

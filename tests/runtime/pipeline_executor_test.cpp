@@ -1,6 +1,6 @@
 // Tests for the single-stream Figure-7 pipeline — one session on a
-// one-worker TrackerScheduler, so FE+FM of frame N+1 run on the device
-// lane while PE/PO/MU of frame N run on the one ARM worker: bounded SPSC
+// one-worker SlamService, so FE+FM of frame N+1 run on the device lane
+// while PE/PO/MU of frame N run on the one ARM worker: bounded SPSC
 // queues, in-order delivery, the stage windows each result carries, the
 // keyframe barrier (no authoritative FM of frame N+1 before map updating
 // of frame N), end-to-end back-pressure, and bit-for-bit equivalence of
@@ -15,7 +15,7 @@
 #include "core/eslam.h"
 #include "dataset/sequence.h"
 #include "runtime/spsc_queue.h"
-#include "runtime/tracker_scheduler.h"
+#include "server/slam_service.h"
 #include "slam/localizer.h"
 #include "slam/map_snapshot.h"
 
@@ -77,22 +77,30 @@ std::unique_ptr<Tracker> make_tracker(const SyntheticSequence& seq,
                                    options);
 }
 
-// One tracker streamed through a one-worker scheduler: the paper's
-// two-lane pipeline.
+// The session make_tracker() builds, as a service session config.
+SessionConfig session_config(const SyntheticSequence& seq, Platform platform,
+                             const TrackerOptions& options = {}) {
+  SessionConfig config;
+  config.camera = seq.camera();
+  config.backend.platform = platform;
+  config.tracker = options;
+  return config;
+}
+
+// One session on a one-worker service: the paper's two-lane pipeline.
 struct SingleStream {
-  explicit SingleStream(Tracker& tracker,
-                        const SchedulerSessionOptions& options = {})
-      : session(scheduler.add_session(tracker, options)) {}
+  explicit SingleStream(const SessionConfig& config)
+      : session(service.open_session(config)) {}
 
   // Feeds frames [first, last) and drains them.
   std::vector<TrackResult> run(const SyntheticSequence& seq, int first,
                                int last) {
-    for (int i = first; i < last; ++i) scheduler.feed(session, seq.frame(i));
-    return scheduler.drain(session);
+    for (int i = first; i < last; ++i) session.feed(seq.frame(i));
+    return session.drain();
   }
 
-  TrackerScheduler scheduler{SchedulerOptions{/*arm_workers=*/1}};
-  SessionRef session;
+  SlamService service{ServiceOptions{/*arm_workers=*/1}};
+  SessionHandle session;
 };
 
 // --- equivalence ----------------------------------------------------------
@@ -107,8 +115,7 @@ TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
   System sync(seq.camera(), seq_cfg);
   for (int i = 0; i < opts.frames; ++i) sync.process(seq.frame(i));
 
-  const auto tracker = make_tracker(seq, Platform::kAccelerated);
-  SingleStream streamed(*tracker);
+  SingleStream streamed(session_config(seq, Platform::kAccelerated));
   const std::vector<TrackResult> results = streamed.run(seq, 0, opts.frames);
 
   ASSERT_EQ(results.size(), sync.results().size());
@@ -127,7 +134,7 @@ TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
     EXPECT_EQ(a.n_matches, b.n_matches) << "frame " << i;
     EXPECT_EQ(a.n_inliers, b.n_inliers) << "frame " << i;
   }
-  EXPECT_EQ(tracker->map().size(), sync.map().size());
+  EXPECT_EQ(streamed.session.tracker().map().size(), sync.map().size());
 }
 
 // --- in-order delivery & reuse -------------------------------------------
@@ -136,8 +143,7 @@ TEST(SingleStreamPipeline, DeliversResultsInFeedOrderAndSurvivesDrain) {
   SequenceOptions opts;
   opts.frames = 8;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  const auto tracker = make_tracker(seq, Platform::kSoftware);
-  SingleStream pipe(*tracker);
+  SingleStream pipe(session_config(seq, Platform::kSoftware));
 
   const std::vector<TrackResult> first = pipe.run(seq, 0, 5);
   ASSERT_EQ(first.size(), 5u);
@@ -151,8 +157,8 @@ TEST(SingleStreamPipeline, DeliversResultsInFeedOrderAndSurvivesDrain) {
     EXPECT_EQ(second[static_cast<std::size_t>(i)].timestamp,
               seq.timestamp(5 + i));
 
-  ASSERT_EQ(pipe.scheduler.session_count(), 1);
-  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
+  ASSERT_EQ(pipe.service.session_count(), 1);
+  const PipelineStats stats = pipe.session.stats();
   EXPECT_EQ(stats.frames_fed, 8);
   EXPECT_EQ(stats.frames_retired, 8);
   EXPECT_GT(stats.fpga_busy_ms, 0.0);
@@ -171,8 +177,7 @@ TEST(SingleStreamPipeline, DeliveredResultsCarryTheirStageWindows) {
   SequenceOptions opts;
   opts.frames = 8;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
-  const auto tracker = make_tracker(seq, Platform::kSoftware);
-  SingleStream pipe(*tracker);
+  SingleStream pipe(session_config(seq, Platform::kSoftware));
   const std::vector<TrackResult> results = pipe.run(seq, 0, opts.frames);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(opts.frames));
 
@@ -192,31 +197,26 @@ TEST(SingleStreamPipeline, DeliveredResultsCarryTheirStageWindows) {
     EXPECT_GE(w.fe.start_ms, prev.fm.end_ms) << "frame " << n;
     EXPECT_GE(w.pe.start_ms, prev.mu.end_ms) << "frame " << n;
   }
-  for (const TrackResult& r : tracker->trajectory())
+  for (const TrackResult& r : pipe.session.tracker().trajectory())
     EXPECT_TRUE(no_windows(r.windows));
 
-  // No scheduler lane ran these: the sequential results and trajectory,
+  // No service lane ran these: the sequential results and trajectory,
   // and a localization session over the map they built.
   const auto sequential = make_tracker(seq, Platform::kSoftware);
   for (int i = 0; i < opts.frames; ++i)
     EXPECT_TRUE(no_windows(sequential->process(seq.frame(i)).windows));
   for (const TrackResult& r : sequential->trajectory())
     EXPECT_TRUE(no_windows(r.windows));
-  BackendConfig backend;
-  backend.platform = Platform::kSoftware;
-  Localizer localizer(
-      FrozenMap::from_snapshot(capture_snapshot(
-          sequential->map(), sequential->keyframe_graph(), seq.camera())),
-      make_feature_backend(backend));
-  const SessionRef localization =
-      pipe.scheduler.add_localization_session(localizer);
-  for (int i = 0; i < opts.frames; ++i)
-    pipe.scheduler.feed(localization, seq.frame(i));
-  const std::vector<TrackResult> localized =
-      pipe.scheduler.drain(localization);
+  SessionConfig localization_config = session_config(seq, Platform::kSoftware);
+  localization_config.kind = SessionKind::kLocalization;
+  localization_config.frozen_map = FrozenMap::from_snapshot(capture_snapshot(
+      sequential->map(), sequential->keyframe_graph(), seq.camera()));
+  SessionHandle localization = pipe.service.open_session(localization_config);
+  for (int i = 0; i < opts.frames; ++i) localization.feed(seq.frame(i));
+  const std::vector<TrackResult> localized = localization.drain();
   ASSERT_EQ(localized.size(), static_cast<std::size_t>(opts.frames));
   for (const TrackResult& r : localized) EXPECT_TRUE(no_windows(r.windows));
-  pipe.scheduler.remove_session(localization);
+  localization.close();
 }
 
 // --- keyframe barrier -----------------------------------------------------
@@ -251,9 +251,8 @@ TEST(SingleStreamPipeline, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   SequenceOptions opts;
   opts.frames = 36;
   const SyntheticSequence seq(SequenceId::kFr1Room, opts);
-  const auto tracker =
-      make_tracker(seq, Platform::kSoftware, slow_arm_options());
-  SingleStream pipe(*tracker);
+  SingleStream pipe(
+      session_config(seq, Platform::kSoftware, slow_arm_options()));
 
   const std::vector<TrackResult> results = pipe.run(seq, 0, opts.frames);
   ASSERT_EQ(results.size(), static_cast<std::size_t>(opts.frames));
@@ -281,7 +280,7 @@ TEST(SingleStreamPipeline, KeyframeBarrierOrdersMatchAfterMapUpdate) {
   // only after MU, matching it authoritatively with nothing to replay —
   // so the replay count is bounded by the speculative count, not tied to
   // the number of key frames.  The barrier check above holds either way.
-  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
+  const PipelineStats stats = pipe.session.stats();
   EXPECT_GT(stats.speculative_matches, 0);
   EXPECT_GE(stats.replayed_matches, 1);  // the replay path ran
   EXPECT_LE(stats.replayed_matches, stats.speculative_matches);
@@ -297,12 +296,12 @@ TEST(SingleStreamPipeline, BoundedQueuesRejectFeedsUnderBackPressure) {
   OrbConfig orb;
   orb.n_features = 400;
   const TrackerOptions tracker_opts{};
-  SchedulerSessionOptions session_opts;
-  session_opts.queue_capacity = 1;
-
-  Tracker tracker(seq.camera(), std::make_unique<SoftwareBackend>(orb),
-                  tracker_opts);
-  SingleStream pipe(tracker, session_opts);
+  SessionConfig config = session_config(seq, Platform::kSoftware, tracker_opts);
+  config.queue_capacity = 1;
+  config.backend_factory = [orb] {
+    return std::make_unique<SoftwareBackend>(orb);
+  };
+  SingleStream pipe(config);
 
   // Feed without polling: the stages and 1-deep queues can hold only a
   // few frames, so immediate re-feeds must bounce.
@@ -310,7 +309,7 @@ TEST(SingleStreamPipeline, BoundedQueuesRejectFeedsUnderBackPressure) {
   std::vector<int> accepted_frames;
   bool saw_rejection = false;
   for (int i = 0; i < opts.frames; ++i) {
-    if (pipe.scheduler.try_feed(pipe.session, seq.frame(i))) {
+    if (pipe.session.try_feed(seq.frame(i))) {
       ++accepted;
       accepted_frames.push_back(i);
     } else {
@@ -320,20 +319,19 @@ TEST(SingleStreamPipeline, BoundedQueuesRejectFeedsUnderBackPressure) {
   EXPECT_TRUE(saw_rejection);
   EXPECT_LT(accepted, opts.frames);
 
-  const std::vector<TrackResult> results =
-      pipe.scheduler.drain(pipe.session);
+  const std::vector<TrackResult> results = pipe.session.drain();
   ASSERT_EQ(results.size(), static_cast<std::size_t>(accepted));
   // Accepted frames still come out in feed order.
   for (std::size_t i = 0; i < results.size(); ++i)
     EXPECT_EQ(results[i].timestamp,
               seq.timestamp(accepted_frames[i]));
 
-  const PipelineStats stats = pipe.scheduler.stats(pipe.session);
+  const PipelineStats stats = pipe.session.stats();
   EXPECT_GT(stats.rejected_feeds, 0);
   EXPECT_EQ(stats.frames_fed, accepted);
   EXPECT_EQ(stats.frames_retired, accepted);
   // In-flight depth is bounded by the queues plus one frame per lane.
-  EXPECT_LE(stats.max_in_flight, 2 * session_opts.queue_capacity + 2);
+  EXPECT_LE(stats.max_in_flight, 2 * config.queue_capacity + 2);
 }
 
 }  // namespace

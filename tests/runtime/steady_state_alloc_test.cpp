@@ -1,8 +1,9 @@
 // The whole point of the per-frame arena + shell recycling + SoA borrow
 // work: a steady-state tracked frame performs ZERO heap allocations.
 // This test instruments the global allocator and proves it for both
-// execution modes — sequential Tracker::process() and the pipelined
-// TrackerScheduler — over a window of frames after warm-up.
+// execution modes — sequential Tracker::process() / Localizer::process()
+// and sessions served by a SlamService — over a window of frames after
+// warm-up.
 //
 // Exemptions (by design, documented in tracker.cpp): bootstrap, keyframe
 // insertion, relocalization and the local-mapping backend may allocate —
@@ -24,6 +25,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,7 +33,7 @@
 #include "dataset/sequence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/tracker_scheduler.h"
+#include "server/slam_service.h"
 #include "slam/localizer.h"
 #include "slam/map_snapshot.h"
 #include "slam/tracker.h"
@@ -81,11 +83,14 @@ namespace {
 constexpr int kWarmupFrames = 12;
 constexpr int kWindowFrames = 20;
 
-std::unique_ptr<Tracker> make_tracker(const PinholeCamera& cam) {
+std::unique_ptr<FeatureBackend> make_backend() {
   OrbConfig orb;
   orb.n_features = 600;
-  return std::make_unique<Tracker>(cam, std::make_unique<SoftwareBackend>(orb),
-                                   TrackerOptions{});
+  return std::make_unique<SoftwareBackend>(orb);
+}
+
+std::unique_ptr<Tracker> make_tracker(const PinholeCamera& cam) {
+  return std::make_unique<Tracker>(cam, make_backend(), TrackerOptions{});
 }
 
 // One rendered frame, re-fed every iteration: a static camera never trips
@@ -94,6 +99,19 @@ SyntheticSequence static_sequence() {
   SequenceOptions opts;
   opts.frames = 2;  // generator minimum; only frame(0) is ever fed
   return SyntheticSequence(SequenceId::kFr1Xyz, opts);
+}
+
+// A mapping run over the static scene produces the frozen map localizers
+// serve against (backend on, so the snapshot carries a graph).
+std::shared_ptr<const FrozenMap> static_frozen_map(
+    const SyntheticSequence& seq) {
+  const FrameInput frame = seq.frame(0);
+  TrackerOptions options;
+  options.backend.enabled = true;
+  Tracker mapper(seq.camera(), make_backend(), options);
+  for (int i = 0; i < kWarmupFrames; ++i) mapper.process(frame);
+  return FrozenMap::from_snapshot(
+      capture_snapshot(mapper.map(), mapper.keyframe_graph(), seq.camera()));
 }
 
 TEST(SteadyStateAlloc, SequentialTrackedFrameIsAllocationFree) {
@@ -140,24 +158,8 @@ TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
   const SyntheticSequence seq = static_sequence();
   const FrameInput frame = seq.frame(0);
 
-  // A mapping run over the static scene produces the frozen map the
-  // localizer serves against (backend on, so the snapshot carries a graph).
-  std::shared_ptr<const FrozenMap> frozen;
-  {
-    OrbConfig orb;
-    orb.n_features = 600;
-    TrackerOptions options;
-    options.backend.enabled = true;
-    Tracker mapper(seq.camera(), std::make_unique<SoftwareBackend>(orb),
-                   options);
-    for (int i = 0; i < kWarmupFrames; ++i) mapper.process(frame);
-    frozen = FrozenMap::from_snapshot(
-        capture_snapshot(mapper.map(), mapper.keyframe_graph(), seq.camera()));
-  }
-
-  OrbConfig orb;
-  orb.n_features = 600;
-  Localizer localizer(frozen, std::make_unique<SoftwareBackend>(orb));
+  const std::shared_ptr<const FrozenMap> frozen = static_frozen_map(seq);
+  Localizer localizer(frozen, make_backend());
 
   // Warm-up: the cold-start frame (relocalization is exempt by design —
   // it is the entry path, not the steady state) plus enough tracked frames
@@ -198,15 +200,16 @@ TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
 
 TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
   const SyntheticSequence seq = static_sequence();
-  auto tracker = make_tracker(seq.camera());
-
-  TrackerScheduler scheduler;
-  const SessionRef session = scheduler.add_session(*tracker);
+  SessionConfig config;
+  config.camera = seq.camera();
+  config.backend_factory = make_backend;
+  SlamService service(ServiceOptions{/*arm_workers=*/1});
+  SessionHandle session = service.open_session(config);
 
   // Warm-up in feed/poll lockstep (copies allocate here — that's fine).
   for (int i = 0; i < kWarmupFrames; ++i) {
-    scheduler.feed(session, seq.frame(0));
-    while (!scheduler.poll(session)) std::this_thread::yield();
+    session.feed(seq.frame(0));
+    while (!session.poll()) std::this_thread::yield();
   }
 
   // The window's inputs are built BEFORE measurement and fed by move:
@@ -219,14 +222,15 @@ TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
   for (int i = 0; i < kWindowFrames; ++i) inputs.push_back(seq.frame(0));
 
   std::vector<TrackResult> results(kWindowFrames);
+  const Tracker& tracker = session.tracker();
   const std::uint64_t events_before = obs::trace_events_recorded_total();
   const std::uint64_t pe_samples_before =
-      tracker->observability().stage_pe->count();
+      tracker.observability().stage_pe->count();
   const std::size_t before = g_allocs.load();
   for (int i = 0; i < kWindowFrames; ++i) {
-    scheduler.feed(session, std::move(inputs[i]));
+    session.feed(std::move(inputs[i]));
     std::optional<TrackResult> r;
-    while (!(r = scheduler.poll(session))) std::this_thread::yield();
+    while (!(r = session.poll())) std::this_thread::yield();
     results[static_cast<std::size_t>(i)] = *r;
   }
   const std::size_t after = g_allocs.load();
@@ -235,7 +239,7 @@ TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
   // The lanes recorded through the same instrumentation while staying
   // allocation-free: per-frame PE samples from the worker thread, spans
   // from both lanes (tracing builds).
-  EXPECT_EQ(tracker->observability().stage_pe->count() - pe_samples_before,
+  EXPECT_EQ(tracker.observability().stage_pe->count() - pe_samples_before,
             static_cast<std::uint64_t>(kWindowFrames));
 #if ESLAM_TRACE_ENABLED
   EXPECT_GT(obs::trace_events_recorded_total(), events_before);
@@ -248,7 +252,70 @@ TEST(SteadyStateAlloc, PipelinedTrackedFrameIsAllocationFree) {
         << "frame " << i;
   }
 
-  scheduler.remove_session(session);
+  session.close();
+}
+
+// The path a localization client drives: frames fed to a localization
+// session, each run whole on a pool worker.
+TEST(SteadyStateAlloc, ServedLocalizationFrameIsAllocationFree) {
+  const SyntheticSequence seq = static_sequence();
+  SessionConfig config;
+  config.kind = SessionKind::kLocalization;
+  config.frozen_map = static_frozen_map(seq);
+  config.backend_factory = make_backend;
+  SlamService service(ServiceOptions{/*arm_workers=*/1});
+  SessionHandle session = service.open_session(config);
+  ASSERT_TRUE(session.valid());
+
+  // Warm-up in feed/poll lockstep: the cold-start frame (exempt by
+  // design) plus enough tracked frames to grow every recycled capacity.
+  for (int i = 0; i < kWarmupFrames; ++i) {
+    session.feed(seq.frame(0));
+    std::optional<TrackResult> r;
+    while (!(r = session.poll())) std::this_thread::yield();
+    ASSERT_FALSE(r->lost) << "warm-up frame " << i;
+  }
+
+  // Inputs built before measurement and fed by move, as above.
+  std::vector<FrameInput> inputs;
+  inputs.reserve(kWindowFrames);
+  for (int i = 0; i < kWindowFrames; ++i) inputs.push_back(seq.frame(0));
+
+  std::vector<TrackResult> results(kWindowFrames);
+  const Localizer& localizer = session.localizer();
+  const std::uint64_t events_before = obs::trace_events_recorded_total();
+  const std::uint64_t frame_samples_before =
+      localizer.observability().frame_ms->count();
+  const std::uint64_t coldstart_before =
+      localizer.observability().coldstart_ms->count();
+  const std::size_t before = g_allocs.load();
+  for (int i = 0; i < kWindowFrames; ++i) {
+    session.feed(std::move(inputs[i]));
+    std::optional<TrackResult> r;
+    while (!(r = session.poll())) std::this_thread::yield();
+    results[static_cast<std::size_t>(i)] = *r;
+  }
+  const std::size_t after = g_allocs.load();
+
+  EXPECT_EQ(after - before, 0u)
+      << "served localization steady-state frames allocated";
+  // Every window frame was delivered and tracked.
+  EXPECT_EQ(session.stats().frames_retired, kWarmupFrames + kWindowFrames);
+  for (int i = 0; i < kWindowFrames; ++i) {
+    EXPECT_FALSE(results[static_cast<std::size_t>(i)].lost) << "frame " << i;
+    EXPECT_GT(results[static_cast<std::size_t>(i)].n_inliers, 50)
+        << "frame " << i;
+  }
+  EXPECT_EQ(localizer.observability().frame_ms->count() - frame_samples_before,
+            static_cast<std::uint64_t>(kWindowFrames));
+  EXPECT_EQ(localizer.observability().coldstart_ms->count(), coldstart_before);
+#if ESLAM_TRACE_ENABLED
+  EXPECT_GT(obs::trace_events_recorded_total(), events_before);
+#else
+  EXPECT_EQ(obs::trace_events_recorded_total(), events_before);
+#endif
+
+  session.close();
 }
 
 }  // namespace

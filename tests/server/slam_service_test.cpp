@@ -1,18 +1,20 @@
 // Tests for the multi-session serving layer: per-session results must be
 // bit-identical to a solo sequential run of the same stream, sessions must
 // be isolated (one stalled session's back-pressure never blocks another,
-// one client's malformed frame never takes the process down), the device
-// lane must dispatch fairly, and the open/close lifecycle must leave the
-// service reusable.
+// one client's malformed frame or map-less localization open never takes
+// the process down), the device lane must dispatch fairly, and the
+// open/close lifecycle must leave the service reusable.
 #include "server/slam_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "dataset/multi_sequence.h"
@@ -328,6 +330,41 @@ TEST(SlamService, MalformedFramesAreRefusedAndSiblingsUnaffected) {
   EXPECT_EQ(healthy.stats().malformed_feeds, 0);
 }
 
+TEST(SlamService, MaplessLocalizationOpenIsRefusedAndSiblingsUnaffected) {
+  constexpr int kFrames = 6;
+  MultiSequenceOptions mopts;
+  mopts.streams = 1;
+  mopts.sequence.frames = kFrames;
+  const MultiSequenceSet streams(mopts);
+  const SyntheticSequence& seq = streams.stream(0);
+  obs::Counter& localization_opens = obs::metrics().counter(
+      "eslam_sessions_opened_total{kind=\"localization\"}");
+  const std::int64_t localization_opens_before = localization_opens.value();
+
+  SlamService service(ServiceOptions{/*arm_workers=*/2});
+  SessionHandle mapping = service.open_session(software_session(seq));
+  for (int f = 0; f < kFrames / 2; ++f) mapping.feed(seq.frame(f));
+
+  // Mid-stream, a localization open without a frozen map: it used to
+  // assert, aborting the process under every session.
+  SessionConfig mapless = software_session(seq);
+  mapless.kind = SessionKind::kLocalization;
+  SessionHandle refused = service.open_session(mapless);
+  EXPECT_FALSE(refused.valid());
+  EXPECT_FALSE(refused.feed(seq.frame(0)));
+  EXPECT_TRUE(refused.close().empty());
+
+  for (int f = kFrames / 2; f < kFrames; ++f) mapping.feed(seq.frame(f));
+  expect_bit_identical(mapping.drain(),
+                       solo_sequential(seq, iota_frames(kFrames)),
+                       "mapping session beside a refused open");
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.sessions_opened_total, 1);
+  EXPECT_EQ(stats.sessions_open, 1);
+  EXPECT_EQ(stats.localization_sessions_opened_total, 0);
+  EXPECT_EQ(localization_opens.value(), localization_opens_before);
+}
+
 // --- fairness --------------------------------------------------------------
 
 TEST(SlamService, RoundRobinInterleavesSessionsOnTheDeviceLane) {
@@ -400,6 +437,62 @@ TEST(SlamService, CloseReturnsLeftoversAndServiceStaysUsable) {
   // Destruction of a live handle closes its session.
   { SessionHandle scoped = service.open_session(software_session(seq)); }
   EXPECT_EQ(service.session_count(), 1);  // `again` is still open
+}
+
+// A software backend that records which thread destroys it: the session's
+// tracker owns it, so that is where the tracker died.
+class DestructionWitnessBackend final : public FeatureBackend {
+ public:
+  explicit DestructionWitnessBackend(std::atomic<std::thread::id>* destroyed_on)
+      : destroyed_on_(destroyed_on) {}
+  ~DestructionWitnessBackend() override {
+    destroyed_on_->store(std::this_thread::get_id());
+  }
+
+  FeatureList extract(const ImageU8& image) override {
+    return inner_.extract(image);
+  }
+  std::vector<Match> match(std::span<const Descriptor256> queries,
+                           std::span<const Descriptor256> train) override {
+    return inner_.match(queries, train);
+  }
+  std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
+                                      std::span<const Descriptor256> train,
+                                      const CandidateSet& candidates) override {
+    return inner_.match_candidates(queries, train, candidates);
+  }
+  double last_extract_time_ms() const override {
+    return inner_.last_extract_time_ms();
+  }
+  double last_match_time_ms() const override {
+    return inner_.last_match_time_ms();
+  }
+  const char* name() const override { return "destruction-witness"; }
+
+ private:
+  SoftwareBackend inner_{small_orb()};
+  std::atomic<std::thread::id>* destroyed_on_;
+};
+
+TEST(SlamService, CloseDestroysTheTrackerOnTheCallingThread) {
+  MultiSequenceOptions mopts;
+  mopts.streams = 1;
+  mopts.sequence.frames = 3;
+  const MultiSequenceSet streams(mopts);
+  const SyntheticSequence& seq = streams.stream(0);
+
+  std::atomic<std::thread::id> destroyed_on;
+  SessionConfig config = software_session(seq);
+  config.backend_factory = [&destroyed_on] {
+    return std::make_unique<DestructionWitnessBackend>(&destroyed_on);
+  };
+  SlamService service(ServiceOptions{/*arm_workers=*/1});
+  SessionHandle session = service.open_session(config);
+  for (int f = 0; f < 3; ++f) session.feed(seq.frame(f));
+  EXPECT_EQ(session.close().size(), 3u);
+  // The device lane's registry snapshot may still hold the session for a
+  // moment; the tracker (and the backend it owns) must not live on there.
+  EXPECT_EQ(destroyed_on.load(), std::this_thread::get_id());
 }
 
 TEST(SlamService, HandlesAreMovable) {
