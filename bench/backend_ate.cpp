@@ -72,21 +72,10 @@ constexpr double kMaxP99Regression = 1.10;
 // policy) on by default.
 constexpr double kMaxAteM = 0.1818;
 
-int failures = 0;
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
-
-void info(bool ok, const char* what) {
-  std::printf("  [%s] %s (informational: outside the target regime)\n",
-              ok ? "ok" : "--", what);
-}
-
-void note(bool ok, const char* what) {
-  std::printf("  [%s] %s (informational)\n", ok ? "ok" : "--", what);
-}
+using bench::check;
+using bench::failures;
+using bench::info;
+using bench::note;
 
 TrackerOptions tracker_options(bool backend_on) {
   TrackerOptions opts;

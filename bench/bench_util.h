@@ -20,7 +20,8 @@
 #define ESLAM_GIT_SHA "unknown"
 #endif
 
-#include "core/eslam.h"
+#include "accel/backend_factory.h"
+#include "accel/timing_model.h"
 #include "dataset/sequence.h"
 #include "eval/report.h"
 #include "geometry/wall_timer.h"
@@ -108,9 +109,32 @@ inline std::vector<FrameInput> render_all(const SyntheticSequence& seq) {
   return frames;
 }
 
-// Runs a System over pre-rendered frames and returns it for inspection.
-inline void run_system(System& slam, const std::vector<FrameInput>& frames) {
-  for (const FrameInput& f : frames) slam.process(f);
+// Runs pre-rendered frames through a sequential Tracker and keeps every
+// result, in frame order.
+inline std::vector<TrackResult> process_all(
+    Tracker& tracker, const std::vector<FrameInput>& frames) {
+  std::vector<TrackResult> results;
+  results.reserve(frames.size());
+  for (const FrameInput& f : frames) results.push_back(tracker.process(f));
+  return results;
+}
+
+// Self-checking benches print one line per check and exit non-zero when
+// any check() failed; info() and note() lines never fail the run.
+inline int failures = 0;
+
+inline void check(bool ok, const char* what) {
+  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
+  if (!ok) ++failures;
+}
+
+inline void info(bool ok, const char* what) {
+  std::printf("  [%s] %s (informational: outside the target regime)\n",
+              ok ? "ok" : "--", what);
+}
+
+inline void note(bool ok, const char* what) {
+  std::printf("  [%s] %s (informational)\n", ok ? "ok" : "--", what);
 }
 
 inline std::string ms(double v, int decimals = 1) {

@@ -14,15 +14,17 @@ using namespace eslam;
 
 double run_mode(const SyntheticSequence& seq,
                 const std::vector<FrameInput>& frames, DescriptorMode mode) {
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kSoftware;
-  cfg.backend.descriptor = mode;
-  System slam(seq.camera(), cfg);
-  for (const FrameInput& f : frames) slam.process(f);
+  BackendConfig backend;
+  backend.platform = Platform::kSoftware;
+  backend.descriptor = mode;
+  Tracker tracker(seq.camera(), make_feature_backend(backend));
+  std::vector<SE3> poses;
+  for (const TrackResult& r : bench::process_all(tracker, frames))
+    poses.push_back(r.pose_wc);
   std::vector<SE3> gt(seq.ground_truth().begin(),
                       seq.ground_truth().begin() +
                           static_cast<std::ptrdiff_t>(frames.size()));
-  return absolute_trajectory_error(slam.poses(), gt).mean;
+  return absolute_trajectory_error(poses, gt).mean;
 }
 
 }  // namespace

@@ -14,17 +14,18 @@ using namespace eslam;
 std::vector<SE3> run_mode(const SyntheticSequence& seq,
                           const std::vector<FrameInput>& frames,
                           DescriptorMode mode, const char* tum_path) {
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kSoftware;
-  cfg.backend.descriptor = mode;
-  System slam(seq.camera(), cfg);
+  BackendConfig backend;
+  backend.platform = Platform::kSoftware;
+  backend.descriptor = mode;
+  Tracker tracker(seq.camera(), make_feature_backend(backend));
   std::vector<TimedPose> tum;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const TrackResult r = slam.process(frames[i]);
+  std::vector<SE3> poses;
+  for (const TrackResult& r : bench::process_all(tracker, frames)) {
     tum.push_back(TimedPose{r.timestamp, r.pose_wc});
+    poses.push_back(r.pose_wc);
   }
   write_tum_trajectory(tum_path, tum);
-  return slam.poses();
+  return poses;
 }
 
 // Aligns an estimate to ground truth and returns the aligned positions.

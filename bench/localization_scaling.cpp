@@ -145,12 +145,8 @@ RunResult run_tier(int m, const std::shared_ptr<const FrozenMap>& frozen,
   return run;
 }
 
-int failures = 0;
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
+using bench::check;
+using bench::failures;
 
 bool bit_identical(const std::vector<TrackResult>& served,
                    const std::vector<TrackResult>& reference) {

@@ -49,21 +49,10 @@ constexpr int kDefaultFrames = 420;
 // numbers are reported rather than enforced.
 constexpr int kTargetRegimeFrames = 400;
 
-int failures = 0;
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
-
-void info(bool ok, const char* what) {
-  std::printf("  [%s] %s (informational: outside the target regime)\n",
-              ok ? "ok" : "--", what);
-}
-
-void note(bool ok, const char* what) {
-  std::printf("  [%s] %s (informational)\n", ok ? "ok" : "--", what);
-}
+using bench::check;
+using bench::failures;
+using bench::info;
+using bench::note;
 
 // The loop workload runs the tracker with an *active-window* map: a small
 // prune age keeps the matcher's working set to the recently-visible scene

@@ -49,17 +49,9 @@ constexpr std::size_t kBigMap = 4000;  // "large map" regime for the gates
 constexpr double kRequiredSpeedup = 3.0;
 constexpr double kAtePartityslack = 1.05;  // gated ATE <= 5% over brute
 
-int failures = 0;
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
-
-void info(bool ok, const char* what) {
-  std::printf("  [%s] %s (informational: outside the target regime)\n",
-              ok ? "ok" : "--", what);
-}
+using bench::check;
+using bench::failures;
+using bench::info;
 
 TrackerOptions scaling_options(bool use_gate) {
   TrackerOptions opts;

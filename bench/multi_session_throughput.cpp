@@ -157,12 +157,8 @@ RunResult run_sessions(int k, const MultiSequenceSet& streams,
   return run;
 }
 
-int failures = 0;
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
+using bench::check;
+using bench::failures;
 
 // ---------------------------------------------------------------------------
 // Writer-stall probe: device-lane FM wait while a co-session is mid-write.

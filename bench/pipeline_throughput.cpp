@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -67,7 +68,8 @@ TrackerOptions bench_tracker_options() {
   return opts;
 }
 
-int failures = 0;
+using bench::check;
+using bench::failures;
 
 // The single-stream Figure-7 pipeline: one session on a one-worker
 // service.
@@ -83,11 +85,6 @@ struct SingleStream {
   SlamService service{ServiceOptions{/*arm_workers=*/1}};
   SessionHandle session;
 };
-
-void check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++failures;
-}
 
 // Mean retire-to-retire period (MU end to MU end) over frames 2..end.
 double mean_period_ms(const std::vector<TrackResult>& results) {
@@ -158,39 +155,19 @@ int main() {
   auto sequential =
       std::make_unique<Tracker>(seq.camera(), make_backend(), topts);
   const WallTimer seq_timer;
-  for (const FrameInput& f : frames) sequential->process(f);
+  const std::vector<TrackResult> seq_results =
+      bench::process_all(*sequential, frames);
   const double seq_wall_ms = seq_timer.elapsed_ms();
 
-  StageDurations normal_mean{}, key_mean{};
-  int n_normal = 0, n_key = 0;
-  double seq_normal_sum_ms = 0;
-  for (const TrackResult& r : sequential->trajectory()) {
-    auto add = [&](StageDurations& acc) {
-      acc.feature_extraction += r.times.feature_extraction;
-      acc.feature_matching += r.times.feature_matching;
-      acc.pose_estimation += r.times.pose_estimation;
-      acc.pose_optimization += r.times.pose_optimization;
-      acc.map_updating += r.times.map_updating;
-    };
-    if (r.keyframe) {
-      add(key_mean);
-      ++n_key;
-    } else {
-      add(normal_mean);
-      seq_normal_sum_ms += r.times.total();
-      ++n_normal;
-    }
-  }
-  auto scale = [](StageDurations& d, int n) {
-    if (n == 0) return;
-    d.feature_extraction /= n;
-    d.feature_matching /= n;
-    d.pose_estimation /= n;
-    d.pose_optimization /= n;
-    d.map_updating /= n;
-  };
-  scale(normal_mean, n_normal);
-  scale(key_mean, n_key);
+  std::vector<TrackResult> key_frames, normal_frames;
+  std::partition_copy(seq_results.begin(), seq_results.end(),
+                      std::back_inserter(key_frames),
+                      std::back_inserter(normal_frames),
+                      [](const TrackResult& r) { return r.keyframe; });
+  const int n_normal = static_cast<int>(normal_frames.size());
+  const int n_key = static_cast<int>(key_frames.size());
+  const StageDurations normal_mean = mean_stage_times(normal_frames);
+  const StageDurations key_mean = mean_stage_times(key_frames);
 
   // --- pipelined run ------------------------------------------------------
   SingleStream pipe(pipelined);
@@ -231,8 +208,7 @@ int main() {
   }
   if (p_normal > 0) pipe_normal_period_ms /= p_normal;
   if (p_key > 0) pipe_key_period_ms /= p_key;
-  const double seq_normal_mean_ms =
-      n_normal > 0 ? seq_normal_sum_ms / n_normal : 0.0;
+  const double seq_normal_mean_ms = normal_mean.total();
 
   // --- report -------------------------------------------------------------
   std::printf("sequence %s, %d frames (%d normal / %d key), backend %s\n",
@@ -268,7 +244,7 @@ int main() {
               seq_wall_ms, pipe_wall_ms, seq_wall_ms / pipe_wall_ms);
   std::printf("lane occupancy: FPGA %.0f ms, ARM %.0f ms over %.0f ms wall; "
               "max in-flight %d, speculative FM %d (replayed %d)\n\n",
-              stats.fpga_busy_ms, stats.arm_busy_ms, stats.wall_ms,
+              stats.fpga_busy_ms, stats.arm_busy_ms, pipe_wall_ms,
               stats.max_in_flight, stats.speculative_matches,
               stats.replayed_matches);
 
@@ -374,14 +350,14 @@ int main() {
 
   // --- shape checks --------------------------------------------------------
   std::printf("checks:\n");
-  check(results.size() == sequential->trajectory().size(),
+  check(results.size() == seq_results.size(),
         "streaming delivered every frame");
   bool poses_equal = true;
   for (std::size_t i = 0; i < results.size(); ++i)
     if ((results[i].pose_wc.translation() -
-         sequential->trajectory()[i].pose_wc.translation()).max_abs() != 0.0 ||
+         seq_results[i].pose_wc.translation()).max_abs() != 0.0 ||
         (results[i].pose_wc.rotation() -
-         sequential->trajectory()[i].pose_wc.rotation()).max_abs() != 0.0)
+         seq_results[i].pose_wc.rotation()).max_abs() != 0.0)
       poses_equal = false;
   check(poses_equal, "streaming poses bit-identical to sequential");
   check(n_key > 1, "sequence produced key frames beyond bootstrap");

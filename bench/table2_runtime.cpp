@@ -22,18 +22,16 @@ int main() {
   const auto frames = render_all(seq);
 
   // Software pipeline, measured on the host.
-  SystemConfig sw_cfg;
-  sw_cfg.backend.platform = Platform::kSoftware;
-  System sw(seq.camera(), sw_cfg);
-  run_system(sw, frames);
-  const StageDurations host = sw.stats().mean_times;
+  BackendConfig sw_backend;
+  sw_backend.platform = Platform::kSoftware;
+  Tracker sw(seq.camera(), make_feature_backend(sw_backend));
+  const StageDurations host = mean_stage_times(process_all(sw, frames));
 
   // Accelerated pipeline: FE/FM are simulated cycles.
-  SystemConfig hw_cfg;
-  hw_cfg.backend.platform = Platform::kAccelerated;
-  System hw(seq.camera(), hw_cfg);
-  run_system(hw, frames);
-  const StageDurations accel = hw.stats().mean_times;
+  BackendConfig hw_backend;
+  hw_backend.platform = Platform::kAccelerated;
+  Tracker hw(seq.camera(), make_feature_backend(hw_backend));
+  const StageDurations accel = mean_stage_times(process_all(hw, frames));
 
   const StageDurations arm = arm_from_host(host);
   const StageDurations paper_hw = paper_eslam_times();

@@ -14,21 +14,21 @@ int main() {
   const SyntheticSequence seq(SequenceId::kFr1Desk, opts);
   const auto frames = render_all(seq);
 
-  SystemConfig sw_cfg;
-  sw_cfg.backend.platform = Platform::kSoftware;
-  System sw(seq.camera(), sw_cfg);
-  run_system(sw, frames);
-  const StageDurations host = sw.stats().mean_times;
+  BackendConfig sw_backend;
+  sw_backend.platform = Platform::kSoftware;
+  Tracker sw(seq.camera(), make_feature_backend(sw_backend));
+  const StageDurations host = mean_stage_times(process_all(sw, frames));
 
-  SystemConfig hw_cfg;
-  hw_cfg.backend.platform = Platform::kAccelerated;
-  System hw(seq.camera(), hw_cfg);
-  run_system(hw, frames);
+  BackendConfig hw_backend;
+  hw_backend.platform = Platform::kAccelerated;
+  Tracker hw(seq.camera(), make_feature_backend(hw_backend));
+  const std::vector<TrackResult> hw_results = process_all(hw, frames);
+  const StageDurations accel = mean_stage_times(hw_results);
   // eSLAM hybrid: FE/FM simulated on fabric, PE/PO/MU on the ARM -> model
   // the ARM-side stages from host measurements.
   StageDurations eslam_stages = arm_from_host(host);
-  eslam_stages.feature_extraction = hw.stats().mean_times.feature_extraction;
-  eslam_stages.feature_matching = hw.stats().mean_times.feature_matching;
+  eslam_stages.feature_extraction = accel.feature_extraction;
+  eslam_stages.feature_matching = accel.feature_matching;
 
   const StageDurations arm = arm_from_host(host);
 
@@ -93,7 +93,10 @@ int main() {
        "41x - 71x"});
   s.print();
 
-  std::printf("\nkey-frame share in this run: %d / %d frames\n",
-              hw.stats().key_frames, hw.stats().frames);
+  const auto key_frames =
+      std::count_if(hw_results.begin(), hw_results.end(),
+                    [](const TrackResult& r) { return r.keyframe; });
+  std::printf("\nkey-frame share in this run: %td / %zu frames\n",
+              key_frames, hw_results.size());
   return 0;
 }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/eslam.h"
+#include "accel/backend_factory.h"
 #include "dataset/sequence.h"
 #include "dataset/tum_io.h"
 #include "eval/ate.h"
@@ -25,19 +25,21 @@ eslam::AteResult run(const eslam::SyntheticSequence& sequence,
                      eslam::DescriptorMode mode, const char* traj_path,
                      eslam::MapViewStats* view_stats) {
   using namespace eslam;
-  SystemConfig config;
-  config.backend.platform = Platform::kSoftware;
-  config.backend.descriptor = mode;
-  System slam(sequence.camera(), config);
+  BackendConfig backend;
+  backend.platform = Platform::kSoftware;
+  backend.descriptor = mode;
+  Tracker tracker(sequence.camera(), make_feature_backend(backend));
 
   std::vector<TimedPose> trajectory;
+  std::vector<SE3> poses;
   for (int i = 0; i < sequence.size(); ++i) {
-    const TrackResult r = slam.process(sequence.frame(i));
+    const TrackResult r = tracker.process(sequence.frame(i));
     trajectory.push_back(TimedPose{r.timestamp, r.pose_wc});
+    poses.push_back(r.pose_wc);
   }
   write_tum_trajectory(traj_path, trajectory);
-  if (view_stats) *view_stats = slam.map().view_stats();
-  return absolute_trajectory_error(slam.poses(), sequence.ground_truth());
+  if (view_stats) *view_stats = tracker.map().view_stats();
+  return absolute_trajectory_error(poses, sequence.ground_truth());
 }
 
 void print_view_stats(const char* label, const eslam::MapViewStats& s) {

@@ -3,8 +3,10 @@
 //
 //   ./examples/quickstart
 #include <cstdio>
+#include <vector>
 
-#include "core/eslam.h"
+#include "accel/backend_factory.h"
+#include "accel/timing_model.h"
 #include "dataset/sequence.h"
 #include "eval/ate.h"
 
@@ -16,14 +18,20 @@ int main() {
   seq_opts.frames = 40;
   SyntheticSequence sequence(SequenceId::kFr1Xyz, seq_opts);
 
-  SystemConfig config;
-  config.backend.platform = Platform::kAccelerated;
-  System slam(sequence.camera(), config);
+  BackendConfig backend;
+  backend.platform = Platform::kAccelerated;
+  Tracker tracker(sequence.camera(), make_feature_backend(backend));
 
   std::printf("eSLAM quickstart: %d frames of %s (synthetic)\n",
               sequence.size(), sequence.name().c_str());
+  std::vector<TrackResult> results;
+  std::vector<SE3> poses;
+  int key_frames = 0;
   for (int i = 0; i < sequence.size(); ++i) {
-    const TrackResult r = slam.process(sequence.frame(i));
+    const TrackResult r = tracker.process(sequence.frame(i));
+    results.push_back(r);
+    poses.push_back(r.pose_wc);
+    key_frames += r.keyframe;
     if (i % 10 == 0 || r.lost) {
       const Vec3& t = r.pose_wc.translation();
       std::printf(
@@ -33,19 +41,17 @@ int main() {
     }
   }
 
-  const AteResult ate = absolute_trajectory_error(
-      slam.poses(), sequence.ground_truth());
-  const SystemStats stats = slam.stats();
+  const AteResult ate =
+      absolute_trajectory_error(poses, sequence.ground_truth());
+  const StageDurations mean = mean_stage_times(results);
 
   std::printf("\nTrajectory error: rmse=%.2f cm, mean=%.2f cm, max=%.2f cm\n",
               ate.rmse * 100, ate.mean * 100, ate.max * 100);
   std::printf("Mean stage times (ms): FE=%.2f FM=%.2f PE=%.2f PO=%.2f MU=%.2f\n",
-              stats.mean_times.feature_extraction,
-              stats.mean_times.feature_matching,
-              stats.mean_times.pose_estimation,
-              stats.mean_times.pose_optimization,
-              stats.mean_times.map_updating);
-  std::printf("Key frames: %d / %d, map size: %zu points\n", stats.key_frames,
-              stats.frames, slam.map().size());
+              mean.feature_extraction, mean.feature_matching,
+              mean.pose_estimation, mean.pose_optimization,
+              mean.map_updating);
+  std::printf("Key frames: %d / %zu, map size: %zu points\n", key_frames,
+              results.size(), tracker.map().size());
   return ate.rmse < 0.5 ? 0 : 1;  // sanity gate for CI use
 }

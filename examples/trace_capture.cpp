@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/eslam.h"
+#include "accel/backend_factory.h"
 #include "dataset/sequence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"

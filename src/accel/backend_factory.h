@@ -1,5 +1,6 @@
-// Per-session feature-backend construction, shared by the System facade
-// (core/) and the multi-session SlamService (server/).
+// Per-session feature-backend construction: a sequential Tracker is built
+// from make_feature_backend(config), and the multi-session SlamService
+// (server/) builds each session's backend the same way.
 //
 // Backends are deliberately cheap to instantiate per session: all heavy
 // inputs (the RS-BRIEF pattern tables, cycle-model configs) are small

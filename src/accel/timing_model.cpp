@@ -4,6 +4,25 @@
 
 namespace eslam {
 
+StageDurations mean_stage_times(std::span<const TrackResult> results) {
+  StageDurations mean;
+  if (results.empty()) return mean;
+  for (const TrackResult& r : results) {
+    mean.feature_extraction += r.times.feature_extraction;
+    mean.feature_matching += r.times.feature_matching;
+    mean.pose_estimation += r.times.pose_estimation;
+    mean.pose_optimization += r.times.pose_optimization;
+    mean.map_updating += r.times.map_updating;
+  }
+  const double n = static_cast<double>(results.size());
+  mean.feature_extraction /= n;
+  mean.feature_matching /= n;
+  mean.pose_estimation /= n;
+  mean.pose_optimization /= n;
+  mean.map_updating /= n;
+  return mean;
+}
+
 StageDurations arm_from_host(const StageDurations& host,
                              const PlatformScaling& scaling) {
   StageDurations arm;

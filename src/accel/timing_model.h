@@ -9,12 +9,18 @@
 //     we cannot run on a real A9 here).
 #pragma once
 
+#include <span>
+
 #include "slam/tracker.h"
 
 namespace eslam {
 
 // Stage-time bundle in ms (same fields as StageTimesMs, semantic alias).
 using StageDurations = StageTimesMs;
+
+// Per-stage mean over a run's results (all zero for an empty run): the
+// measured stage durations Tables 2 and 3 feed the models below.
+StageDurations mean_stage_times(std::span<const TrackResult> results);
 
 // Per-stage ARM/i7 runtime ratios from the paper's Table 2:
 // FE 291.6/32.5, FM 246.2/19.7, PE 9.2/0.9, PO 8.7/0.5, MU 9.9/1.2.

@@ -275,10 +275,8 @@ struct BackendStats {
   // --- sharded execution (per-class / per-shard visibility) --------------
   int ba_jobs_run = 0;        // routine shard-BA jobs (jobs_run minus loop)
   int loop_jobs_run = 0;      // loop-verification jobs
-  int jobs_discarded = 0;     // jobs invalidated by an applied correction
   int freeze_events = 0;      // keyframes that computed a decomposition
   long long shard_jobs_frozen = 0;  // BA jobs frozen across all freezes
-  int last_freeze_shards = 0;  // shards the latest decomposition yielded
   int max_shards_seen = 0;     // largest decomposition observed
   int max_inflight_jobs_seen = 0;  // high-water of jobs in flight at once
   long long points_moved = 0;

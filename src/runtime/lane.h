@@ -15,7 +15,7 @@ enum class PipeStage {
   kFeatureMatching,
   kPoseEstimation,
   kPoseOptimization,
-  kMapUpdating,  // includes commit (trajectory/motion-model bookkeeping)
+  kMapUpdating,  // includes commit (motion-model bookkeeping)
 };
 
 inline const char* to_string(PipeStage stage) {
@@ -52,7 +52,6 @@ struct PipelineStats {
   int device_dispatches = 0;    // device-lane scheduling turns consumed
   double fpga_busy_ms = 0;      // summed FE+FM wall time (lane occupancy)
   double arm_busy_ms = 0;       // summed PE+PO+MU wall time
-  double wall_ms = 0;           // runtime lifetime so far
 
   // Local-mapping backend (the background-job lane), per session.  What
   // the jobs did (BA vs loop jobs, loops applied, points culled) is the

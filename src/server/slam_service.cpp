@@ -253,7 +253,6 @@ PipelineStats SessionHandle::stats() const {
   out.frames_fed = session_->frames_fed.load();
   out.frames_retired = session_->frames_retired.load();
   out.malformed_feeds = session_->malformed_feeds.load();
-  out.wall_ms = service_->now_ms();
   return out;
 }
 
@@ -410,8 +409,6 @@ ServiceStats SlamService::stats() const {
     const std::lock_guard<std::mutex> lock(work_mutex_);
     out.backend_concurrent_hwm = bg_running_hwm_;
   }
-  out.localization_coldstart_attempts = loc_coldstart_attempts_.load();
-  out.localization_coldstart_successes = loc_coldstart_successes_.load();
   return out;
 }
 
@@ -829,11 +826,6 @@ TrackResult SlamService::run_localization_frame(ServiceSession& s) {
   const double t0 = now_ms();
   TrackResult result = s.localizer->process(input);
   record(s, PipeLane::kArm, t0);
-  // Tier-wide lifetime counters (survive session close).
-  if (result.reloc_attempted) {
-    loc_coldstart_attempts_.fetch_add(1);
-    if (result.relocalized) loc_coldstart_successes_.fetch_add(1);
-  }
   return result;
 }
 

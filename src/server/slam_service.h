@@ -141,11 +141,6 @@ struct ServiceStats {
   // Most backend jobs ever simultaneously running on the pool, across all
   // sessions (shard-BA concurrency witness).
   int backend_concurrent_hwm = 0;
-  // Localization-tier cold-start relocalizations, lifetime across all
-  // localization sessions (attempts engage the recognition index; a
-  // success recovered a pose).
-  std::int64_t localization_coldstart_attempts = 0;
-  std::int64_t localization_coldstart_successes = 0;
 };
 
 // A client's connection to one tracking session.  Move-only; closing (or
@@ -200,7 +195,7 @@ class SessionHandle {
   // Zeros for a localization session (it has no backend lane).
   backend::BackendStats backend_stats() const;
 
-  // The session's tracker (trajectory, map).  Mapping sessions only
+  // The session's tracker (map, keyframe graph).  Mapping sessions only
   // (asserts); only valid while quiescent — after drain() and before the
   // next feed.
   const Tracker& tracker() const;
@@ -352,11 +347,6 @@ class SlamService {
   BackendJobQueue<BackendQueueEntry> backend_q_;
   int bg_running_total_ = 0;
   int bg_running_hwm_ = 0;
-
-  // Localization-tier cold-start counters: lifetime totals across all
-  // localization sessions, past and present.
-  std::atomic<std::int64_t> loc_coldstart_attempts_{0};
-  std::atomic<std::int64_t> loc_coldstart_successes_{0};
 
   // Observability handles, resolved once at construction (see
   // obs/trace.h): a "scheduler" trace process with the shared device lane

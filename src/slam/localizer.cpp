@@ -71,7 +71,6 @@ TrackResult Localizer::process(const FrameInput& frame) {
   // Commit — pose state only; there is no map to update.
   core_.retire(fs_.result);
   tracking_ = !fs_.result.lost;
-  ++frames_processed_;
   // Latency rollups: every frame, plus the cold-start distribution for
   // frames that engaged the relocalization entry path (the tier's
   // time-to-first-pose signal).

@@ -65,7 +65,6 @@ class Localizer {
   // True after a pose was acquired and not since lost; false means the
   // next frame takes the cold-start relocalization path.
   bool tracking() const { return tracking_; }
-  int frames_processed() const { return frames_processed_; }
 
   // --- observability -------------------------------------------------------
   // This session's trace process row ("localization-N") with one "frame"
@@ -93,7 +92,6 @@ class Localizer {
   std::unique_ptr<FeatureBackend> backend_;
   TrackingCore core_;
   bool tracking_ = false;
-  int frames_processed_ = 0;
   // The one frame in flight, recycled: frames never cross a lane boundary.
   FrameState fs_;
 

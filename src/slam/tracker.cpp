@@ -81,10 +81,9 @@ Tracker::Tracker(const PinholeCamera& camera,
       core_(camera_, backend_.get(), options_),
       keyframe_policy_(options.keyframe),
       kf_graph_(options.backend.graph) {
-  // Pre-size the growth-only containers so the steady-state loop never
-  // reallocates them (the allocation regression test counts every heap
-  // call after warm-up).
-  trajectory_.reserve(1024);
+  // Pre-size the frame-shell pool so the steady-state loop never
+  // reallocates it (the allocation regression test counts every heap call
+  // after warm-up).
   frame_pool_.reserve(kFramePoolCap);
 
   // Observability registration — the cold half of the obs/ contract: all
@@ -454,9 +453,6 @@ TrackResult Tracker::update_map(FrameState& fs) {
   if (fs.result.reloc_attempted) reloc_attempts_total_->add(1);
   if (fs.result.relocalized) reloc_successes_total_->add(1);
   if (fs.result.loop_closed) loops_closed_total_->add(1);
-
-  trajectory_.push_back(fs.result);
-  frame_index_ = fs.index + 1;
   return fs.result;
 }
 
@@ -663,7 +659,6 @@ void Tracker::backend_freeze_jobs(int kf_id, const FrameState& fs) {
   const std::lock_guard<std::mutex> lock(backend_mutex_);
   ++backend_stats_.freeze_events;
   backend_stats_.shard_jobs_frozen += frozen;
-  backend_stats_.last_freeze_shards = static_cast<int>(shards.size());
   backend_stats_.max_shards_seen = std::max(
       backend_stats_.max_shards_seen, static_cast<int>(shards.size()));
 }
@@ -718,7 +713,6 @@ void Tracker::run_backend_job(int job_id) {
   if (it->discarded) {
     // A loop correction applied while this job ran: its snapshot predates
     // the corrected map, so the delta is dropped unapplied.
-    ++backend_stats_.jobs_discarded;
     backend_jobs_.erase(it);
     return;
   }
@@ -811,12 +805,9 @@ void Tracker::apply_pending_backend_deltas(FrameState& fs) {
       // flagged and erased by its own worker on completion.
       const std::lock_guard<std::mutex> lock(backend_mutex_);
       std::erase_if(backend_jobs_, [&](BackendJob& job) {
-        if (job.state == BackendJob::State::kRunning) {
-          job.discarded = true;
-          return false;
-        }
-        ++backend_stats_.jobs_discarded;
-        return true;
+        if (job.state != BackendJob::State::kRunning) return true;
+        job.discarded = true;
+        return false;
       });
     } else if (delta.loop_job) {
       // Verification rejected the candidate: back off briefly so the same

@@ -112,7 +112,11 @@ class Tracker {
   Tracker(const PinholeCamera& camera, std::unique_ptr<FeatureBackend> backend,
           const TrackerOptions& options = {});
 
-  // Synchronous composition of the five stages (the sequential platform).
+  // Synchronous composition of the five stages (the sequential platform):
+  // the library's sequential entry point,
+  //   Tracker tracker(camera, make_feature_backend(config), options);
+  //   for (const FrameInput& f : frames) results.push_back(tracker.process(f));
+  // with make_feature_backend() from accel/backend_factory.h.
   TrackResult process(const FrameInput& frame);
 
   // --- pipeline stage API -------------------------------------------------
@@ -144,9 +148,10 @@ class Tracker {
   void estimate_pose(FrameState& fs);
   // LM refinement on the RANSAC inliers (ARM).
   void optimize_pose(FrameState& fs);
-  // Map bookkeeping + key-frame map update + commit: appends to the
-  // trajectory, advances the motion model, and returns the final result.
-  // This is the only stage that structurally mutates the map.
+  // Map bookkeeping + key-frame map update + commit: advances the motion
+  // model and returns the final result.  The tracker keeps no per-frame
+  // record; the caller owns what it returns.  This is the only stage that
+  // structurally mutates the map.
   TrackResult update_map(FrameState& fs);
 
   // True while fs.matches are still valid against the current map (no
@@ -157,10 +162,8 @@ class Tracker {
   }
 
   const Map& map() const { return map_; }
-  const std::vector<TrackResult>& trajectory() const { return trajectory_; }
   FeatureBackend& backend() { return *backend_; }
   const PinholeCamera& camera() const { return camera_; }
-  int frame_index() const { return frame_index_; }
 
   // --- local-mapping backend ---------------------------------------------
   // update_map() freezes backend jobs at a keyframe: either ONE high-
@@ -296,8 +299,6 @@ class Tracker {
   KeyframePolicy keyframe_policy_;
   int lost_streak_ = 0;     // consecutive lost retirements (reloc gating)
   int next_index_ = 0;      // assigned by begin_frame (feed order)
-  int frame_index_ = 0;     // frames retired through update_map
-  std::vector<TrackResult> trajectory_;
   // Retired frame shells awaiting reuse (begin_frame pops, recycle_frame
   // pushes).  Own mutex: the pipeline runtime recycles from the ARM lane
   // while the device lane begins the next frame.

@@ -164,8 +164,7 @@ struct TrackResult {
   double timestamp = 0;
   StageTimesMs times;
   // Set only on mapping results a SlamService delivers; zero on
-  // Tracker::process() and localization results and in the tracker's own
-  // trajectory.
+  // Tracker::process() and localization results.
   StageWindows windows;
 };
 

@@ -1,22 +1,42 @@
-// Integration tests: the full eslam::System on synthetic sequences, in
-// both platform modes and both descriptor modes — the code paths behind
-// every benchmark binary.
-#include "core/eslam.h"
-
+// Integration tests: the full sequential tracker on synthetic sequences,
+// in both platform modes and both descriptor modes — the code paths behind
+// every benchmark binary.  Each test builds its Tracker the way the benches
+// do, from make_feature_backend(), and keeps what process() returns.
 #include <gtest/gtest.h>
 
+#include "accel/backend_factory.h"
+#include "accel/timing_model.h"
 #include "dataset/sequence.h"
 #include "eval/ate.h"
 
 namespace eslam {
 namespace {
 
-AteResult track_sequence(System& slam, const SyntheticSequence& seq,
-                         int frames) {
-  for (int i = 0; i < frames; ++i) slam.process(seq.frame(i));
+Tracker make_tracker(const SyntheticSequence& seq, Platform platform,
+                     DescriptorMode descriptor = BackendConfig{}.descriptor) {
+  BackendConfig backend;
+  backend.platform = platform;
+  backend.descriptor = descriptor;
+  return Tracker(seq.camera(), make_feature_backend(backend));
+}
+
+std::vector<TrackResult> process_frames(Tracker& tracker,
+                                        const SyntheticSequence& seq,
+                                        int frames) {
+  std::vector<TrackResult> results;
+  for (int i = 0; i < frames; ++i)
+    results.push_back(tracker.process(seq.frame(i)));
+  return results;
+}
+
+AteResult ate_of(const std::vector<TrackResult>& results,
+                 const SyntheticSequence& seq) {
+  std::vector<SE3> poses;
+  for (const TrackResult& r : results) poses.push_back(r.pose_wc);
   std::vector<SE3> gt(seq.ground_truth().begin(),
-                      seq.ground_truth().begin() + frames);
-  return absolute_trajectory_error(slam.poses(), gt);
+                      seq.ground_truth().begin() +
+                          static_cast<std::ptrdiff_t>(results.size()));
+  return absolute_trajectory_error(poses, gt);
 }
 
 SequenceOptions short_seq() {
@@ -25,40 +45,34 @@ SequenceOptions short_seq() {
   return opts;
 }
 
-TEST(System, SoftwarePlatformTracksAccurately) {
+TEST(Integration, SoftwarePlatformTracksAccurately) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kSoftware;
-  System slam(seq.camera(), cfg);
-  const AteResult ate = track_sequence(slam, seq, seq.size());
-  EXPECT_LT(ate.rmse, 0.05);  // centimetre-level on clean synthetic data
-  EXPECT_EQ(slam.results().size(), 12u);
+  Tracker tracker = make_tracker(seq, Platform::kSoftware);
+  const std::vector<TrackResult> results =
+      process_frames(tracker, seq, seq.size());
+  EXPECT_LT(ate_of(results, seq).rmse, 0.05);  // centimetre-level, clean data
+  EXPECT_EQ(results.size(), 12u);
 }
 
-TEST(System, AcceleratedPlatformTracksAccurately) {
+TEST(Integration, AcceleratedPlatformTracksAccurately) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kAccelerated;
-  System slam(seq.camera(), cfg);
-  const AteResult ate = track_sequence(slam, seq, seq.size());
-  EXPECT_LT(ate.rmse, 0.05);
+  Tracker tracker = make_tracker(seq, Platform::kAccelerated);
+  EXPECT_LT(ate_of(process_frames(tracker, seq, seq.size()), seq).rmse, 0.05);
 }
 
-TEST(System, AcceleratedTimesAreSimulatedNotWallClock) {
+TEST(Integration, AcceleratedTimesAreSimulatedNotWallClock) {
   const SyntheticSequence seq(SequenceId::kFr1Desk, short_seq());
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kAccelerated;
-  System slam(seq.camera(), cfg);
-  for (int i = 0; i < 4; ++i) slam.process(seq.frame(i));
-  const SystemStats stats = slam.stats();
+  Tracker tracker = make_tracker(seq, Platform::kAccelerated);
+  const StageDurations mean =
+      mean_stage_times(process_frames(tracker, seq, 4));
   // Simulated FE on 640x480x4 levels sits in the 7.5-10 ms band regardless
   // of host speed; software FE would be tens of ms and vary.
-  EXPECT_GT(stats.mean_times.feature_extraction, 7.0);
-  EXPECT_LT(stats.mean_times.feature_extraction, 10.5);
-  EXPECT_GT(stats.mean_times.feature_matching, 0.0);
+  EXPECT_GT(mean.feature_extraction, 7.0);
+  EXPECT_LT(mean.feature_extraction, 10.5);
+  EXPECT_GT(mean.feature_matching, 0.0);
 }
 
-TEST(System, BothDescriptorModesWork) {
+TEST(Integration, BothDescriptorModesWork) {
   // Enough frames that the desk sweep's inter-frame motion stays small
   // (the tracker seeds PnP from the previous pose).
   SequenceOptions opts;
@@ -66,68 +80,52 @@ TEST(System, BothDescriptorModesWork) {
   const SyntheticSequence seq(SequenceId::kFr1Desk, opts);
   for (DescriptorMode mode :
        {DescriptorMode::kRsBrief, DescriptorMode::kOrbLut}) {
-    SystemConfig cfg;
-    cfg.backend.platform = Platform::kSoftware;
-    cfg.backend.descriptor = mode;
-    System slam(seq.camera(), cfg);
-    const AteResult ate = track_sequence(slam, seq, 12);
-    EXPECT_LT(ate.rmse, 0.08) << "mode " << static_cast<int>(mode);
+    Tracker tracker = make_tracker(seq, Platform::kSoftware, mode);
+    EXPECT_LT(ate_of(process_frames(tracker, seq, 12), seq).rmse, 0.08)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
-TEST(System, StatsAggregateSensibly) {
+TEST(Integration, ResultsAggregateSensibly) {
   const SyntheticSequence seq(SequenceId::kFr2Xyz, short_seq());
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kAccelerated;
-  System slam(seq.camera(), cfg);
-  for (int i = 0; i < 10; ++i) slam.process(seq.frame(i));
-  const SystemStats stats = slam.stats();
-  EXPECT_EQ(stats.frames, 10);
-  EXPECT_GE(stats.key_frames, 1);  // bootstrap frame at minimum
-  EXPECT_EQ(stats.lost_frames, 0);
-  EXPECT_GT(stats.mean_features, 500.0);
-  EXPECT_GT(stats.mean_inliers, 50.0);
-  EXPECT_GT(slam.map().size(), 500u);
+  Tracker tracker = make_tracker(seq, Platform::kAccelerated);
+  const std::vector<TrackResult> results = process_frames(tracker, seq, 10);
+  ASSERT_EQ(results.size(), 10u);
+  int key_frames = 0, lost_frames = 0;
+  double features = 0, inliers = 0;
+  for (const TrackResult& r : results) {
+    key_frames += r.keyframe;
+    lost_frames += r.lost;
+    features += r.n_features;
+    inliers += r.n_inliers;
+  }
+  EXPECT_GE(key_frames, 1);  // bootstrap frame at minimum
+  EXPECT_EQ(lost_frames, 0);
+  EXPECT_GT(features / 10, 500.0);
+  EXPECT_GT(inliers / 10, 50.0);
+  EXPECT_GT(tracker.map().size(), 500u);
 }
 
-TEST(System, KeyframesUpdateMap) {
+TEST(Integration, KeyframesUpdateMap) {
   // fr1/room has large motion: keyframes beyond the bootstrap must appear
   // and grow the map.  (Dense enough sampling that per-frame motion stays
   // trackable — the real sequence runs at 30 fps.)
   SequenceOptions opts;
   opts.frames = 36;
   const SyntheticSequence seq(SequenceId::kFr1Room, opts);
-  SystemConfig cfg;
-  cfg.backend.platform = Platform::kSoftware;
-  System slam(seq.camera(), cfg);
-  const std::size_t after_bootstrap = [&] {
-    slam.process(seq.frame(0));
-    return slam.map().size();
-  }();
-  for (int i = 1; i < 18; ++i) slam.process(seq.frame(i));
-  EXPECT_GT(slam.stats().key_frames, 1);
-  EXPECT_GT(slam.map().size(), after_bootstrap);
+  Tracker tracker = make_tracker(seq, Platform::kSoftware);
+  int key_frames = tracker.process(seq.frame(0)).keyframe;
+  const std::size_t after_bootstrap = tracker.map().size();
+  for (int i = 1; i < 18; ++i)
+    key_frames += tracker.process(seq.frame(i)).keyframe;
+  EXPECT_GT(key_frames, 1);
+  EXPECT_GT(tracker.map().size(), after_bootstrap);
 }
 
-TEST(System, PosesMatchResultsTrajectory) {
+TEST(Integration, BackendNamesReflectPlatform) {
   const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
-  SystemConfig cfg;
-  System slam(seq.camera(), cfg);
-  for (int i = 0; i < 5; ++i) slam.process(seq.frame(i));
-  const auto poses = slam.poses();
-  ASSERT_EQ(poses.size(), slam.results().size());
-  for (std::size_t i = 0; i < poses.size(); ++i)
-    EXPECT_NEAR((poses[i].translation() -
-                 slam.results()[i].pose_wc.translation()).max_abs(),
-                0.0, 1e-15);
-}
-
-TEST(System, BackendNamesReflectPlatform) {
-  const SyntheticSequence seq(SequenceId::kFr1Xyz, short_seq());
-  SystemConfig sw_cfg, hw_cfg;
-  sw_cfg.backend.platform = Platform::kSoftware;
-  hw_cfg.backend.platform = Platform::kAccelerated;
-  System sw(seq.camera(), sw_cfg), hw(seq.camera(), hw_cfg);
+  Tracker sw = make_tracker(seq, Platform::kSoftware);
+  Tracker hw = make_tracker(seq, Platform::kAccelerated);
   EXPECT_STREQ(sw.backend().name(), "software");
   EXPECT_STREQ(hw.backend().name(), "eslam-accel");
 }

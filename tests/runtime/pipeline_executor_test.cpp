@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "accel/backend_factory.h"
-#include "core/eslam.h"
 #include "dataset/sequence.h"
 #include "runtime/spsc_queue.h"
 #include "server/slam_service.h"
@@ -66,8 +65,9 @@ TEST(SpscRing, TwoThreadStream) {
 
 // --- pipeline fixtures ----------------------------------------------------
 
-// The backend System builds for `platform` with default settings, so a
-// streamed tracker and a System reference see identical features.
+// The backend make_feature_backend() builds for `platform` with default
+// settings, as a session's is, so a streamed session and a sequential
+// reference see identical features.
 std::unique_ptr<Tracker> make_tracker(const SyntheticSequence& seq,
                                       Platform platform,
                                       const TrackerOptions& options = {}) {
@@ -110,18 +110,18 @@ TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
   opts.frames = 10;
   const SyntheticSequence seq(SequenceId::kFr1Xyz, opts);
 
-  SystemConfig seq_cfg;
-  seq_cfg.backend.platform = Platform::kAccelerated;
-  System sync(seq.camera(), seq_cfg);
-  for (int i = 0; i < opts.frames; ++i) sync.process(seq.frame(i));
+  const auto sync = make_tracker(seq, Platform::kAccelerated);
+  std::vector<TrackResult> reference;
+  for (int i = 0; i < opts.frames; ++i)
+    reference.push_back(sync->process(seq.frame(i)));
 
   SingleStream streamed(session_config(seq, Platform::kAccelerated));
   const std::vector<TrackResult> results = streamed.run(seq, 0, opts.frames);
 
-  ASSERT_EQ(results.size(), sync.results().size());
+  ASSERT_EQ(results.size(), reference.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const TrackResult& a = results[i];
-    const TrackResult& b = sync.results()[i];
+    const TrackResult& b = reference[i];
     // Bit-for-bit: the pipeline's replayed matches always equal what the
     // sequential schedule computes, so every derived quantity is exact.
     EXPECT_EQ((a.pose_wc.translation() - b.pose_wc.translation()).max_abs(),
@@ -134,7 +134,7 @@ TEST(SingleStreamPipeline, StreamingMatchesSynchronousBitForBit) {
     EXPECT_EQ(a.n_matches, b.n_matches) << "frame " << i;
     EXPECT_EQ(a.n_inliers, b.n_inliers) << "frame " << i;
   }
-  EXPECT_EQ(streamed.session.tracker().map().size(), sync.map().size());
+  EXPECT_EQ(streamed.session.tracker().map().size(), sync->map().size());
 }
 
 // --- in-order delivery & reuse -------------------------------------------
@@ -197,16 +197,12 @@ TEST(SingleStreamPipeline, DeliveredResultsCarryTheirStageWindows) {
     EXPECT_GE(w.fe.start_ms, prev.fm.end_ms) << "frame " << n;
     EXPECT_GE(w.pe.start_ms, prev.mu.end_ms) << "frame " << n;
   }
-  for (const TrackResult& r : pipe.session.tracker().trajectory())
-    EXPECT_TRUE(no_windows(r.windows));
 
-  // No service lane ran these: the sequential results and trajectory,
-  // and a localization session over the map they built.
+  // No service lane ran these: the sequential results, and a localization
+  // session over the map they built.
   const auto sequential = make_tracker(seq, Platform::kSoftware);
   for (int i = 0; i < opts.frames; ++i)
     EXPECT_TRUE(no_windows(sequential->process(seq.frame(i)).windows));
-  for (const TrackResult& r : sequential->trajectory())
-    EXPECT_TRUE(no_windows(r.windows));
   SessionConfig localization_config = session_config(seq, Platform::kSoftware);
   localization_config.kind = SessionKind::kLocalization;
   localization_config.frozen_map = FrozenMap::from_snapshot(capture_snapshot(

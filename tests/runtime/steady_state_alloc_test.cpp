@@ -12,6 +12,10 @@
 // bootstrap, backend disabled) so every windowed frame is a nominal
 // tracked frame.
 //
+// A session runs as long as its camera does, so the window must hold far
+// past warm-up too: a long-session case re-runs the sequential window
+// after a thousand frames.
+//
 // The observability layer rides along: tracing and the metrics histograms
 // are ENABLED throughout (the build default), and each window asserts
 // that spans/samples were actually recorded during it — so the zero-alloc
@@ -41,9 +45,11 @@
 namespace {
 
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = align > alignof(std::max_align_t)
                 ? std::aligned_alloc(align, (size + align - 1) / align * align)
                 : std::malloc(size ? size : 1);
@@ -92,6 +98,49 @@ std::unique_ptr<FeatureBackend> make_backend() {
 std::unique_ptr<Tracker> make_tracker(const PinholeCamera& cam) {
   return std::make_unique<Tracker>(cam, make_backend(), TrackerOptions{});
 }
+
+// Replays one extraction on every frame and matches through the software
+// kernels, so a thousand-frame session costs only its matching and pose
+// stages.  The replay copy-assigns into the frame shell's recycled list,
+// which allocates nothing once the shell has grown.
+class ReplayBackend final : public FeatureBackend {
+ public:
+  explicit ReplayBackend(FeatureList features)
+      : features_(std::move(features)) {}
+
+  FeatureList extract(const ImageU8&) override { return features_; }
+  void extract_into(const ImageU8&, FeatureList& out) override {
+    out = features_;
+  }
+  std::vector<Match> match(std::span<const Descriptor256> queries,
+                           std::span<const Descriptor256> train) override {
+    return host_.match(queries, train);
+  }
+  std::vector<Match> match_candidates(std::span<const Descriptor256> queries,
+                                      std::span<const Descriptor256> train,
+                                      const CandidateSet& candidates) override {
+    return host_.match_candidates(queries, train, candidates);
+  }
+  void match_into(std::span<const Feature> queries, const TrainView& train,
+                  Arena* scratch, std::vector<Match>& out) override {
+    host_.match_into(queries, train, scratch, out);
+  }
+  void match_candidates_into(std::span<const Feature> queries,
+                             const TrainView& train,
+                             const CandidateSet& candidates, Arena* scratch,
+                             std::vector<Match>& out) override {
+    host_.match_candidates_into(queries, train, candidates, scratch, out);
+  }
+  double last_extract_time_ms() const override { return 0.0; }
+  double last_match_time_ms() const override {
+    return host_.last_match_time_ms();
+  }
+  const char* name() const override { return "replay"; }
+
+ private:
+  FeatureList features_;
+  SoftwareBackend host_;
+};
 
 // One rendered frame, re-fed every iteration: a static camera never trips
 // the keyframe policy, so post-bootstrap frames are all nominal tracking.
@@ -152,6 +201,44 @@ TEST(SteadyStateAlloc, SequentialTrackedFrameIsAllocationFree) {
 #else
   EXPECT_EQ(obs::trace_events_recorded_total(), events_before);
 #endif
+}
+
+// The same window after a thousand frames: nothing the tracker keeps per
+// frame may grow with the session's length.  The warm-up asserts nothing
+// about tracking: fed one frame over and over, the tracker drifts along
+// its constant-velocity prior from about frame 70, inserts keyframes
+// until about frame 85 and then holds one pose on the brute-force tier.
+// The window must be nominal tracked frames either way.
+TEST(SteadyStateAlloc, LongSessionTrackedFrameIsAllocationFree) {
+  constexpr int kSessionFrames = 1000;
+  constexpr int kLongWindowFrames = 40;
+  const SyntheticSequence seq = static_sequence();
+  const FrameInput frame = seq.frame(0);
+  OrbConfig orb;
+  orb.n_features = 600;
+  Tracker tracker(seq.camera(),
+                  std::make_unique<ReplayBackend>(
+                      OrbExtractor(orb).extract(frame.gray)),
+                  TrackerOptions{});
+  for (int i = 0; i < kSessionFrames; ++i) tracker.process(frame);
+
+  std::vector<TrackResult> results(kLongWindowFrames);
+  const std::size_t before = g_allocs.load();
+  const std::size_t bytes_before = g_alloc_bytes.load();
+  for (TrackResult& r : results) r = tracker.process(frame);
+  const std::size_t after = g_allocs.load();
+  const std::size_t bytes = g_alloc_bytes.load() - bytes_before;
+
+  EXPECT_EQ(after - before, 0u)
+      << "frames " << kSessionFrames << "-"
+      << kSessionFrames + kLongWindowFrames << " allocated " << bytes
+      << " bytes";
+  for (int i = 0; i < kLongWindowFrames; ++i) {
+    const TrackResult& r = results[static_cast<std::size_t>(i)];
+    EXPECT_FALSE(r.lost) << "frame " << kSessionFrames + i;
+    EXPECT_FALSE(r.keyframe) << "frame " << kSessionFrames + i;
+    EXPECT_GT(r.n_inliers, 50) << "frame " << kSessionFrames + i;
+  }
 }
 
 TEST(SteadyStateAlloc, LocalizationFrameIsAllocationFree) {
